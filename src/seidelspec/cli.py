@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
         if args.suite == "all"
         else [args.suite]
     )
-    results = run_suites(names, max_n=args.max_n, seed=args.seed, jobs=args.jobs)
+    results = run_suites(names, max_n=args.max_n, seed=args.seed)
     if args.json:
         payload = {
             "suites": [
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--max-n", type=int, default=None)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
 

@@ -383,23 +383,6 @@ def _member_graph(
     return Graph.from_mask(n, mask)
 
 
-def _survey_scan(
-    n: int, lo: int, hi: int, targets: dict[tuple[int, ...], int]
-) -> list[tuple[int, int]]:
-    _, ind_bits = _survey_tables(n)
-    out: list[tuple[int, int]] = []
-    for d in range(lo, hi):
-        g = _lift_descendant(n, d, ind_bits)
-        idx = targets.get(charpoly_oracle(seidel_matrix(g)).coeffs)
-        if idx is not None:
-            out.append((d, idx))
-    return out
-
-
-def _survey_scan_task(args) -> list[tuple[int, int]]:
-    return _survey_scan(*args)
-
-
 @dataclass(frozen=True)
 class SurveyMatch:
     """All switching classes sharing the spectrum of these partitions."""
@@ -456,7 +439,7 @@ class SurveyReport:
         }
 
 
-def exhaustive_switching_survey(n: int, jobs: int = 1) -> SurveyReport:
+def exhaustive_switching_survey(n: int) -> SurveyReport:
     """Survey every labeled graph of order n (n at most 7).
 
     Labeled switching classes are walked through their canonical members
@@ -487,24 +470,13 @@ def exhaustive_switching_survey(n: int, jobs: int = 1) -> SurveyReport:
     target_list = sorted(target_groups.items(), key=lambda item: item[1][0])
     targets = {key: i for i, (key, _) in enumerate(target_list)}
 
-    if jobs > 1 and class_count >= 4096:
-        chunk = 4096
-        tasks = [
-            (n, lo, min(lo + chunk, class_count), targets)
-            for lo in range(0, class_count, chunk)
-        ]
-        matched: list[tuple[int, int]] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_survey_scan_task, tasks):
-                matched.extend(part)
-        matched.sort()
-    else:
-        matched = _survey_scan(n, 0, class_count, targets)
-
     # each partition's own class must show up for its spectrum
     key_sets: dict[int, set[int]] = {i: set() for i in range(len(target_list))}
-    for d, idx in matched:
-        key_sets[idx].add(d)
+    for d in range(class_count):
+        g = _lift_descendant(n, d, ind_bits)
+        idx = targets.get(charpoly_oracle(seidel_matrix(g)).coeffs)
+        if idx is not None:
+            key_sets[idx].add(d)
     equivalence_violations: list[tuple[str, int]] = []
     sample_violations: list[tuple[int, int]] = []
     matches: list[SurveyMatch] = []

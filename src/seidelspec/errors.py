@@ -50,7 +50,8 @@ class ConvergenceError(SeidelSpecError, RuntimeError):
 
 
 class ConsistencyError(SeidelSpecError):
-    """Exact and numeric views of the same quantity disagree beyond tolerance."""
+    """Two views of the same quantity disagree (exact and numeric beyond
+    tolerance, or a replayed certificate and its target)."""
 
 
 class TheoremViolationError(ConsistencyError):

@@ -248,36 +248,65 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def charpoly_oracle(matrix) -> IntPoly:
     """Exact monic characteristic polynomial det(xI - M).
 
     Faddeev-LeVerrier recurrence.  For an integer matrix every division by
     the step index is exact over the integers, which is checked; the result
     is independent of any closed form elsewhere in this package.
+
+    Each row of the work matrix is packed into one Python int of n signed
+    lanes, lane j holding entry j at bit offset w*j, so the product A*W is
+    n^2 big-integer additions (or scalar multiples) of whole rows, adding
+    c*I adds ``c << (w*i)`` to row i, and the trace is read back by biased
+    lane extraction.  Packed arithmetic is exact; only the extraction
+    needs every entry to fit its lane, and w is fixed from this bound
+    before any arithmetic: with rho = n * max|a_ij|, Gershgorin gives
+    |lambda| <= rho, hence |c_i| <= C(n,i) rho^i and |(A^j)_uv| <= rho^j.
+    Every work matrix A^k + c_1 A^(k-1) + ... + c_(k-1) A, with or without
+    c_k I added (k <= n), then has entries of magnitude at most
+    2^(n+1) rho^k <= 2^(n+1) rho^n < 2^(w-1) for
+    w = n * bit_length(rho) + n + 2 (a nonzero integer matrix has rho >= 1,
+    and the zero matrix keeps every lane at zero).
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     n = m.n
     if n == 0:
         return IntPoly([1])
-    a = [list(r) for r in m.rows]
+    rows = m.rows
+    rho = n * max(abs(v) for row in rows for v in row)
+    w = n * rho.bit_length() + n + 2
+    shifts = range(0, n * w, w)
+    half = 1 << (w - 1)
+    lane = (1 << w) - 1
+    # adding half to every lane makes each lane nonnegative, so no borrow
+    # crosses a lane boundary when one is shifted down and masked off
+    bias = sum(half << s for s in shifts)
+    terms = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+    work = [sum(a << s for a, s in zip(row, shifts)) for row in rows]
     coeffs = [1]
-    work = [row[:] for row in a]
     for k in range(1, n + 1):
-        t = sum(work[i][i] for i in range(n))
+        t = sum((((row + bias) >> s) & lane) - half for row, s in zip(work, shifts))
         q, r = divmod(-t, k)
         if r:
             raise ArithmeticError("trace recurrence produced a non-integer coefficient")
         coeffs.append(q)
         if k == n:
             break
-        for i in range(n):
-            work[i][i] += q
-        work = _matmul(a, work)
+        if q:
+            work = [row + (q << s) for row, s in zip(work, shifts)]
+        product = []
+        for row_terms in terms:
+            acc = 0
+            for j, a in row_terms:
+                if a == 1:
+                    acc += work[j]
+                elif a == -1:
+                    acc -= work[j]
+                else:
+                    acc += a * work[j]
+            product.append(acc)
+        work = product
     return IntPoly(reversed(coeffs))
 
 

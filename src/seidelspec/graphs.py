@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, GraphFormatError
+from .errors import CapExceededError, ConsistencyError, GraphFormatError
 from .exactalg import IntMatrix
 from .multipartite import Partition
 
@@ -131,11 +131,15 @@ def seidel_matrix(g: Graph) -> IntMatrix:
     negative edges are exactly the edges of G.
     """
     n = g.n
+    mask = g.mask
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = -1 if g.has_edge(i, j) else 1
-            rows[i][j] = rows[j][i] = v
+    bit = 0
+    # walk the mask in its own column-major pair order
+    for j in range(1, n):
+        row_j = rows[j]
+        for i in range(j):
+            rows[i][j] = row_j[i] = -1 if (mask >> bit) & 1 else 1
+            bit += 1
     return IntMatrix(rows)
 
 
@@ -287,8 +291,8 @@ def switching_equivalent(g: Graph, h: Graph, relabel: bool = True):
             set(g.neighbors(0)).symmetric_difference(inv[b] for b in h.neighbors(u))
         )
         witness = SwitchingWitness(tuple(subset), perm)
-        replay = witness.apply(g)
-        assert replay == h, "witness replay must reproduce the target graph"
+        if witness.apply(g) != h:
+            raise ConsistencyError("witness replay does not reproduce the target graph")
         return witness
     return None
 

@@ -89,7 +89,6 @@ def switching_suite(
     max_n: int = 8,
     seed: int = DEFAULT_SEED,
     pairs: int = SWITCHING_PAIRS,
-    jobs: int = 1,
 ) -> SuiteResult:
     """Random switching invariance plus the exhaustive small-order survey."""
     rng = random.Random(seed)
@@ -106,7 +105,7 @@ def switching_suite(
                 failures.append(f"switch changed the spectrum: n={n} mask={g.mask} U={subset}")
     for n in range(1, min(max_n, 7) + 1):
         checks += 1
-        report = exhaustive_switching_survey(n, jobs=jobs)
+        report = exhaustive_switching_survey(n)
         for partition, key in report.equivalence_violations:
             failures.append(f"order {n}: class {key} cospectral with {partition} but not equivalent")
         for key, row in report.sample_violations:
@@ -161,18 +160,16 @@ def run_suites(
     names: list[str],
     max_n: int | None = None,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
 ) -> list[SuiteResult]:
+    """Run the named suites in order; a missing or zero max_n keeps each
+    suite's own default."""
     results = []
     for name in names:
-        if name == "closedform":
-            results.append(closedform_suite(max_n or 12))
-        elif name == "bounds":
-            results.append(bounds_suite(max_n or 12))
-        elif name == "switching":
-            results.append(switching_suite(max_n or 8, seed=seed, jobs=jobs))
-        elif name == "determination":
-            results.append(determination_suite(max_n or 20))
-        else:
+        suite = SUITES.get(name)
+        if suite is None:
             raise ValueError(f"unknown suite {name!r}")
+        options: dict[str, int] = {"max_n": max_n} if max_n else {}
+        if suite is switching_suite:  # the only randomized suite
+            options["seed"] = seed
+        results.append(suite(**options))
     return results

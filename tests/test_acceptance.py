@@ -6,7 +6,6 @@ to see them).  Exact comparisons are integer equality; numeric tolerances
 are fixed at 1e-8.
 """
 
-import os
 import random
 from math import comb
 
@@ -173,9 +172,8 @@ def test_acceptance_8_forced_patterns_are_unique_in_family():
 
 
 def test_acceptance_9_exhaustive_survey():
-    jobs = min(4, os.cpu_count() or 1)
     for n in range(1, 8):
-        report = exhaustive_switching_survey(n, jobs=jobs)
+        report = exhaustive_switching_survey(n)
         assert report.graph_count == 1 << comb(n, 2)
         assert report.class_count * report.class_size == report.graph_count
         assert report.equivalence_violations == (), (n, report.equivalence_violations)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from seidelspec.cli import main
+from seidelspec.verify import run_suites
 
 
 def run(capsys, *argv):
@@ -91,11 +92,18 @@ class TestVerify:
         assert "PASS determination" in out
 
     def test_switching_tiny(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--suite", "switching", "--max-n", "4", "--jobs", "1"
-        )
+        code, out, _ = run(capsys, "verify", "--suite", "switching", "--max-n", "4")
         assert code == 0
         assert "PASS switching" in out
+
+    def test_jobs_option_removed(self, capsys):
+        code, _, err = run(capsys, "verify", "--suite", "switching", "--jobs", "2")
+        assert code == 2
+        assert "--jobs" in err
+
+    def test_run_suites_rejects_unknown_name(self):
+        with pytest.raises(ValueError, match="frobnicate"):
+            run_suites(["closedform", "frobnicate"], max_n=1)
 
     def test_bounds_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bounds", "--max-n", "6", "--json")

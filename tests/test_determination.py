@@ -7,6 +7,7 @@ from seidelspec import (
     Partition,
     charpoly_coefficients,
     charpoly_oracle,
+    charpoly_product,
     check_forced_part_sizes,
     complete_multipartite,
     cospectral_classes,
@@ -205,10 +206,27 @@ class TestSurvey:
         assert report.sample_violations == ()
         assert report.distinct_partition_violations == ()
 
-    def test_parallel_matches_serial(self):
-        a = exhaustive_switching_survey(5, jobs=1)
-        b = exhaustive_switching_survey(5, jobs=2)
-        assert a.matches == b.matches
+    def test_matches_brute_force_grouping(self):
+        # every labeled graph of order 5, grouped by its normal form (the
+        # class key) and by its own oracle polynomial, must give exactly
+        # the survey's matched classes per partition spectrum
+        n = 5
+        spectra: dict[IntPoly, list[Partition]] = {}
+        for p in partitions_of(n):
+            spectra.setdefault(charpoly_product(p).expanded, []).append(p)
+        brute: dict[IntPoly, set[int]] = {}
+        for g in enumerate_graphs(n):
+            poly = charpoly_oracle(seidel_matrix(g))
+            if poly in spectra:
+                key = normalize_at(g, 0).induced(range(1, n)).mask
+                brute.setdefault(poly, set()).add(key)
+        report = exhaustive_switching_survey(n)
+        assert len(report.matches) == len(spectra)
+        for m in report.matches:
+            poly = charpoly_product(m.partitions[0]).expanded
+            assert m.partitions == tuple(spectra[poly])
+            assert m.class_keys == tuple(sorted(brute[poly]))
+            assert m.verified
 
     def test_cap(self):
         with pytest.raises(CapExceededError):

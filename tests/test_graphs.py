@@ -5,11 +5,13 @@ import pytest
 
 from seidelspec import (
     CapExceededError,
+    ConsistencyError,
     EmptyPartitionError,
     Graph,
     GraphFormatError,
     IntMatrix,
     Partition,
+    SwitchingWitness,
     charpoly_oracle,
     complete_multipartite,
     enumerate_graphs,
@@ -200,6 +202,12 @@ class TestSwitchingEquivalent:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             switching_equivalent(Graph(11), Graph(11))
+
+    def test_bad_replay_raises(self, monkeypatch):
+        # the replay check must survive python -O, so it is no assert
+        monkeypatch.setattr(SwitchingWitness, "apply", lambda self, g: g.complement())
+        with pytest.raises(ConsistencyError):
+            switching_equivalent(P3, P3)
 
 
 class TestCompleteMultipartite:

@@ -1,0 +1,110 @@
+"""Property tests of the packed-row charpoly_oracle.
+
+The reference below is the plain Faddeev-LeVerrier recurrence on
+list-of-lists matrices, one Python int per entry and n^3 multiply-adds per
+step; it shares the recurrence with the oracle but none of its packing, so
+a lane that overflows or is read back wrongly shows up as a difference.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from seidelspec import (
+    IntPoly,
+    Partition,
+    charpoly_oracle,
+    charpoly_product,
+    complete_multipartite,
+    seidel_matrix,
+)
+
+ENTRY_BOUND = 10**6
+# the reference costs O(n^4) big-integer work; above this order the
+# exact closed form alone checks the oracle
+REFERENCE_MAX_N = 32
+
+
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def reference_charpoly(rows: list[list[int]]) -> IntPoly:
+    n = len(rows)
+    a = [list(r) for r in rows]
+    coeffs = [1]
+    work = [row[:] for row in a]
+    for k in range(1, n + 1):
+        q, r = divmod(-sum(work[i][i] for i in range(n)), k)
+        assert r == 0
+        coeffs.append(q)
+        if k == n:
+            break
+        for i in range(n):
+            work[i][i] += q
+        work = _matmul(a, work)
+    return IntPoly(reversed(coeffs))
+
+
+# small entries (0 and +-1 take their own branches in the kernel) mixed
+# with entries anywhere in the full range
+entries = st.one_of(
+    st.sampled_from([0, 1, -1]), st.integers(-ENTRY_BOUND, ENTRY_BOUND)
+)
+
+
+@st.composite
+def integer_matrices(draw, max_n: int = 12) -> list[list[int]]:
+    n = draw(st.integers(0, max_n))
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_random_integer_matrices_match_reference(rows):
+    assert charpoly_oracle(rows) == reference_charpoly(rows)
+
+
+def _scaled_ones(n: int, a: int, kind: str) -> tuple[list[list[int]], IntPoly]:
+    """a*J, -a*J or a*(J-I) with its characteristic polynomial."""
+    x = IntPoly([0, 1])
+    if kind == "J":
+        return [[a] * n for _ in range(n)], x ** (n - 1) * IntPoly([-a * n, 1])
+    if kind == "-J":
+        return [[-a] * n for _ in range(n)], x ** (n - 1) * IntPoly([a * n, 1])
+    rows = [[a * (i != j) for j in range(n)] for i in range(n)]
+    return rows, IntPoly([-a * (n - 1), 1]) * IntPoly([a, 1]) ** (n - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    a=st.integers(1, ENTRY_BOUND),
+    kind=st.sampled_from(["J", "-J", "J-I"]),
+)
+@example(n=64, a=ENTRY_BOUND, kind="J")
+@example(n=64, a=ENTRY_BOUND, kind="-J")
+@example(n=64, a=ENTRY_BOUND, kind="J-I")
+@example(n=REFERENCE_MAX_N, a=ENTRY_BOUND, kind="J-I")
+def test_matrices_at_the_lane_width_bound(n, a, kind):
+    # every entry equals max|a_ij|, so the entries grow as fast as the
+    # bound that fixes the lane width allows
+    rows, expected = _scaled_ones(n, a, kind)
+    got = charpoly_oracle(rows)
+    assert got == expected
+    if n <= REFERENCE_MAX_N:
+        assert got == reference_charpoly(rows)
+
+
+@st.composite
+def partitions_of_64(draw) -> Partition:
+    cuts = sorted(draw(st.sets(st.integers(1, 63), max_size=9)))
+    return Partition([b - a for a, b in zip([0] + cuts, cuts + [64])])
+
+
+@settings(max_examples=4, deadline=None)
+@given(partitions_of_64())
+@example(Partition([1] * 64))
+def test_order_64_complete_multipartite_matches_closed_form(p):
+    oracle = charpoly_oracle(seidel_matrix(complete_multipartite(p)))
+    assert oracle == charpoly_product(p).expanded
