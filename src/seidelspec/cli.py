@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .determination import verify_shared_part_property
@@ -20,7 +19,13 @@ from .errors import (
     SeidelSpecError,
 )
 from .exactalg import charpoly_oracle
-from .graphs import complete_multipartite, graph6_decode, seidel_matrix, switching_equivalent
+from .graphs import (
+    check_graph_order,
+    complete_multipartite,
+    graph6_decode,
+    seidel_matrix,
+    switching_equivalent,
+)
 from .multipartite import (
     Partition,
     charpoly_coefficients,
@@ -68,6 +73,9 @@ def _form_result(p: Partition, form: str) -> dict:
 def cmd_charpoly(args) -> int:
     p = Partition.parse(args.partition)
     names = list(FORMS) if args.form == "all" else [args.form]
+    if "oracle" in names:
+        # the oracle builds the graph; check its order before any form runs
+        check_graph_order(p.n)
     results = [_form_result(p, name) for name in names]
     agree = all(r["_expanded"] == results[0]["_expanded"] for r in results)
     if args.json:
@@ -162,7 +170,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_search(args) -> int:
-    report = verify_shared_part_property(args.n, args.k, jobs=args.jobs)
+    report = verify_shared_part_property(args.n, args.k)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
@@ -278,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="cospectral classes among partitions of n")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_search)
 

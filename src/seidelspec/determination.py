@@ -10,7 +10,6 @@ with a complete multipartite graph is switching equivalent to it.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -19,6 +18,7 @@ from typing import Iterator
 from .errors import (
     CapExceededError,
     ConsistencyError,
+    InvalidPartitionError,
     NonMonicError,
     TheoremViolationError,
 )
@@ -40,7 +40,7 @@ from .multipartite import (
 )
 from .spectra import exact_root_multiplicity, roots_in_open_interval
 
-COSPECTRAL_CAP = 30
+COSPECTRAL_CAP = 36
 
 
 def partitions_of(n: int, k: int | None = None) -> Iterator[Partition]:
@@ -136,41 +136,27 @@ class CospectralClass:
         return all(p.k <= 2 for p in self.partitions)
 
 
-def _charpoly_keys_task(parts_list: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    return [charpoly_product(Partition(parts)).expanded.coeffs for parts in parts_list]
-
-
-def cospectral_classes(
-    n: int, k: int | None = None, jobs: int = 1
-) -> list[CospectralClass]:
+def cospectral_classes(n: int, k: int | None = None) -> list[CospectralClass]:
     """Group all partitions of n (optionally with k parts) by exact spectrum.
 
-    With jobs > 1 the per-partition polynomials are computed in parallel
-    shards and merged in the original deterministic order.  Partitions
-    with different part counts, at least one above two, must never share a
-    polynomial (their -1 multiplicities differ); that is checked, not
-    assumed.
+    Each partition is keyed on its expanded polynomial from the coefficient
+    formula; keying on the expanded polynomial rather than the residual
+    keeps the two-part degeneracy (all partitions into at most two parts
+    share one polynomial).  Partitions with different part counts, at
+    least one above two, must never share a polynomial (their -1
+    multiplicities differ); that is checked, not assumed.
     """
+    if n < 1:
+        raise InvalidPartitionError(f"cospectral search needs order n >= 1, got {n}")
+    if k is not None and k < 1:
+        raise InvalidPartitionError(f"cospectral search needs k >= 1 parts, got {k}")
     if n > COSPECTRAL_CAP:
         raise CapExceededError(
             f"cospectral search is capped at order {COSPECTRAL_CAP}, got {n}"
         )
-    plist = list(partitions_of(n, k))
-    if jobs > 1 and len(plist) >= 64:
-        chunk = max(16, len(plist) // (4 * jobs))
-        tasks = [
-            [p.parts for p in plist[lo : lo + chunk]]
-            for lo in range(0, len(plist), chunk)
-        ]
-        keys: list[tuple[int, ...]] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_charpoly_keys_task, tasks):
-                keys.extend(part)
-    else:
-        keys = [charpoly_product(p).expanded.coeffs for p in plist]
     groups: dict[tuple[int, ...], list[Partition]] = {}
-    for p, key in zip(plist, keys):
-        groups.setdefault(key, []).append(p)
+    for p in partitions_of(n, k):
+        groups.setdefault(charpoly_coefficients(p).expanded.coeffs, []).append(p)
     classes = [
         CospectralClass(IntPoly(key), tuple(sorted(ps))) for key, ps in groups.items()
     ]
@@ -214,7 +200,10 @@ def forced_rule(p: Partition) -> str | None:
     return None
 
 
-def _build_verdict(p: Partition, mates: tuple[Partition, ...]) -> ForcedSizeVerdict:
+def _build_verdict(
+    p: Partition, mates: tuple[Partition, ...], full: IntPoly
+) -> ForcedSizeVerdict:
+    # full is the expanded Seidel polynomial of p, read by the evidence checks
     rule = forced_rule(p)
     if rule == "bipartite":
         # all partitions into at most two parts of the same order form one
@@ -222,7 +211,6 @@ def _build_verdict(p: Partition, mates: tuple[Partition, ...]) -> ForcedSizeVerd
         return ForcedSizeVerdict(p, "s_determined", rule, (), mates)
     evidence: list[tuple[str, bool]] = []
     if rule is not None:
-        full = charpoly_product(p).expanded
         if rule == "repeated_size":
             for size, r in p.grouped():
                 if r >= 3:
@@ -257,13 +245,14 @@ def _build_verdict(p: Partition, mates: tuple[Partition, ...]) -> ForcedSizeVerd
 def check_forced_part_sizes(partition) -> ForcedSizeVerdict:
     """Verdict for one partition, recovering its cospectral family afresh."""
     p = partition if isinstance(partition, Partition) else Partition(partition)
+    full = charpoly_product(p).expanded
     if p.k <= 2:
-        return _build_verdict(p, ())
+        return _build_verdict(p, (), full)
     family = recover_partitions(charpoly_coefficients(p).residual)
     if p not in family:
         raise ConsistencyError(f"recovery lost the partition {p}")
     mates = tuple(q for q in family if q != p)
-    return _build_verdict(p, mates)
+    return _build_verdict(p, mates, full)
 
 
 @dataclass(frozen=True)
@@ -297,9 +286,7 @@ class DeterminationReport:
         }
 
 
-def verify_shared_part_property(
-    n: int, k: int | None = None, jobs: int = 1
-) -> DeterminationReport:
+def verify_shared_part_property(n: int, k: int | None = None) -> DeterminationReport:
     """Scan one order for cospectral partitions sharing a part size.
 
     For three or more parts, two cospectral partitions must either be
@@ -308,7 +295,7 @@ def verify_shared_part_property(
     degeneracy and is excluded.
     """
     start = time.monotonic()
-    classes = cospectral_classes(n, k, jobs=jobs)
+    classes = cospectral_classes(n, k)
     violations: list[tuple[Partition, Partition, int]] = []
     verdicts: list[ForcedSizeVerdict] = []
     for cls in classes:
@@ -319,7 +306,7 @@ def verify_shared_part_property(
                 violations.append((a, b, min(shared)))
         for p in cls.partitions:
             mates = tuple(q for q in cls.partitions if q != p and q.k == p.k)
-            verdicts.append(_build_verdict(p, mates))
+            verdicts.append(_build_verdict(p, mates, cls.charpoly))
     verdicts.sort(key=lambda v: v.partition)
     return DeterminationReport(
         order=n,

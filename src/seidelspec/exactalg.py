@@ -2,7 +2,7 @@
 
 Coefficients and entries are Python ints, so everything in this module is
 exact; no floating point is used anywhere here.  Values are immutable after
-construction and safe to share across workers.
+construction.
 """
 
 from __future__ import annotations

@@ -21,6 +21,12 @@ ENUMERATION_CAP = 7      # 2^21 labeled graphs at n=7
 EQUIVALENCE_CAP = 10     # switching equivalence decision
 
 
+def check_graph_order(n: int) -> None:
+    """Raise CapExceededError unless a graph of order n is representable."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise CapExceededError(f"graphs support 0..{MAX_VERTICES} vertices, got {n}")
+
+
 def _pair_index(i: int, j: int) -> int:
     if i > j:
         i, j = j, i
@@ -36,8 +42,7 @@ class Graph:
     mask: int
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if not 0 <= n <= MAX_VERTICES:
-            raise CapExceededError(f"graphs support 0..{MAX_VERTICES} vertices, got {n}")
+        check_graph_order(n)
         self.n = n
         mask = 0
         for u, v in edges:

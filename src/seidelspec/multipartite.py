@@ -147,7 +147,8 @@ class FactoredSeidelPoly:
         residual: IntPoly,
         order: int,
     ) -> "FactoredSeidelPoly":
-        full = IntPoly([1, 1]) ** ones_exponent * residual
+        ones = IntPoly([comb(ones_exponent, i) for i in range(ones_exponent + 1)])
+        full = residual * ones
         for size, exp in linear_factors:
             full = full * _linear(size) ** exp
         if full.degree != order or not full.is_monic():

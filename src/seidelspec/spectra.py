@@ -231,12 +231,17 @@ def roots_below(p: IntPoly, c: int, assume_real_rooted: bool = False) -> int:
         raise ZeroPolynomialError("the zero polynomial has no root count")
     if not assume_real_rooted and not is_real_rooted(p):
         raise ConsistencyError("polynomial has non-real roots; sign-change count unsound")
-    # substitute x = c - t; roots below c become positive roots in t
-    acc = IntPoly()
-    lin = IntPoly([c, -1])
-    for coeff in reversed(p.coeffs):
-        acc = acc * lin + coeff
-    return descartes_sign_changes(acc)
+    # substitute x = c - t; roots below c become positive roots in t.
+    # Taylor shift in place to p(x + c), then t = -x flips odd coefficients.
+    a = list(p.coeffs)
+    d = len(a) - 1
+    if c:
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                a[j] += c * a[j + 1]
+    for j in range(1, d + 1, 2):
+        a[j] = -a[j]
+    return descartes_sign_changes(IntPoly(a))
 
 
 def roots_in_open_interval(
@@ -249,13 +254,26 @@ def roots_in_open_interval(
 
 
 def exact_root_multiplicity(p: IntPoly, r: int) -> int:
-    """Largest e with (x - r)^e dividing p, by repeated exact division."""
+    """Largest e with (x - r)^e dividing p, by repeated exact division.
+
+    Each step is one synthetic-division pass by the monic x - r over the
+    coefficients, highest first: the running Horner values are the
+    quotient and the last one is the remainder p(r), so the division is
+    exact exactly when that remainder is zero.
+    """
     if p.is_zero():
         raise ZeroPolynomialError("every power divides the zero polynomial")
-    lin = IntPoly([-r, 1])
+    desc = p.coeffs[::-1]
     e = 0
-    while p.degree >= 1 and p(r) == 0:
-        p = p.divexact(lin)
+    while len(desc) > 1:
+        acc = 0
+        quot = []
+        for c in desc:
+            acc = acc * r + c
+            quot.append(acc)
+        if quot.pop():
+            break
+        desc = quot
         e += 1
     return e
 

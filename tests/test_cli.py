@@ -34,6 +34,12 @@ class TestCharpoly:
         assert code == 2
         assert "error" in err
 
+    def test_oracle_order_checked_before_work(self, capsys):
+        # the product form alone would run for many seconds at order 400
+        code, _, err = run(capsys, "charpoly", "400*1")
+        assert code == 2
+        assert "64" in err and "400" in err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "charpoly", "3,2,1", "--form", "all", "--json")
         assert code == 0
@@ -73,6 +79,16 @@ class TestSearch:
         assert code == 2
         assert "cap" in err.lower() or "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--n", "0"), ("--n", "-3"), ("--n", "5", "--k", "0"), ("--n", "5", "--k", "-1")],
+    )
+    def test_empty_order_or_part_count_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "search", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
     def test_search_json_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "search", "--n", "10", "--json")
         code2, out2, _ = run(capsys, "search", "--n", "10", "--json")
@@ -96,8 +112,16 @@ class TestVerify:
         assert code == 0
         assert "PASS switching" in out
 
-    def test_jobs_option_removed(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "switching", "--jobs", "2")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--suite", "switching", "--jobs", "2"),
+            ("search", "--n", "5", "--jobs", "2"),
+        ],
+        ids=["verify", "search"],
+    )
+    def test_jobs_option_removed(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
         assert code == 2
         assert "--jobs" in err
 

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seidelspec import (
     CapExceededError,
     IntPoly,
+    InvalidPartitionError,
     NonMonicError,
     Partition,
     charpoly_coefficients,
@@ -20,6 +23,7 @@ from seidelspec import (
     seidel_matrix,
     verify_shared_part_property,
 )
+from seidelspec.determination import COSPECTRAL_CAP
 
 
 class TestPartitionsOf:
@@ -127,7 +131,29 @@ class TestCospectralClasses:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            cospectral_classes(31)
+            cospectral_classes(COSPECTRAL_CAP + 1)
+
+    @pytest.mark.parametrize("n, k", [(0, None), (-3, None), (5, 0), (5, -1)])
+    def test_rejects_empty_order_or_part_count(self, n, k):
+        with pytest.raises(InvalidPartitionError):
+            cospectral_classes(n, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 18), k=st.one_of(st.none(), st.integers(1, 6)))
+    def test_matches_product_form_grouping(self, n, k):
+        # reference: group by the cleared-denominator product form, which
+        # the search keyed on before it switched to the coefficient formula
+        brute: dict[IntPoly, list[Partition]] = {}
+        for p in partitions_of(n, k):
+            brute.setdefault(charpoly_product(p).expanded, []).append(p)
+        classes = cospectral_classes(n, k)
+        assert {cls.charpoly: list(cls.partitions) for cls in classes} == {
+            poly: sorted(ps) for poly, ps in brute.items()
+        }
+        if k is None:
+            # every partition into at most two parts shares one class
+            small = [cls for cls in classes if Partition([n]) in cls.partitions]
+            assert set(small[0].partitions) == {p for p in partitions_of(n) if p.k <= 2}
 
 
 class TestSharedPartProperty:
@@ -135,6 +161,14 @@ class TestSharedPartProperty:
         for n in range(1, 13):
             report = verify_shared_part_property(n)
             assert report.shared_part_violations == ()
+
+    def test_verdicts_match_fresh_recovery(self):
+        # the scan reuses each class polynomial; check_forced_part_sizes
+        # recovers the family and builds the product form on its own
+        for n in range(3, 16):
+            for v in verify_shared_part_property(n).verdicts:
+                if v.partition.k >= 3:
+                    assert v == check_forced_part_sizes(v.partition)
 
     def test_report_json_schema(self):
         report = verify_shared_part_property(4, k=2)
