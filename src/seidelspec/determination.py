@@ -26,11 +26,10 @@ from .exactalg import IntPoly, charpoly_oracle, integer_root_multiset
 from .graphs import (
     ENUMERATION_CAP,
     Graph,
-    _cut_edges_mask,
-    _pair_index,
     complete_multipartite,
     normalize_at,
     seidel_matrix,
+    switch,
     switching_equivalent,
 )
 from .multipartite import (
@@ -322,54 +321,6 @@ def verify_shared_part_property(n: int, k: int | None = None) -> DeterminationRe
 # exhaustive survey over all labeled graphs at tiny orders
 
 
-def _survey_tables(n: int) -> tuple[list[int], list[int]]:
-    # bit positions in the order-n mask: edges (0, j), and pairs among 1..n-1
-    # indexed the same way as pairs of an (n-1)-vertex graph
-    row_bits = [comb(j, 2) for j in range(1, n)]
-    ind_bits = [
-        _pair_index(u + 1, v + 1) for v in range(1, n - 1) for u in range(v)
-    ]
-    return row_bits, ind_bits
-
-
-def _lift_descendant(n: int, dmask: int, ind_bits: list[int]) -> Graph:
-    # class representative: vertex 0 isolated, rest wired per dmask
-    mask = 0
-    q = 0
-    while dmask:
-        if dmask & 1:
-            mask |= 1 << ind_bits[q]
-        dmask >>= 1
-        q += 1
-    return Graph.from_mask(n, mask)
-
-
-def _descendant_key(g: Graph, ind_bits: list[int]) -> int:
-    ng = normalize_at(g, 0)
-    key = 0
-    for q, pos in enumerate(ind_bits):
-        key |= ((ng.mask >> pos) & 1) << q
-    return key
-
-
-def _member_graph(
-    n: int, dmask: int, row_value: int, row_bits: list[int], ind_bits: list[int]
-) -> Graph:
-    # the unique class member whose vertex-0 row equals row_value
-    rest = dmask ^ _cut_edges_mask(n - 1, row_value)
-    mask = 0
-    q = 0
-    while rest:
-        if rest & 1:
-            mask |= 1 << ind_bits[q]
-        rest >>= 1
-        q += 1
-    for t in range(n - 1):
-        if (row_value >> t) & 1:
-            mask |= 1 << row_bits[t]
-    return Graph.from_mask(n, mask)
-
-
 @dataclass(frozen=True)
 class SurveyMatch:
     """All switching classes sharing the spectrum of these partitions."""
@@ -383,9 +334,10 @@ class SurveyMatch:
 class SurveyReport:
     """Result of the all-graphs survey at one order.
 
-    Every labeled graph corresponds to exactly one (vertex-0 row, class
+    Every labeled graph corresponds to exactly one (vertex n-1 row, class
     key) pair, so walking class representatives covers all of them; the
-    violation tuples must be empty.
+    violation tuples must be empty.  A class key is the edge mask of the
+    class member in which vertex n-1 is isolated.
     """
 
     order: int
@@ -430,8 +382,11 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
     """Survey every labeled graph of order n (n at most 7).
 
     Labeled switching classes are walked through their canonical members
-    (vertex 0 isolated, one class per graph on n-1 vertices; each class
-    holds exactly 2^(n-1) graphs, one per vertex-0 row).  For every class
+    (vertex n-1 isolated, one class per graph on the first n-1 vertices;
+    each class holds exactly 2^(n-1) graphs, one per vertex n-1 row).  In
+    the column-major mask order the pairs among vertices 0..n-2 come
+    first, so the canonical members are exactly the masks below
+    2^C(n-1,2), and such a mask is its class's key.  For every class
     whose exact Seidel polynomial equals that of a complete multipartite
     partition, switching equivalence with relabeling to that graph is
     decided and recorded; sampled non-canonical members are re-checked to
@@ -446,21 +401,15 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
     if n < 1:
         raise ValueError("survey needs at least one vertex")
     start = time.monotonic()
-    row_bits, ind_bits = _survey_tables(n)
     class_count = 1 << comb(n - 1, 2)
     class_size = 1 << (n - 1)
 
     partitions = list(partitions_of(n))
-    target_groups: dict[tuple[int, ...], list[Partition]] = {}
-    for p in partitions:
-        target_groups.setdefault(charpoly_product(p).expanded.coeffs, []).append(p)
-    target_list = sorted(target_groups.items(), key=lambda item: item[1][0])
-    targets = {key: i for i, (key, _) in enumerate(target_list)}
-
-    # each partition's own class must show up for its spectrum
-    key_sets: dict[int, set[int]] = {i: set() for i in range(len(target_list))}
+    classes = cospectral_classes(n)
+    targets = {cls.charpoly.coeffs: i for i, cls in enumerate(classes)}
+    key_sets: list[set[int]] = [set() for _ in classes]
     for d in range(class_count):
-        g = _lift_descendant(n, d, ind_bits)
+        g = Graph.from_mask(n, d)
         idx = targets.get(charpoly_oracle(seidel_matrix(g)).coeffs)
         if idx is not None:
             key_sets[idx].add(d)
@@ -471,24 +420,24 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
         sample_rows = list(range(1, class_size))
     else:
         sample_rows = [1, class_size // 2, class_size - 1]
-    for idx, (key, ps) in enumerate(target_list):
-        anchor = complete_multipartite(ps[0])
-        own_key = _descendant_key(anchor, ind_bits)
-        if own_key not in key_sets[idx]:
-            raise ConsistencyError(
-                f"class of {ps[0]} not matched to its own spectrum"
-            )
+    for cls, keys in zip(classes, key_sets):
+        first = cls.partitions[0]
+        anchor = complete_multipartite(first)
+        # each partition's own class must show up for its spectrum
+        if normalize_at(anchor, n - 1).mask not in keys:
+            raise ConsistencyError(f"class of {first} not matched to its own spectrum")
         verified = True
-        for d in sorted(key_sets[idx]):
-            rep = _lift_descendant(n, d, ind_bits)
+        for d in sorted(keys):
+            rep = Graph.from_mask(n, d)
             if switching_equivalent(rep, anchor) is None:
                 verified = False
-                equivalence_violations.append((str(ps[0]), d))
+                equivalence_violations.append((str(first), d))
             for a in sample_rows:
-                member = _member_graph(n, d, a, row_bits, ind_bits)
-                if charpoly_oracle(seidel_matrix(member)).coeffs != key:
+                # the class member whose vertex n-1 row is a
+                member = switch(rep, [v for v in range(n - 1) if a >> v & 1])
+                if charpoly_oracle(seidel_matrix(member)) != cls.charpoly:
                     sample_violations.append((d, a))
-        matches.append(SurveyMatch(tuple(ps), tuple(sorted(key_sets[idx])), verified))
+        matches.append(SurveyMatch(cls.partitions, tuple(sorted(keys)), verified))
 
     distinct_violations: list[tuple[str, str, str]] = []
     by_k: dict[int, list[Partition]] = {}

@@ -9,7 +9,12 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, ExactDivisionError, NonMonicError
+from .errors import (
+    ConsistencyError,
+    DimensionError,
+    ExactDivisionError,
+    NonMonicError,
+)
 
 
 class IntPoly:
@@ -289,7 +294,7 @@ def charpoly_oracle(matrix) -> IntPoly:
         t = sum((((row + bias) >> s) & lane) - half for row, s in zip(work, shifts))
         q, r = divmod(-t, k)
         if r:
-            raise ArithmeticError("trace recurrence produced a non-integer coefficient")
+            raise ConsistencyError("trace recurrence produced a non-integer coefficient")
         coeffs.append(q)
         if k == n:
             break

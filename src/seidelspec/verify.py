@@ -12,13 +12,14 @@ from dataclasses import dataclass
 from math import comb
 
 from .determination import (
+    COSPECTRAL_CAP,
     exhaustive_switching_survey,
     forced_rule,
     partitions_of,
     recover_partitions,
     verify_shared_part_property,
 )
-from .errors import SeidelSpecError
+from .errors import CapExceededError, SeidelSpecError
 from .exactalg import charpoly_oracle
 from .graphs import Graph, complete_multipartite, seidel_matrix, switch
 from .multipartite import (
@@ -117,6 +118,10 @@ def switching_suite(
 
 def determination_suite(max_n: int = 20, recover_max: int = 12) -> SuiteResult:
     """Recovery round trip, shared-part scan, forced-pattern uniqueness."""
+    if max_n > COSPECTRAL_CAP:
+        raise CapExceededError(
+            f"cospectral search is capped at order {COSPECTRAL_CAP}, got {max_n}"
+        )
     checks = 0
     failures: list[str] = []
     for n in range(1, min(max_n, recover_max) + 1):

@@ -34,11 +34,25 @@ class TestCharpoly:
         assert code == 2
         assert "error" in err
 
-    def test_oracle_order_checked_before_work(self, capsys):
-        # the product form alone would run for many seconds at order 400
-        code, _, err = run(capsys, "charpoly", "400*1")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("charpoly", "400*1"),
+            ("charpoly", "1000*1", "--form", "product"),
+            ("charpoly", "5000*1", "--form", "grouped"),
+            ("spectrum", "300*1"),
+            ("bound", "3000*1"),
+            ("quotient", "3000*1"),
+        ],
+        ids=["charpoly", "product", "grouped", "spectrum", "bound", "quotient"],
+    )
+    def test_order_checked_before_work(self, capsys, argv):
+        # each of these runs for seconds or more if the order is not
+        # refused right after parsing
+        code, out, err = run(capsys, *argv)
         assert code == 2
-        assert "64" in err and "400" in err
+        assert out == ""
+        assert "64" in err and argv[1].split("*")[0] in err
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "charpoly", "3,2,1", "--form", "all", "--json")
@@ -106,6 +120,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "determination", "--max-n", "8")
         assert code == 0
         assert "PASS determination" in out
+
+    def test_determination_over_cap_is_usage_error(self, capsys):
+        # refused before the recovery sweep starts, not reported as a failure
+        code, out, err = run(capsys, "verify", "--suite", "determination", "--max-n", "37")
+        assert code == 2
+        assert out == ""
+        assert "36" in err and "37" in err
 
     def test_switching_tiny(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "switching", "--max-n", "4")
@@ -175,3 +196,12 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_plain_value_error_propagates(self, monkeypatch):
+        # only typed errors are usage errors; a plain ValueError is a bug
+        def broken(n, k=None):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("seidelspec.cli.verify_shared_part_property", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["search", "--n", "5"])

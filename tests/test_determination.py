@@ -1,9 +1,12 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seidelspec import (
     CapExceededError,
+    Graph,
     IntPoly,
     InvalidPartitionError,
     NonMonicError,
@@ -21,6 +24,7 @@ from seidelspec import (
     partitions_of,
     recover_partitions,
     seidel_matrix,
+    switch,
     verify_shared_part_property,
 )
 from seidelspec.determination import COSPECTRAL_CAP
@@ -252,15 +256,29 @@ class TestSurvey:
         for g in enumerate_graphs(n):
             poly = charpoly_oracle(seidel_matrix(g))
             if poly in spectra:
-                key = normalize_at(g, 0).induced(range(1, n)).mask
+                key = normalize_at(g, n - 1).mask
                 brute.setdefault(poly, set()).add(key)
         report = exhaustive_switching_survey(n)
         assert len(report.matches) == len(spectra)
         for m in report.matches:
             poly = charpoly_product(m.partitions[0]).expanded
-            assert m.partitions == tuple(spectra[poly])
+            assert m.partitions == tuple(sorted(spectra[poly]))
             assert m.class_keys == tuple(sorted(brute[poly]))
             assert m.verified
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_member_rows_and_keys(self, data):
+        # the survey's class walk: a mask below 2^C(n-1,2) leaves vertex
+        # n-1 isolated, so it is its own class key, and switching it at the
+        # bits of a gives the class member whose vertex n-1 row is a
+        n = data.draw(st.integers(1, 7))
+        d = data.draw(st.integers(0, (1 << comb(n - 1, 2)) - 1))
+        a = data.draw(st.integers(0, (1 << (n - 1)) - 1))
+        row = [v for v in range(n - 1) if a >> v & 1]
+        member = switch(Graph.from_mask(n, d), row)
+        assert list(member.neighbors(n - 1)) == row
+        assert normalize_at(member, n - 1).mask == d
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
