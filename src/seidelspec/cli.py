@@ -21,55 +21,42 @@ from .graphs import (
     switching_equivalent,
 )
 from .multipartite import (
+    CLOSED_FORMS,
     Partition,
-    charpoly_coefficients,
-    charpoly_grouped_coefficients,
-    charpoly_product,
     least_eigenvalue_bound,
     quotient_matrix,
 )
 from .spectra import COMPARISON_TOL, spectrum_report, symmetric_eigenvalues
-from .verify import DEFAULT_SEED, run_suites
+from .verify import DEFAULT_SEED, SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 
-FORMS = ("product", "coeff", "grouped", "oracle")
+FORMS = (*CLOSED_FORMS, "oracle")
 
 
 def _form_result(p: Partition, form: str) -> dict:
-    if form == "product":
-        f = charpoly_product(p)
-    elif form == "coeff":
-        f = charpoly_coefficients(p)
-    elif form == "grouped":
-        f = charpoly_grouped_coefficients(p)
-    elif form == "oracle":
+    if form == "oracle":
         poly = charpoly_oracle(seidel_matrix(complete_multipartite(p)))
-        return {
-            "name": "oracle",
-            "factored": poly.to_string(),
-            "coefficients": [str(c) for c in poly.coeffs],
-            "_expanded": poly,
-        }
+        factored = poly.to_string()
     else:
-        raise ValueError(form)
+        f = CLOSED_FORMS[form](p)
+        poly, factored = f.expanded, f.factored_str()
     return {
         "name": form,
-        "factored": f.factored_str(),
-        "coefficients": [str(c) for c in f.expanded.coeffs],
-        "_expanded": f.expanded,
+        "factored": factored,
+        "coefficients": [str(c) for c in poly.coeffs],
+        "_expanded": poly,
     }
 
 
 def _parse_partition(text: str) -> Partition:
     """Parse a partition argument, refusing orders a graph cannot hold
-    before any computation starts."""
-    p = Partition.parse(text)
-    check_graph_order(p.n)
-    return p
+    before any part list is built."""
+    check_graph_order(sum(size * count for size, count in Partition.parse_groups(text)))
+    return Partition.parse(text)
 
 
 def cmd_charpoly(args) -> int:
@@ -192,11 +179,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = (
-        ["closedform", "bounds", "switching", "determination"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, max_n=args.max_n, seed=args.seed)
     if args.json:
         payload = {
@@ -289,11 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument(
-        "--suite",
-        choices=("closedform", "bounds", "switching", "determination", "all"),
-        default="all",
-    )
+    sp.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     sp.add_argument("--max-n", type=int, default=None)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--json", action="store_true")

@@ -35,7 +35,6 @@ from .graphs import (
 from .multipartite import (
     Partition,
     charpoly_coefficients,
-    charpoly_product,
 )
 from .spectra import exact_root_multiplicity, roots_in_open_interval
 
@@ -244,14 +243,14 @@ def _build_verdict(
 def check_forced_part_sizes(partition) -> ForcedSizeVerdict:
     """Verdict for one partition, recovering its cospectral family afresh."""
     p = partition if isinstance(partition, Partition) else Partition(partition)
-    full = charpoly_product(p).expanded
+    f = charpoly_coefficients(p)
     if p.k <= 2:
-        return _build_verdict(p, (), full)
-    family = recover_partitions(charpoly_coefficients(p).residual)
+        return _build_verdict(p, (), f.expanded)
+    family = recover_partitions(f.residual)
     if p not in family:
         raise ConsistencyError(f"recovery lost the partition {p}")
     mates = tuple(q for q in family if q != p)
-    return _build_verdict(p, mates, full)
+    return _build_verdict(p, mates, f.expanded)
 
 
 @dataclass(frozen=True)
@@ -399,13 +398,13 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
             f"the exhaustive survey is capped at order {ENUMERATION_CAP}, got {n}"
         )
     if n < 1:
-        raise ValueError("survey needs at least one vertex")
+        raise InvalidPartitionError(f"the survey needs order n >= 1, got {n}")
     start = time.monotonic()
     class_count = 1 << comb(n - 1, 2)
     class_size = 1 << (n - 1)
 
-    partitions = list(partitions_of(n))
     classes = cospectral_classes(n)
+    partitions = [p for cls in classes for p in cls.partitions]
     targets = {cls.charpoly.coeffs: i for i, cls in enumerate(classes)}
     key_sets: list[set[int]] = [set() for _ in classes]
     for d in range(class_count):

@@ -46,29 +46,31 @@ class Partition:
             raise InvalidPartitionError(f"parts must be >= 1, got {ps}")
         self.parts = ps
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        """Parse ``"3,2,1"`` or grouped ``"2*3,1*2"`` (count*size) or a mix."""
-        parts: list[int] = []
+    @staticmethod
+    def parse_groups(text: str) -> list[tuple[int, int]]:
+        """Validated (size, count) pairs of a ``parse`` argument, in the order
+        written; nothing is expanded, so the order can be checked first."""
+        groups: list[tuple[int, int]] = []
         for token in text.split(","):
             token = token.strip()
             if not token:
                 raise InvalidPartitionError(f"empty part in {text!r}")
-            if "*" in token:
-                left, _, right = token.partition("*")
-                try:
-                    count, size = int(left), int(right)
-                except ValueError:
-                    raise InvalidPartitionError(f"bad grouped part {token!r}") from None
-                if count < 1:
-                    raise InvalidPartitionError(f"part multiplicity must be >= 1 in {token!r}")
-                parts.extend([size] * count)
-            else:
-                try:
-                    parts.append(int(token))
-                except ValueError:
-                    raise InvalidPartitionError(f"bad part {token!r}") from None
-        return cls(parts)
+            count, size = token.split("*", 1) if "*" in token else ("1", token)
+            try:
+                count, size = int(count), int(size)
+            except ValueError:
+                raise InvalidPartitionError(f"bad part {token!r}") from None
+            if count < 1:
+                raise InvalidPartitionError(f"part multiplicity must be >= 1 in {token!r}")
+            if size < 1:
+                raise InvalidPartitionError(f"parts must be >= 1 in {token!r}")
+            groups.append((size, count))
+        return groups
+
+    @classmethod
+    def parse(cls, text: str) -> "Partition":
+        """Parse ``"3,2,1"`` or grouped ``"2*3,1*2"`` (count*size) or a mix."""
+        return cls(size for size, count in cls.parse_groups(text) for _ in range(count))
 
     @property
     def n(self) -> int:
@@ -269,6 +271,15 @@ def charpoly_grouped_coefficients(p: Partition) -> FactoredSeidelPoly:
     factors = tuple((s, r - 1) for s, r in g if r >= 2)
     residual = _grouped_residual(sizes, mults)
     return FactoredSeidelPoly.assemble(p.n - p.k, factors, residual, p.n)
+
+
+# Each entry looks its function up when called, so a module attribute
+# rebound by a tracer or a test sees the calls made through this table.
+CLOSED_FORMS = {
+    "product": lambda p: charpoly_product(p),
+    "coeff": lambda p: charpoly_coefficients(p),
+    "grouped": lambda p: charpoly_grouped_coefficients(p),
+}
 
 
 @dataclass(frozen=True)

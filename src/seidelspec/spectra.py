@@ -27,7 +27,7 @@ from .multipartite import (
     FactoredSeidelPoly,
     Partition,
     SpectralStructure,
-    charpoly_product,
+    charpoly_coefficients,
     eigenvalue_intervals,
     least_eigenvalue_bound,
     quotient_matrix,
@@ -145,17 +145,12 @@ def _signed_prem(f: IntPoly, g: IntPoly) -> IntPoly:
     return r
 
 
-def _poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    a, b = _primitive(p), _primitive(q)
-    while not b.is_zero():
-        a, b = b, _primitive(_signed_prem(a, b))
-    if a.leading < 0:
-        a = -a
-    return a
-
-
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """Sturm sequence of p over the integers (positively scaled remainders)."""
+    """Sturm sequence of p over the integers (positively scaled remainders).
+
+    It is Euclid's algorithm on p and p', so its last member is
+    gcd(p, p') up to a constant factor.
+    """
     if p.is_zero():
         raise ZeroPolynomialError("Sturm chain of the zero polynomial")
     chain = [_primitive(p)]
@@ -182,28 +177,29 @@ def _sign_changes(signs: Sequence[int]) -> int:
     return changes
 
 
-def sturm_distinct_real_roots(p: IntPoly) -> int:
-    """Number of distinct real roots, from sign variations at -inf and +inf."""
-    chain = sturm_chain(p)
+def _chain_real_roots(chain: list[IntPoly]) -> int:
     at_minus = [(-1 if f.leading < 0 else 1) * (-1 if f.degree % 2 else 1) for f in chain]
     at_plus = [-1 if f.leading < 0 else 1 for f in chain]
     return _sign_changes(at_minus) - _sign_changes(at_plus)
 
 
-def squarefree_degree(p: IntPoly) -> int:
-    """Degree of p with root multiplicities collapsed to one."""
-    if p.degree <= 0:
-        return max(p.degree, 0)
-    return p.degree - _poly_gcd(p, p.derivative()).degree
+def sturm_distinct_real_roots(p: IntPoly) -> int:
+    """Number of distinct real roots, from sign variations at -inf and +inf."""
+    return _chain_real_roots(sturm_chain(p))
 
 
 def is_real_rooted(p: IntPoly) -> bool:
-    """True iff every complex root of p is real (certified exactly)."""
+    """True iff every complex root of p is real (certified exactly).
+
+    p has p.degree - deg gcd(p, p') distinct complex roots; the gcd is the
+    last member of the Sturm chain that also counts the distinct real ones.
+    """
     if p.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no well-defined roots")
     if p.degree <= 1:
         return True
-    return sturm_distinct_real_roots(p) == squarefree_degree(p)
+    chain = sturm_chain(p)
+    return _chain_real_roots(chain) == p.degree - chain[-1].degree
 
 
 def descartes_sign_changes(p: IntPoly) -> int:
@@ -354,13 +350,6 @@ class SpectrumReport:
         }
 
 
-def _float_eval(p: IntPoly, x: float) -> float:
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * x + float(c)
-    return acc
-
-
 def spectrum_report(partition) -> SpectrumReport:
     """Assemble the full exact/numeric spectrum report for a partition.
 
@@ -371,7 +360,7 @@ def spectrum_report(partition) -> SpectrumReport:
     """
     p = partition if isinstance(partition, Partition) else Partition(partition)
     n, k = p.n, p.k
-    factored = charpoly_product(p)
+    factored = charpoly_coefficients(p)
     full = factored.expanded
     structure = eigenvalue_intervals(p)
 
@@ -410,7 +399,7 @@ def spectrum_report(partition) -> SpectrumReport:
             f"{p}: eigenvalue square sum off by {square_sum_error:.3e}"
         )
     max_scaled_residual = max(
-        abs(_float_eval(full, e)) / (1.0 + abs(e)) ** n for e in eigs
+        abs(full(e)) / (1.0 + abs(e)) ** n for e in eigs
     )
     if max_scaled_residual > RESIDUAL_TOL:
         raise ConsistencyError(
@@ -421,7 +410,7 @@ def spectrum_report(partition) -> SpectrumReport:
         symmetric_eigenvalues(symmetrize_quotient(quotient_matrix(p), p))
     )
     quotient_residual = max(
-        abs(_float_eval(factored.residual, e)) / (1.0 + abs(e)) ** k
+        abs(factored.residual(e)) / (1.0 + abs(e)) ** k
         for e in quotient_eigs
     )
     if quotient_residual > RESIDUAL_TOL:

@@ -19,19 +19,19 @@ from .determination import (
     recover_partitions,
     verify_shared_part_property,
 )
-from .errors import CapExceededError, SeidelSpecError
+from .errors import CapExceededError, InvalidPartitionError, SeidelSpecError
 from .exactalg import charpoly_oracle
 from .graphs import Graph, complete_multipartite, seidel_matrix, switch
 from .multipartite import (
+    CLOSED_FORMS,
     charpoly_coefficients,
-    charpoly_grouped_coefficients,
-    charpoly_product,
     quotient_matrix,
 )
 from .spectra import spectrum_report
 
 DEFAULT_SEED = 12345
 SWITCHING_PAIRS = 500
+SWEEP_CAP = 24  # closedform and bounds sweep every partition of each order
 
 
 @dataclass(frozen=True)
@@ -42,29 +42,33 @@ class SuiteResult:
     failures: tuple[str, ...]
 
 
+def _check_cap(name: str, max_n: int) -> None:
+    cap = SUITES[name][1]
+    if cap is not None and max_n > cap:
+        raise CapExceededError(f"the {name} suite is capped at order {cap}, got {max_n}")
+
+
 def closedform_suite(max_n: int = 12) -> SuiteResult:
-    """All three closed forms against the determinant recurrence, exactly."""
+    """Every closed form against the determinant recurrence, exactly."""
+    _check_cap("closedform", max_n)
     checks = 0
     failures: list[str] = []
     for n in range(1, max_n + 1):
         for p in partitions_of(n):
-            product = charpoly_product(p)
-            coeff = charpoly_coefficients(p)
-            grouped = charpoly_grouped_coefficients(p)
+            forms = {name: form(p) for name, form in CLOSED_FORMS.items()}
             oracle = charpoly_oracle(seidel_matrix(complete_multipartite(p)))
             checks += 1
-            if not (
-                product.expanded == coeff.expanded == grouped.expanded == oracle
-            ):
+            if any(f.expanded != oracle for f in forms.values()):
                 failures.append(f"{p}: closed forms disagree")
                 continue
-            if charpoly_oracle(quotient_matrix(p)) != product.residual:
+            if charpoly_oracle(quotient_matrix(p)) != forms["product"].residual:
                 failures.append(f"{p}: quotient polynomial differs from residual")
     return SuiteResult("closedform", not failures, checks, tuple(failures))
 
 
 def bounds_suite(max_n: int = 12) -> SuiteResult:
     """Spectrum reports for every partition; bound tight for equal parts."""
+    _check_cap("bounds", max_n)
     checks = 0
     failures: list[str] = []
     for n in range(1, max_n + 1):
@@ -118,10 +122,7 @@ def switching_suite(
 
 def determination_suite(max_n: int = 20, recover_max: int = 12) -> SuiteResult:
     """Recovery round trip, shared-part scan, forced-pattern uniqueness."""
-    if max_n > COSPECTRAL_CAP:
-        raise CapExceededError(
-            f"cospectral search is capped at order {COSPECTRAL_CAP}, got {max_n}"
-        )
+    _check_cap("determination", max_n)
     checks = 0
     failures: list[str] = []
     for n in range(1, min(max_n, recover_max) + 1):
@@ -153,11 +154,12 @@ def determination_suite(max_n: int = 20, recover_max: int = 12) -> SuiteResult:
     return SuiteResult("determination", not failures, checks, tuple(failures))
 
 
+# each suite with the largest max_n it accepts; switching clamps its own orders
 SUITES = {
-    "closedform": closedform_suite,
-    "bounds": bounds_suite,
-    "switching": switching_suite,
-    "determination": determination_suite,
+    "closedform": (closedform_suite, SWEEP_CAP),
+    "bounds": (bounds_suite, SWEEP_CAP),
+    "switching": (switching_suite, None),
+    "determination": (determination_suite, COSPECTRAL_CAP),
 }
 
 
@@ -167,12 +169,18 @@ def run_suites(
     seed: int = DEFAULT_SEED,
 ) -> list[SuiteResult]:
     """Run the named suites in order; a missing or zero max_n keeps each
-    suite's own default."""
+    suite's own default.  Every name and cap is checked before any suite
+    starts."""
+    if max_n is not None and max_n < 0:
+        raise InvalidPartitionError(f"suite orders must be >= 0, got {max_n}")
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}")
+        if max_n:
+            _check_cap(name, max_n)
     results = []
     for name in names:
-        suite = SUITES.get(name)
-        if suite is None:
-            raise ValueError(f"unknown suite {name!r}")
+        suite = SUITES[name][0]
         options: dict[str, int] = {"max_n": max_n} if max_n else {}
         if suite is switching_suite:  # the only randomized suite
             options["seed"] = seed

@@ -1,9 +1,12 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
+from seidelspec import CapExceededError, InvalidPartitionError
 from seidelspec.cli import main
-from seidelspec.verify import run_suites
+from seidelspec.verify import SWEEP_CAP, bounds_suite, closedform_suite, run_suites
 
 
 def run(capsys, *argv):
@@ -53,6 +56,43 @@ class TestCharpoly:
         assert code == 2
         assert out == ""
         assert "64" in err and argv[1].split("*")[0] in err
+
+    @pytest.mark.parametrize("text", ["5000000*1", "3000000*1,1*-3"])
+    def test_order_checked_before_expansion(self, capsys, text):
+        # a huge count is refused from the group sum, a negative size as
+        # its token is read, so no part list is built or echoed
+        code, out, err = run(capsys, "charpoly", text)
+        assert code == 2
+        assert out == ""
+        assert len(err) < 200
+
+    def test_huge_count_allocates_no_part_list(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["charpoly", "5000000*1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 2
+        assert peak < 1 << 20
+
+    def test_forms_resolved_at_call_time(self, capsys, monkeypatch):
+        # the span tracer rebinds module attributes; a call made through
+        # CLOSED_FORMS must reach the rebound function
+        import seidelspec.multipartite as mp
+
+        seen = []
+        original = mp.charpoly_product
+
+        def counted(p):
+            seen.append(p)
+            return original(p)
+
+        monkeypatch.setattr(mp, "charpoly_product", counted)
+        code, _, _ = run(capsys, "charpoly", "3,2,1", "--form", "product")
+        assert code == 0
+        assert seen == [mp.Partition([3, 2, 1])]
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "charpoly", "3,2,1", "--form", "all", "--json")
@@ -127,6 +167,34 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "36" in err and "37" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("all", "37"),
+            ("closedform", "25"),
+            ("bounds", "25"),
+            ("all", "-3"),
+        ],
+        ids=["all", "closedform", "bounds", "negative"],
+    )
+    def test_orders_checked_before_any_suite(self, capsys, argv):
+        # each of these runs for seconds or more, or passes vacuously,
+        # if the order is not refused before the first suite starts
+        suite, max_n = argv
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert max_n in err
+
+    def test_sweep_suites_refuse_over_cap(self):
+        for suite in (closedform_suite, bounds_suite):
+            with pytest.raises(CapExceededError):
+                suite(SWEEP_CAP + 1)
+        with pytest.raises(InvalidPartitionError):
+            run_suites(["switching"], max_n=-1)
 
     def test_switching_tiny(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "switching", "--max-n", "4")

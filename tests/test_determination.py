@@ -284,6 +284,11 @@ class TestSurvey:
         with pytest.raises(CapExceededError):
             exhaustive_switching_survey(8)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_order_rejected(self, n):
+        with pytest.raises(InvalidPartitionError):
+            exhaustive_switching_survey(n)
+
     def test_classes_partition_all_graphs(self):
         # group the full enumeration by normal form and check the class
         # structure the survey relies on: even sizes, constant spectrum

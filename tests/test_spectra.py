@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seidelspec import (
     AsymmetryError,
@@ -24,8 +26,20 @@ from seidelspec import (
     sturm_distinct_real_roots,
     symmetric_eigenvalues,
 )
+from seidelspec.spectra import _primitive, _signed_prem, sturm_chain
 
 X_PLUS_1 = IntPoly([1, 1])
+
+
+def reference_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
+    # Euclid on primitive remainders, as is_real_rooted ran it beside the
+    # Sturm chain before reading gcd(p, p') off the chain's last member
+    a, b = _primitive(p), _primitive(q)
+    while not b.is_zero():
+        a, b = b, _primitive(_signed_prem(a, b))
+    if a.leading < 0:
+        a = -a
+    return a
 
 
 class TestJacobi:
@@ -114,6 +128,28 @@ class TestRootCounting:
         assert is_real_rooted(IntPoly.from_roots([3, -4, 0, 0]))
         assert not is_real_rooted(IntPoly([1, 0, 0, 0, 1]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        roots=st.lists(st.integers(-6, 6), max_size=6),
+        doubled=st.lists(st.integers(-6, 6), max_size=3),
+        cofactor=st.lists(st.integers(-20, 20), min_size=1, max_size=5).filter(any),
+    )
+    def test_is_real_rooted_matches_gcd_count(self, roots, doubled, cofactor):
+        # linear factors, squared factors, and a random cofactor of degree <= 4
+        p = IntPoly.from_roots(roots + doubled * 2) * IntPoly(cofactor)
+        gcd = reference_gcd(p, p.derivative())
+        assert sturm_chain(p)[-1].degree == gcd.degree
+        distinct = p.degree - gcd.degree
+        assert is_real_rooted(p) == (sturm_distinct_real_roots(p) == distinct)
+
+    def test_is_real_rooted_on_seidel_polynomials(self):
+        for n in range(1, 13):
+            for p in partitions_of(n):
+                full = charpoly_product(p).expanded
+                distinct = full.degree - reference_gcd(full, full.derivative()).degree
+                assert sturm_distinct_real_roots(full) == distinct, p
+                assert is_real_rooted(full), p
+
     def test_sturm_random_integer_roots(self):
         rng = random.Random(43)
         for _ in range(25):
@@ -158,9 +194,10 @@ class TestSpectrumReport:
         assert r.bound_tight
 
     def test_consistency_sweep(self):
-        for n in range(1, 11):
+        for n in range(1, 13):
             for p in partitions_of(n):
                 r = spectrum_report(p)
+                assert r.charpoly == charpoly_product(p)
                 assert len(r.eigenvalues) == p.n
                 assert r.trace_error <= 1e-9
                 assert r.square_sum_error <= 1e-6
