@@ -54,8 +54,12 @@ def _form_result(p: Partition, form: str) -> dict:
 
 def _parse_partition(text: str) -> Partition:
     """Parse a partition argument, refusing orders a graph cannot hold
-    before any part list is built."""
-    check_graph_order(sum(size * count for size, count in Partition.parse_groups(text)))
+    before any part list is built.  Every group adds at least 1 to the
+    running order, so reading stops by the first token past the cap."""
+    order = 0
+    for size, count in Partition.parse_groups(text):
+        order += size * count
+        check_graph_order(order)
     return Partition.parse(text)
 
 

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Iterator
 
 from .errors import (
@@ -35,6 +36,7 @@ from .graphs import (
 from .multipartite import (
     Partition,
     charpoly_coefficients,
+    residual_weights,
 )
 from .spectra import exact_root_multiplicity, roots_in_open_interval
 
@@ -66,52 +68,39 @@ def partitions_of(n: int, k: int | None = None) -> Iterator[Partition]:
 def recover_partitions(residual: IntPoly, n: int | None = None) -> list[Partition]:
     """All partitions whose degree-k residual equals the given polynomial.
 
-    sigma_1 = n is read off the x^(k-1) coefficient and sigma_3..sigma_k
-    follow from a triangular system (the x^(k-m) coefficient pins sigma_m
-    with a nonzero factor for every m >= 3).  sigma_2 never appears, so it
-    is enumerated from C(k,2) (all parts at least 1) up to the Maclaurin
-    bound; each candidate power-sum polynomial that splits into positive
-    integers is kept after reproducing the residual exactly.  An empty list
-    means no partition matches.
+    The residual's coefficients are the rows of ``residual_weights(k)``
+    applied to sigma_0 = 1, sigma_1, ..., sigma_k, a triangular system
+    solved by forward substitution: row 1 gives sigma_1 = n and each row
+    m >= 3 pins sigma_m with a nonzero weight.  Row 2 gives sigma_2 weight
+    zero, so it is a consistency check instead, and sigma_2 is enumerated
+    from C(k,2) (all parts at least 1) up to the Maclaurin bound; each
+    candidate polynomial with roots the parts that splits into positive
+    integers is kept after reproducing the residual exactly.  An empty
+    list means no partition matches.
     """
     if residual.is_zero() or not residual.is_monic():
         raise NonMonicError("residual must be monic and nonzero")
     k = residual.degree
     if k < 1:
         return []
-    c = [residual.coeffs[k - m] for m in range(k + 1)]
-    sig1 = k - c[1]
-    if n is not None and n != sig1:
-        return []
-    if sig1 < k:
-        return []
-    if k >= 2 and c[2] != comb(k, 2) - (k - 1) * sig1:
-        return []
-    sig: dict[int, int] = {0: 1, 1: sig1}
-    for m in range(3, k + 1):
-        rhs = c[m] - comb(k, m) + comb(k - 1, m - 1) * sig1
-        for i in range(3, m):
-            t = (1 << (i - 1)) * (i - 2) * comb(k - i, m - i) * sig[i]
-            rhs -= t if (i - 1) % 2 == 0 else -t
-        am = (1 << (m - 1)) * (m - 2)
-        if (m - 1) % 2 == 1:
-            am = -am
-        q, r = divmod(rhs, am)
+    sig = [1]
+    for m, row in enumerate(residual_weights(k)[1:], 1):
+        rest = residual.coeffs[k - m] - sum(map(mul, row, sig))
+        if row[m]:
+            q, r = divmod(rest, row[m])
+        else:
+            q, r = 0, rest
         if r:
             return []
-        sig[m] = q
-    if k < 2:
-        sig2_values: range | list[int] = [0]
-    else:
-        lo = comb(k, 2)
-        hi = (sig1 * sig1 * (k - 1)) // (2 * k)
-        sig2_values = range(lo, hi + 1)
+        sig.append(q)
+    if sig[1] < k or n not in (None, sig[1]):
+        return []
+    # coefficients of prod (x - n_i), constant first; slot k - 2 is sigma_2
+    coeffs = [-s if i % 2 else s for i, s in enumerate(sig)][::-1]
     found: set[Partition] = set()
-    for sig2 in sig2_values:
-        coeffs = [0] * (k + 1)
-        for i in range(k + 1):
-            v = sig2 if i == 2 else sig[i]
-            coeffs[k - i] = v if i % 2 == 0 else -v
+    for sig2 in range(comb(k, 2), sig[1] * sig[1] * (k - 1) // (2 * k) + 1):
+        if k >= 2:
+            coeffs[k - 2] = sig2
         roots = integer_root_multiset(IntPoly(coeffs))
         if roots is None or roots[0] < 1:
             continue

@@ -7,7 +7,8 @@ construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from operator import index
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -30,7 +31,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        cs = [int(c) for c in coeffs]
+        cs = list(map(index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -176,6 +177,22 @@ class IntPoly:
             raise ExactDivisionError(f"{d!r} does not divide {self!r}")
         return IntPoly(quot)
 
+    def taylor(self, c: int) -> Iterator[int]:
+        """Coefficients of p(x + c), constant first, generated lazily.
+
+        The j-th is the remainder of the (j+1)-th synthetic division by
+        x - c, so a caller that stops early pays only for what it read.
+        """
+        desc = self.coeffs[::-1]
+        while desc:
+            acc = 0
+            quot = []
+            for a in desc:
+                acc = acc * c + a
+                quot.append(acc)
+            yield quot.pop()
+            desc = quot
+
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -215,7 +232,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]) -> None:
-        rs = tuple(tuple(int(v) for v in row) for row in rows)
+        rs = tuple(tuple(map(index, row)) for row in rows)
         for row in rs:
             if len(row) != len(rs):
                 raise DimensionError(
@@ -361,28 +378,21 @@ def _divisors(m: int) -> list[int]:
 def integer_root_multiset(p: IntPoly):
     """All integer roots with multiplicity, or None if p does not split.
 
-    Requires p monic.  Zero roots are peeled off first; the remaining
-    candidates are divisors of the constant term, each removed by exact
-    deflation and retried so multiplicities come out right.  Returns a
-    sorted tuple when p factors completely as a product of (x - a_i) with
-    integer a_i, otherwise None.
+    Requires p monic.  Every integer root is 0 or divides the lowest
+    nonzero coefficient; a candidate with p(candidate) = 0 has as its
+    multiplicity the number of leading zeros of ``p.taylor(candidate)``.
+    p splits, and the sorted roots are returned, iff these sum to its degree.
     """
     if p.is_zero() or not p.is_monic():
         raise NonMonicError("integer root extraction requires a monic polynomial")
+    low = next(c for c in p.coeffs if c)
     roots: list[int] = []
-    work = p
-    x = IntPoly([0, 1])
-    while work.degree > 0 and work.coeffs[0] == 0:
-        roots.append(0)
-        work = work.divexact(x)
-    if work.degree > 0:
-        # Every remaining root divides the current constant term, which in
-        # turn divides the original one, so one divisor list suffices.
-        for d in _divisors(work.coeffs[0]):
-            for cand in (d, -d):
-                while work.degree > 0 and work(cand) == 0:
-                    roots.append(cand)
-                    work = work.divexact(IntPoly([-cand, 1]))
-    if work.degree != 0:
+    for cand in (0, *(s * d for d in _divisors(low) for s in (1, -1))):
+        if p(cand) == 0:
+            for a in p.taylor(cand):
+                if a:
+                    break
+                roots.append(cand)
+    if len(roots) != p.degree:
         return None
     return tuple(sorted(roots))

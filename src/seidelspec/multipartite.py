@@ -13,10 +13,13 @@ the least eigenvalue.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
-from typing import Iterable, Sequence
+from operator import index, mul
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -37,8 +40,8 @@ class Partition:
 
     def __init__(self, parts: Iterable[int]) -> None:
         try:
-            ps = tuple(sorted((int(p) for p in parts), reverse=True))
-        except (TypeError, ValueError) as exc:
+            ps = tuple(sorted(map(index, parts), reverse=True))
+        except TypeError as exc:
             raise InvalidPartitionError(f"parts must be integers: {exc}") from None
         if not ps:
             raise EmptyPartitionError("a partition needs at least one part")
@@ -47,12 +50,12 @@ class Partition:
         self.parts = ps
 
     @staticmethod
-    def parse_groups(text: str) -> list[tuple[int, int]]:
+    def parse_groups(text: str) -> Iterator[tuple[int, int]]:
         """Validated (size, count) pairs of a ``parse`` argument, in the order
-        written; nothing is expanded, so the order can be checked first."""
-        groups: list[tuple[int, int]] = []
-        for token in text.split(","):
-            token = token.strip()
+        written and one token at a time; nothing is expanded or stored, so a
+        caller can stop at the first group that takes the order too far."""
+        for match in re.finditer(r"(?:^|,)([^,]*)", text):
+            token = match.group(1).strip()
             if not token:
                 raise InvalidPartitionError(f"empty part in {text!r}")
             count, size = token.split("*", 1) if "*" in token else ("1", token)
@@ -64,8 +67,7 @@ class Partition:
                 raise InvalidPartitionError(f"part multiplicity must be >= 1 in {token!r}")
             if size < 1:
                 raise InvalidPartitionError(f"parts must be >= 1 in {token!r}")
-            groups.append((size, count))
-        return groups
+            yield size, count
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -202,17 +204,26 @@ def _product_residual(parts: Sequence[int]) -> IntPoly:
     return acc
 
 
+@cache
+def residual_weights(k: int) -> tuple[tuple[int, ...], ...]:
+    """The coefficient formula of the degree-k residual as a weight table.
+
+    Row m holds the weights of sigma_0 .. sigma_m in the coefficient of
+    x^(k-m): C(k,m) for sigma_0, then (-1)^(i-1) 2^(i-1) (i-2) C(k-i,m-i)
+    for sigma_i.  Row m ends in the weight of sigma_m, which is zero only
+    for m = 2, so sigma_2 drops out of every coefficient.  Built once per k.
+    """
+    return tuple(
+        (comb(k, m),)
+        + tuple((-2) ** (i - 1) * (i - 2) * comb(k - i, m - i) for i in range(1, m + 1))
+        for m in range(k + 1)
+    )
+
+
 def _flat_residual(parts: Sequence[int]) -> IntPoly:
-    k = len(parts)
     sig = elementary_symmetric(parts)
-    out = [0] * (k + 1)
-    for m in range(k + 1):
-        c = comb(k, m)
-        for i in range(1, m + 1):
-            term = (1 << (i - 1)) * (i - 2) * comb(k - i, m - i) * sig[i]
-            c += term if (i - 1) % 2 == 0 else -term
-        out[k - m] = c
-    return IntPoly(out)
+    rows = residual_weights(len(parts))
+    return IntPoly([sum(map(mul, row, sig)) for row in reversed(rows)])
 
 
 def _grouped_residual(sizes: Sequence[int], mults: Sequence[int]) -> IntPoly:
@@ -249,9 +260,10 @@ def charpoly_coefficients(p: Partition) -> FactoredSeidelPoly:
     """Same polynomial from the explicit coefficient formula.
 
     The residual coefficient of x^(k-m) is
-    C(k,m) + sum_{i=1..m} (-1)^(i-1) 2^(i-1) (i-2) C(k-i,m-i) sigma_i;
-    the i=0 term contributes the bare binomial C(k,m) and the i=2 term
-    vanishes because of the factor (i-2), so sigma_2 never appears.
+    C(k,m) + sum_{i=1..m} (-1)^(i-1) 2^(i-1) (i-2) C(k-i,m-i) sigma_i,
+    one dot product of row m of ``residual_weights(k)`` with the
+    elementary symmetric functions of the parts; the i=2 weight vanishes
+    because of the factor (i-2), so sigma_2 never appears.
     """
     return FactoredSeidelPoly.assemble(p.n - p.k, (), _flat_residual(p.parts), p.n)
 

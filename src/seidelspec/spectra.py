@@ -126,22 +126,13 @@ def _primitive(p: IntPoly) -> IntPoly:
 
 def _signed_prem(f: IntPoly, g: IntPoly) -> IntPoly:
     """Remainder of f by g up to a positive integer scale factor."""
-    delta = f.degree - g.degree
-    if delta < 0:
-        return f
-    lead = g.leading
+    # scale by |lead(g)| and cancel with the sign of lead(g) in the
+    # subtracted term, so every step multiplies f by a positive factor
+    scale = abs(g.leading)
+    sign = 1 if g.leading > 0 else -1
     r = f
-    steps = 0
     while not r.is_zero() and r.degree >= g.degree:
-        shift = r.degree - g.degree
-        top = r.leading
-        r = r * lead - g * IntPoly([0] * shift + [top])
-        steps += 1
-    total = delta + 1
-    if steps < total:
-        r = r * (lead ** (total - steps))
-    if lead < 0 and total % 2 == 1:
-        r = -r
+        r = r * scale - g * IntPoly([0] * (r.degree - g.degree) + [sign * r.leading])
     return r
 
 
@@ -227,17 +218,11 @@ def roots_below(p: IntPoly, c: int, assume_real_rooted: bool = False) -> int:
         raise ZeroPolynomialError("the zero polynomial has no root count")
     if not assume_real_rooted and not is_real_rooted(p):
         raise ConsistencyError("polynomial has non-real roots; sign-change count unsound")
-    # substitute x = c - t; roots below c become positive roots in t.
-    # Taylor shift in place to p(x + c), then t = -x flips odd coefficients.
-    a = list(p.coeffs)
-    d = len(a) - 1
-    if c:
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                a[j] += c * a[j + 1]
-    for j in range(1, d + 1, 2):
-        a[j] = -a[j]
-    return descartes_sign_changes(IntPoly(a))
+    # substitute x = c - t; roots below c become positive roots in t:
+    # p(x + c) with x = -t flips the odd coefficients
+    return descartes_sign_changes(
+        IntPoly(-a if j % 2 else a for j, a in enumerate(p.taylor(c)))
+    )
 
 
 def roots_in_open_interval(
@@ -250,26 +235,17 @@ def roots_in_open_interval(
 
 
 def exact_root_multiplicity(p: IntPoly, r: int) -> int:
-    """Largest e with (x - r)^e dividing p, by repeated exact division.
+    """Largest e with (x - r)^e dividing p.
 
-    Each step is one synthetic-division pass by the monic x - r over the
-    coefficients, highest first: the running Horner values are the
-    quotient and the last one is the remainder p(r), so the division is
-    exact exactly when that remainder is zero.
+    The coefficients of p(x + r) are the remainders of repeated synthetic
+    division by x - r, so e is the number of leading zeros among them.
     """
     if p.is_zero():
         raise ZeroPolynomialError("every power divides the zero polynomial")
-    desc = p.coeffs[::-1]
     e = 0
-    while len(desc) > 1:
-        acc = 0
-        quot = []
-        for c in desc:
-            acc = acc * r + c
-            quot.append(acc)
-        if quot.pop():
+    for a in p.taylor(r):
+        if a:
             break
-        desc = quot
         e += 1
     return e
 

@@ -20,6 +20,7 @@ from seidelspec import (
     enumerate_graphs,
     exhaustive_switching_survey,
     forced_rule,
+    integer_root_multiset,
     normalize_at,
     partitions_of,
     recover_partitions,
@@ -53,6 +54,48 @@ class TestPartitionsOf:
 
     def test_empty(self):
         assert list(partitions_of(0)) == []
+
+
+def reference_recover(residual: IntPoly) -> list[Partition]:
+    # the coefficient formula inverted by hand: sigma_1 from x^(k-1), the
+    # x^(k-2) check, then sigma_m for m >= 3 with the i = 0, 1 terms peeled
+    k = residual.degree
+    c = [residual.coeffs[k - m] for m in range(k + 1)]
+    sig1 = k - c[1]
+    if sig1 < k:
+        return []
+    if k >= 2 and c[2] != comb(k, 2) - (k - 1) * sig1:
+        return []
+    sig = {0: 1, 1: sig1}
+    for m in range(3, k + 1):
+        rhs = c[m] - comb(k, m) + comb(k - 1, m - 1) * sig1
+        for i in range(3, m):
+            t = (1 << (i - 1)) * (i - 2) * comb(k - i, m - i) * sig[i]
+            rhs -= t if (i - 1) % 2 == 0 else -t
+        am = (1 << (m - 1)) * (m - 2)
+        if (m - 1) % 2 == 1:
+            am = -am
+        q, r = divmod(rhs, am)
+        if r:
+            return []
+        sig[m] = q
+    if k < 2:
+        sig2_values = [0]
+    else:
+        sig2_values = range(comb(k, 2), (sig1 * sig1 * (k - 1)) // (2 * k) + 1)
+    found = set()
+    for sig2 in sig2_values:
+        coeffs = [0] * (k + 1)
+        for i in range(k + 1):
+            v = sig2 if i == 2 else sig[i]
+            coeffs[k - i] = v if i % 2 == 0 else -v
+        roots = integer_root_multiset(IntPoly(coeffs))
+        if roots is None or roots[0] < 1:
+            continue
+        cand = Partition(roots)
+        if charpoly_coefficients(cand).residual == residual:
+            found.add(cand)
+    return sorted(found)
 
 
 class TestRecoverPartitions:
@@ -90,6 +133,25 @@ class TestRecoverPartitions:
                 assert p in got
                 for q in got:
                     assert charpoly_coefficients(q).residual == residual
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        parts=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+        shift=st.integers(-3, 3),
+        at=st.integers(0, 4),
+    )
+    def test_recovery_round_trip(self, parts, shift, at):
+        p = Partition(parts)
+        residual = charpoly_coefficients(p).residual
+        got = recover_partitions(residual)
+        assert p in got
+        assert all(charpoly_coefficients(q).residual == residual for q in got)
+        assert got == reference_recover(residual)
+        assert recover_partitions(residual, n=p.n) == got
+        assert recover_partitions(residual, n=p.n + 1) == []
+        # a monic residual off the family by one coefficient below the lead
+        near = residual + IntPoly([0] * (at % p.k) + [shift])
+        assert recover_partitions(near) == reference_recover(near)
 
     def test_smallest_three_part_cospectral_mates(self):
         # genuine mates: same part-sum and triple product, different pair

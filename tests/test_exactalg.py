@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import prod
 
@@ -65,6 +66,17 @@ class TestIntPoly:
         with pytest.raises(ExactDivisionError):
             IntPoly([1, 1]).divexact(IntPoly([]))
 
+    @pytest.mark.parametrize("bad", [1.9, 2.0, Fraction(5, 2), "3"])
+    def test_rejects_non_integer_coefficients(self, bad):
+        # an exact type refuses a value it would otherwise truncate
+        with pytest.raises(TypeError):
+            IntPoly([1, bad])
+
+    def test_taylor_example(self):
+        # (x+1)^3 - 3(x+1) + 2 = x^3 + 3x^2: the double root 1 moves to 0
+        assert list(IntPoly([2, -3, 0, 1]).taylor(1)) == [0, 0, 3, 1]
+        assert list(IntPoly().taylor(5)) == []
+
     def test_zero_normalization(self):
         assert IntPoly([0]).is_zero()
         assert IntPoly([0, 0]).coeffs == ()
@@ -112,6 +124,11 @@ class TestCharpolyOracle:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             IntMatrix([[1, 2], [3, 4], [5, 6]])
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(1, 2), "1"])
+    def test_rejects_non_integer_entries(self, bad):
+        with pytest.raises(TypeError):
+            charpoly_oracle([[bad, 0], [0, 0]])
 
     def test_matches_fraction_free_determinant(self):
         rng = random.Random(11)

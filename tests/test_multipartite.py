@@ -26,6 +26,7 @@ from seidelspec import (
     seidel_matrix,
     symmetrize_quotient,
 )
+from seidelspec.multipartite import residual_weights
 
 X_PLUS_1 = IntPoly([1, 1])
 
@@ -51,6 +52,11 @@ class TestPartition:
             Partition([])
         with pytest.raises(InvalidPartitionError):
             Partition([2, 0])
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, Fraction(5, 2), "2", None])
+    def test_rejects_non_integer_parts(self, bad):
+        with pytest.raises(InvalidPartitionError):
+            Partition([bad, 1])
 
     def test_parse(self):
         assert Partition.parse("3,2,1") == Partition([3, 2, 1])
@@ -104,6 +110,12 @@ class TestClosedForms:
         # four singletons: (x-1)^3 (x+3)
         f = charpoly_coefficients(Partition([1, 1, 1, 1]))
         assert f.expanded == IntPoly.from_roots([1, 1, 1, -3])
+
+    def test_residual_weights_small_k(self):
+        # x^3 + (3 - s1) x^2 + (3 - 2 s1) x + (1 - s1 + 4 s3); s2 has weight 0
+        assert residual_weights(3) == ((1,), (3, -1), (3, -2, 0), (1, -1, 0, 4))
+        assert all(len(row) == m + 1 for m, row in enumerate(residual_weights(9)))
+        assert [row[2] for row in residual_weights(9)[2:]] == [0] * 8
 
     def test_two_parts_similar_to_empty_graph(self):
         rng = random.Random(31)

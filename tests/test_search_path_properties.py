@@ -1,10 +1,14 @@
-"""Property tests of the cospectral search's exact kernels.
+"""Property tests of the cospectral search's and recovery's exact kernels.
 
 Each kernel is checked against the plainer code it replaced, kept here as
 the reference: root multiplicity by evaluating p(r) and then dividing
-exactly by x - r, the shift x = c - t by Horner composition of IntPoly
-products, and the (x+1)^e factor as a repeated IntPoly power.
+exactly by x - r, the shift x = c - t and the Taylor coefficients by
+Horner composition of IntPoly products, the (x+1)^e factor as a repeated
+IntPoly power, the coefficient formula as a per-term loop, and integer
+root extraction as zero peeling then Horner-checked exact deflation.
 """
+
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +19,10 @@ from seidelspec import (
     charpoly_coefficients,
     descartes_sign_changes,
     exact_root_multiplicity,
+    integer_root_multiset,
     roots_below,
 )
+from seidelspec.exactalg import _divisors
 
 small_ints = st.integers(-6, 6)
 cofactors = st.lists(st.integers(-40, 40), min_size=1, max_size=8).filter(
@@ -33,13 +39,48 @@ def reference_multiplicity(p: IntPoly, r: int) -> int:
     return e
 
 
-def reference_shift(p: IntPoly, c: int) -> IntPoly:
-    # p(c - t) by Horner's rule over IntPoly
+def reference_shift(p: IntPoly, c: int, sign: int = -1) -> IntPoly:
+    # p(c + sign * t) by Horner's rule over IntPoly
     acc = IntPoly()
-    lin = IntPoly([c, -1])
+    lin = IntPoly([c, sign])
     for coeff in reversed(p.coeffs):
         acc = acc * lin + coeff
     return acc
+
+
+def reference_residual(parts) -> IntPoly:
+    # the coefficient formula term by term, each weight built on the spot
+    k = len(parts)
+    sig = [1] + [0] * k
+    for v in parts:
+        for i in range(k, 0, -1):
+            sig[i] += v * sig[i - 1]
+    out = [0] * (k + 1)
+    for m in range(k + 1):
+        c = comb(k, m)
+        for i in range(1, m + 1):
+            term = (1 << (i - 1)) * (i - 2) * comb(k - i, m - i) * sig[i]
+            c += term if (i - 1) % 2 == 0 else -term
+        out[k - m] = c
+    return IntPoly(out)
+
+
+def reference_roots(p: IntPoly):
+    # zero roots peeled first, then each divisor candidate deflated away
+    roots = []
+    work = p
+    while work.degree > 0 and work.coeffs[0] == 0:
+        roots.append(0)
+        work = work.divexact(IntPoly([0, 1]))
+    if work.degree > 0:
+        for d in _divisors(work.coeffs[0]):
+            for cand in (d, -d):
+                while work.degree > 0 and work(cand) == 0:
+                    roots.append(cand)
+                    work = work.divexact(IntPoly([-cand, 1]))
+    if work.degree != 0:
+        return None
+    return tuple(sorted(roots))
 
 
 @settings(max_examples=300, deadline=None)
@@ -74,3 +115,32 @@ def test_assembled_ones_factor_matches_power(parts):
     p = Partition(parts)
     f = charpoly_coefficients(p)
     assert f.expanded == IntPoly([1, 1]) ** f.ones_exponent * f.residual
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(st.integers(-50, 50), max_size=12), c=st.integers(-9, 9))
+def test_taylor_matches_horner_composition(coeffs, c):
+    p = IntPoly(coeffs)
+    assert tuple(p.taylor(c)) == reference_shift(p, c, sign=1).coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.integers(1, 40), min_size=1, max_size=14))
+def test_coefficient_formula_matches_per_term_loop(parts):
+    assert charpoly_coefficients(Partition(parts)).residual == reference_residual(
+        sorted(parts, reverse=True)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(small_ints, max_size=8),
+    cofactor=st.lists(st.integers(-12, 12), max_size=3),
+)
+def test_integer_roots_match_deflation(roots, cofactor):
+    # a monic cofactor of degree 0..3 may or may not split further
+    p = IntPoly.from_roots(roots) * IntPoly([*cofactor, 1])
+    got = integer_root_multiset(p)
+    assert got == reference_roots(p)
+    if not cofactor:
+        assert got == tuple(sorted(roots))

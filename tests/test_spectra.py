@@ -26,9 +26,44 @@ from seidelspec import (
     sturm_distinct_real_roots,
     symmetric_eigenvalues,
 )
-from seidelspec.spectra import _primitive, _signed_prem, sturm_chain
+from seidelspec.spectra import _primitive, sturm_chain
 
 X_PLUS_1 = IntPoly([1, 1])
+
+
+def reference_prem(f: IntPoly, g: IntPoly) -> IntPoly:
+    # pseudo-remainder lead(g)^(deg f - deg g + 1) f mod g, sign-corrected
+    # so that the scale factor is positive
+    delta = f.degree - g.degree
+    if delta < 0:
+        return f
+    lead = g.leading
+    r = f
+    steps = 0
+    while not r.is_zero() and r.degree >= g.degree:
+        shift = r.degree - g.degree
+        top = r.leading
+        r = r * lead - g * IntPoly([0] * shift + [top])
+        steps += 1
+    total = delta + 1
+    if steps < total:
+        r = r * (lead ** (total - steps))
+    if lead < 0 and total % 2 == 1:
+        r = -r
+    return r
+
+
+def reference_chain(p: IntPoly) -> list[IntPoly]:
+    chain = [_primitive(p)]
+    d = p.derivative()
+    if not d.is_zero():
+        chain.append(_primitive(d))
+        while chain[-1].degree > 0:
+            r = reference_prem(chain[-2], chain[-1])
+            if r.is_zero():
+                break
+            chain.append(_primitive(-r))
+    return chain
 
 
 def reference_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -36,7 +71,7 @@ def reference_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     # Sturm chain before reading gcd(p, p') off the chain's last member
     a, b = _primitive(p), _primitive(q)
     while not b.is_zero():
-        a, b = b, _primitive(_signed_prem(a, b))
+        a, b = b, _primitive(reference_prem(a, b))
     if a.leading < 0:
         a = -a
     return a
@@ -141,6 +176,17 @@ class TestRootCounting:
         assert sturm_chain(p)[-1].degree == gcd.degree
         distinct = p.degree - gcd.degree
         assert is_real_rooted(p) == (sturm_distinct_real_roots(p) == distinct)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        roots=st.lists(st.integers(-6, 6), max_size=5),
+        cofactor=st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(any),
+    )
+    def test_sturm_chain_matches_lead_power_prem(self, roots, cofactor):
+        # the chain's remainders scaled by |lead| per step equal, once made
+        # primitive, those scaled by lead^(deg f - deg g + 1) with a sign fix
+        p = IntPoly.from_roots(roots) * IntPoly(cofactor)
+        assert sturm_chain(p) == reference_chain(p)
 
     def test_is_real_rooted_on_seidel_polynomials(self):
         for n in range(1, 13):
