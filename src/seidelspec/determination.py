@@ -10,11 +10,12 @@ with a complete multipartite graph is switching equivalent to it.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import (
     CapExceededError,
@@ -23,7 +24,7 @@ from .errors import (
     NonMonicError,
     TheoremViolationError,
 )
-from .exactalg import IntPoly, charpoly_oracle, integer_root_multiset
+from .exactalg import IntPoly, _divisors, charpoly_oracle, integer_root_multiset
 from .graphs import (
     ENUMERATION_CAP,
     Graph,
@@ -73,9 +74,10 @@ def recover_partitions(residual: IntPoly, n: int | None = None) -> list[Partitio
     solved by forward substitution: row 1 gives sigma_1 = n and each row
     m >= 3 pins sigma_m with a nonzero weight.  Row 2 gives sigma_2 weight
     zero, so it is a consistency check instead, and sigma_2 is enumerated
-    from C(k,2) (all parts at least 1) up to the Maclaurin bound; each
+    from C(k,2) (all parts at least 1) up to the Maclaurin bound.  Each
     candidate polynomial with roots the parts that splits into positive
-    integers is kept after reproducing the residual exactly.  An empty
+    integers is kept after reproducing the residual exactly; its roots are
+    sought among the possible parts, found once per residual.  An empty
     list means no partition matches.
     """
     if residual.is_zero() or not residual.is_monic():
@@ -95,14 +97,19 @@ def recover_partitions(residual: IntPoly, n: int | None = None) -> list[Partitio
         sig.append(q)
     if sig[1] < k or n not in (None, sig[1]):
         return []
+    # the other k - 1 parts are at least 1, so no part exceeds
+    # sigma_1 - k + 1, and for k != 2 every part divides the forced
+    # sigma_k = prod n_i; found once, these candidates serve every sigma_2
+    top = sig[1] - k + 1
+    parts = range(1, top + 1) if k == 2 else [d for d in _divisors(sig[k]) if d <= top]
     # coefficients of prod (x - n_i), constant first; slot k - 2 is sigma_2
     coeffs = [-s if i % 2 else s for i, s in enumerate(sig)][::-1]
     found: set[Partition] = set()
     for sig2 in range(comb(k, 2), sig[1] * sig[1] * (k - 1) // (2 * k) + 1):
         if k >= 2:
             coeffs[k - 2] = sig2
-        roots = integer_root_multiset(IntPoly(coeffs))
-        if roots is None or roots[0] < 1:
+        roots = integer_root_multiset(IntPoly(coeffs), parts)
+        if roots is None:
             continue
         cand = Partition(roots)
         if charpoly_coefficients(cand).residual == residual:
@@ -366,6 +373,49 @@ class SurveyReport:
         }
 
 
+def relabel_table(m: int, perm: Sequence[int]) -> array:
+    """Edge-mask images of all graphs of order m under one relabeling.
+
+    Entry d is ``Graph.from_mask(m, d).relabel(perm).mask``.  Single edges
+    are relabeled through the Graph API; every other mask's image is the
+    union of the images of its lowest edge and of the rest, which has a
+    smaller mask and is already filled in.
+    """
+    table = array("I", [0]) * (1 << comb(m, 2))
+    for b in range(comb(m, 2)):
+        table[1 << b] = Graph.from_mask(m, 1 << b).relabel(perm).mask
+    for d in range(1, len(table)):
+        low = d & -d
+        table[d] = table[d ^ low] | table[low]
+    return table
+
+
+def relabel_orbits(m: int) -> Iterator[list[int]]:
+    """Orbits of the relabelings of vertices 0..m-1 on edge masks of order m.
+
+    The transposition (0 1) and the cycle v -> v+1 (mod m) generate the
+    symmetric group, so a breadth-first walk over their two image tables
+    closes each orbit.  Orbits come in increasing order of their least
+    mask, which is each list's first entry.
+    """
+    swap = [1, 0, *range(2, m)] if m >= 2 else list(range(m))
+    cycle = [(v + 1) % m for v in range(m)]
+    tables = (relabel_table(m, swap), relabel_table(m, cycle))
+    seen = bytearray(len(tables[0]))
+    for d in range(len(seen)):
+        if seen[d]:
+            continue
+        seen[d] = 1
+        orbit = [d]
+        for x in orbit:
+            for table in tables:
+                y = table[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        yield orbit
+
+
 def exhaustive_switching_survey(n: int) -> SurveyReport:
     """Survey every labeled graph of order n (n at most 7).
 
@@ -374,11 +424,21 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
     each class holds exactly 2^(n-1) graphs, one per vertex n-1 row).  In
     the column-major mask order the pairs among vertices 0..n-2 come
     first, so the canonical members are exactly the masks below
-    2^C(n-1,2), and such a mask is its class's key.  For every class
-    whose exact Seidel polynomial equals that of a complete multipartite
-    partition, switching equivalence with relabeling to that graph is
-    decided and recorded; sampled non-canonical members are re-checked to
-    share the class spectrum.  Distinct partitions with the same number of
+    2^C(n-1,2), and such a mask is its class's key.
+
+    Class polynomials are found one relabeling orbit at a time: relabeling
+    vertices 0..n-2 keeps vertex n-1 isolated, so it maps class keys to
+    class keys, and it conjugates the Seidel matrix by a permutation
+    matrix, so every key in an orbit has the same exact polynomial.  The
+    oracle runs once, on each orbit's least key (156 orbits for the 32,768
+    keys at order 7), and the whole orbit joins that polynomial's key set.
+
+    For every class whose polynomial equals that of a complete
+    multipartite partition, switching equivalence with relabeling to that
+    graph is decided and recorded; sampled non-canonical members are
+    re-checked with the oracle to share the class spectrum, one key at a
+    time, so the orbit sharing changes how classes are found, not what is
+    verified.  Distinct partitions with the same number of
     parts (three or more) are also confirmed pairwise non-equivalent,
     while partitions into at most two parts are confirmed all equivalent.
     """
@@ -396,11 +456,11 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
     partitions = [p for cls in classes for p in cls.partitions]
     targets = {cls.charpoly.coeffs: i for i, cls in enumerate(classes)}
     key_sets: list[set[int]] = [set() for _ in classes]
-    for d in range(class_count):
-        g = Graph.from_mask(n, d)
-        idx = targets.get(charpoly_oracle(seidel_matrix(g)).coeffs)
+    for orbit in relabel_orbits(n - 1):
+        poly = charpoly_oracle(seidel_matrix(Graph.from_mask(n, orbit[0])))
+        idx = targets.get(poly.coeffs)
         if idx is not None:
-            key_sets[idx].add(d)
+            key_sets[idx].update(orbit)
     equivalence_violations: list[tuple[str, int]] = []
     sample_violations: list[tuple[int, int]] = []
     matches: list[SurveyMatch] = []

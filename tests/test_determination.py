@@ -1,3 +1,4 @@
+from functools import cache
 from math import comb
 
 import pytest
@@ -28,7 +29,7 @@ from seidelspec import (
     switch,
     verify_shared_part_property,
 )
-from seidelspec.determination import COSPECTRAL_CAP
+from seidelspec.determination import COSPECTRAL_CAP, relabel_orbits, relabel_table
 
 
 class TestPartitionsOf:
@@ -369,3 +370,72 @@ class TestSurvey:
         payload = exhaustive_switching_survey(3).to_json_dict()
         assert payload["switching_class_count"] == "2"
         assert payload["equivalence_violations"] == []
+
+
+def generators(m):
+    # the transposition (0 1) and the cycle v -> v+1, as relabel_orbits uses
+    swap = [1, 0, *range(2, m)] if m >= 2 else list(range(m))
+    return swap, [(v + 1) % m for v in range(m)]
+
+
+@cache
+def generator_tables(m):
+    return [(perm, relabel_table(m, perm)) for perm in generators(m)]
+
+
+@cache
+def orbit_leaders(m):
+    return {d: orbit[0] for orbit in relabel_orbits(m) for d in orbit}
+
+
+def mask_poly(n, d):
+    return charpoly_oracle(seidel_matrix(Graph.from_mask(n, d)))
+
+
+class TestRelabelOrbits:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tables_match_graph_relabel(self, data):
+        m = data.draw(st.integers(0, 6))
+        d = data.draw(st.integers(0, (1 << comb(m, 2)) - 1))
+        for perm, table in generator_tables(m):
+            assert table[d] == Graph.from_mask(m, d).relabel(perm).mask
+
+    def test_any_permutation_table(self):
+        perm = [3, 0, 4, 1, 2]
+        table = relabel_table(5, perm)
+        assert list(table) == [
+            Graph.from_mask(5, d).relabel(perm).mask for d in range(1 << 10)
+        ]
+
+    @pytest.mark.parametrize(
+        "m, count", [(0, 1), (1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)]
+    )
+    def test_orbit_counts_and_partition(self, m, count):
+        # graphs on m unlabeled vertices (OEIS A000088)
+        orbits = list(relabel_orbits(m))
+        assert len(orbits) == count
+        assert sorted(d for orbit in orbits for d in orbit) == list(
+            range(1 << comb(m, 2))
+        )
+        leaders = [orbit[0] for orbit in orbits]
+        assert leaders == sorted(leaders)
+        assert all(orbit[0] == min(orbit) for orbit in orbits)
+
+    def test_order_six_keys_match_per_mask_scan(self):
+        # every class key's own polynomial is its orbit leader's, and the
+        # survey's key sets equal a per-mask oracle scan of all 1,024 keys
+        n = 6
+        leaders = orbit_leaders(n - 1)
+        polys = [mask_poly(n, d) for d in range(1 << comb(n - 1, 2))]
+        assert all(polys[d] == polys[lead] for d, lead in leaders.items())
+        report = exhaustive_switching_survey(n)
+        for m in report.matches:
+            target = charpoly_coefficients(m.partitions[0]).expanded
+            want = tuple(d for d, poly in enumerate(polys) if poly == target)
+            assert m.class_keys == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(0, (1 << comb(6, 2)) - 1))
+    def test_order_seven_mask_shares_leader_poly(self, d):
+        assert mask_poly(7, d) == mask_poly(7, orbit_leaders(6)[d])
