@@ -7,7 +7,7 @@ construction.
 
 from __future__ import annotations
 
-from operator import index
+from operator import index, itemgetter, lshift, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -278,13 +278,22 @@ def charpoly_oracle(matrix) -> IntPoly:
     is independent of any closed form elsewhere in this package.
 
     Each row of the work matrix is packed into one Python int of n signed
-    lanes, lane j holding entry j at bit offset w*j, so the product A*W is
-    n^2 big-integer additions (or scalar multiples) of whole rows, adding
-    c*I adds ``c << (w*i)`` to row i, and the trace is read back by biased
-    lane extraction.  Packed arithmetic is exact; only the extraction
-    needs every entry to fit its lane, and w is fixed from this bound
-    before any arithmetic: with rho = n * max|a_ij|, Gershgorin gives
-    |lambda| <= rho, hence |c_i| <= C(n,i) rho^i and |(A^j)_uv| <= rho^j.
+    lanes, lane j holding entry j at bit offset w*j, so row i of the product
+    A*W is a sum of whole rows W_j, adding c*I adds ``c << (w*i)`` to row i,
+    and the trace is read back by biased lane extraction.  Row i of A*W is
+    built from zero as sum(a_ij * W_j) over the nonzeros of row i, or from
+    row i-1 of A*W plus sum((a_ij - a_(i-1)j) * W_j) over the positions where
+    rows i and i-1 of A differ.  The plan, fixed once per call, takes the
+    second route when twice the number of differences is below the number
+    of nonzeros, since a difference can cost a scalar multiple of W_j where
+    the entry itself is +-1 and costs one addition.  Rows that repeat up to
+    a few entries, as twins' rows do, then cost a few additions.  Packing
+    is linear, so both routes give the same integers.
+
+    Packed arithmetic is exact; only the extraction needs every entry to
+    fit its lane, and w is fixed from this bound before any arithmetic:
+    with rho = max_i sum_j |a_ij| (the infinity norm), |lambda| <= rho,
+    hence |c_i| <= C(n,i) rho^i, and |(A^j)_uv| <= ||A^j||_inf <= rho^j.
     Every work matrix A^k + c_1 A^(k-1) + ... + c_(k-1) A, with or without
     c_k I added (k <= n), then has entries of magnitude at most
     2^(n+1) rho^k <= 2^(n+1) rho^n < 2^(w-1) for
@@ -296,7 +305,7 @@ def charpoly_oracle(matrix) -> IntPoly:
     if n == 0:
         return IntPoly([1])
     rows = m.rows
-    rho = n * max(abs(v) for row in rows for v in row)
+    rho = max(sum(map(abs, row)) for row in rows)
     w = n * rho.bit_length() + n + 2
     shifts = range(0, n * w, w)
     half = 1 << (w - 1)
@@ -304,8 +313,18 @@ def charpoly_oracle(matrix) -> IntPoly:
     # adding half to every lane makes each lane nonnegative, so no borrow
     # crosses a lane boundary when one is shifted down and masked off
     bias = sum(half << s for s in shifts)
-    terms = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
-    work = [sum(a << s for a, s in zip(row, shifts)) for row in rows]
+    # plan[i] = (from_previous, the (j, coefficient of W_j) pairs with a
+    # nonzero coefficient)
+    value = itemgetter(1)
+    plan = []
+    prev = None
+    for row in rows:
+        if prev is not None and 2 * sum(map(ne, row, prev)) < n - row.count(0):
+            plan.append((True, list(filter(value, enumerate(map(sub, row, prev))))))
+        else:
+            plan.append((False, list(filter(value, enumerate(row)))))
+        prev = row
+    work = [sum(map(lshift, row, shifts)) for row in rows]
     coeffs = [1]
     for k in range(1, n + 1):
         t = sum((((row + bias) >> s) & lane) - half for row, s in zip(work, shifts))
@@ -318,8 +337,10 @@ def charpoly_oracle(matrix) -> IntPoly:
         if q:
             work = [row + (q << s) for row, s in zip(work, shifts)]
         product = []
-        for row_terms in terms:
-            acc = 0
+        acc = 0
+        for from_previous, row_terms in plan:
+            if not from_previous:
+                acc = 0
             for j, a in row_terms:
                 if a == 1:
                     acc += work[j]

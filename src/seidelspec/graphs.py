@@ -308,23 +308,12 @@ def complete_multipartite(partition) -> Graph:
     Vertices are grouped consecutively by part (largest part first).
     """
     p = partition if isinstance(partition, Partition) else Partition(partition)
-    bounds: list[int] = []
-    total = 0
-    for size in p.parts:
-        total += size
-        bounds.append(total)
-
-    def part_of(v: int) -> int:
-        for i, b in enumerate(bounds):
-            if v < b:
-                return i
-        raise IndexError(v)
-
+    part_of = [i for i, size in enumerate(p.parts) for _ in range(size)]
     edges = (
         (u, v)
         for v in range(p.n)
         for u in range(v)
-        if part_of(u) != part_of(v)
+        if part_of[u] != part_of[v]
     )
     return Graph(p.n, edges)
 

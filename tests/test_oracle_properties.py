@@ -66,12 +66,18 @@ def test_random_integer_matrices_match_reference(rows):
 
 
 def _scaled_ones(n: int, a: int, kind: str) -> tuple[list[list[int]], IntPoly]:
-    """a*J, -a*J or a*(J-I) with its characteristic polynomial."""
+    """a*J, -a*J, a*(J-I), a*I or a times the cyclic shift, with its
+    characteristic polynomial."""
     x = IntPoly([0, 1])
     if kind == "J":
         return [[a] * n for _ in range(n)], x ** (n - 1) * IntPoly([-a * n, 1])
     if kind == "-J":
         return [[-a] * n for _ in range(n)], x ** (n - 1) * IntPoly([a * n, 1])
+    if kind == "I":
+        return [[a * (i == j) for j in range(n)] for i in range(n)], IntPoly([-a, 1]) ** n
+    if kind == "P":
+        rows = [[a * (j == (i + 1) % n) for j in range(n)] for i in range(n)]
+        return rows, x**n - a**n
     rows = [[a * (i != j) for j in range(n)] for i in range(n)]
     return rows, IntPoly([-a * (n - 1), 1]) * IntPoly([a, 1]) ** (n - 1)
 
@@ -80,20 +86,65 @@ def _scaled_ones(n: int, a: int, kind: str) -> tuple[list[list[int]], IntPoly]:
 @given(
     n=st.integers(1, 64),
     a=st.integers(1, ENTRY_BOUND),
-    kind=st.sampled_from(["J", "-J", "J-I"]),
+    kind=st.sampled_from(["J", "-J", "J-I", "I", "P"]),
 )
 @example(n=64, a=ENTRY_BOUND, kind="J")
 @example(n=64, a=ENTRY_BOUND, kind="-J")
 @example(n=64, a=ENTRY_BOUND, kind="J-I")
+@example(n=64, a=ENTRY_BOUND, kind="I")
+@example(n=64, a=ENTRY_BOUND, kind="P")
 @example(n=REFERENCE_MAX_N, a=ENTRY_BOUND, kind="J-I")
 def test_matrices_at_the_lane_width_bound(n, a, kind):
-    # every entry equals max|a_ij|, so the entries grow as fast as the
-    # bound that fixes the lane width allows
+    # every entry equals max|a_ij| and every row sum equals the infinity
+    # norm that fixes the lane width, so the entries grow as fast as that
+    # bound allows; for a*I and a times a permutation the norm is n times
+    # below n*max|a_ij|
     rows, expected = _scaled_ones(n, a, kind)
     got = charpoly_oracle(rows)
     assert got == expected
     if n <= REFERENCE_MAX_N:
         assert got == reference_charpoly(rows)
+
+
+@st.composite
+def repeating_row_matrices(draw, max_n: int = 12) -> list[list[int]]:
+    """Matrices whose rows repeat or nearly repeat.
+
+    Either each row copies the previous one with a few entries edited (no
+    edit gives an exact duplicate), or the matrix blows up a small random
+    +-1 pattern over consecutive classes of rows, with a zero diagonal as
+    in a Seidel matrix or without one.  Consecutive rows then differ in few
+    entries, by 0, +-1, +-2 or anything in the full entry range.
+    """
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 4))
+        pattern = draw(
+            st.lists(
+                st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m),
+                min_size=m,
+                max_size=m,
+            )
+        )
+        cls = sorted(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+        zero_diagonal = draw(st.booleans())
+        return [
+            [0 if zero_diagonal and i == j else pattern[cls[i]][cls[j]] for j in range(n)]
+            for i in range(n)
+        ]
+    rows = [[draw(entries) for _ in range(n)]]
+    for _ in range(n - 1):
+        row = rows[-1][:]
+        for _ in range(draw(st.integers(0, 3))):
+            row[draw(st.integers(0, n - 1))] = draw(entries)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating_row_matrices())
+def test_repeating_rows_match_reference(rows):
+    assert charpoly_oracle(rows) == reference_charpoly(rows)
 
 
 @st.composite
