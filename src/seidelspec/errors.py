@@ -45,6 +45,10 @@ class AsymmetryError(SeidelSpecError, ValueError):
     """Matrix is not symmetric within tolerance."""
 
 
+class NonFiniteError(SeidelSpecError, ValueError):
+    """A matrix entry, or an eigenvalue it implies, is not a finite float."""
+
+
 class ConvergenceError(SeidelSpecError, RuntimeError):
     """Iterative eigenvalue computation failed to converge."""
 

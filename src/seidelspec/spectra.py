@@ -1,8 +1,9 @@
 """Numeric eigenvalues, exact root counting, and spectrum reports.
 
-The exact side (root counts, multiplicities) is authoritative; the Jacobi
-eigensolver is the numeric companion and every report cross-checks the two
-views.  Tolerances are fixed here: 1e-12 for Jacobi convergence, 1e-8 for
+The exact side (root counts, multiplicities) is authoritative; the
+numeric companion is a Householder tridiagonalisation followed by
+implicit-shift QL, and every report cross-checks the two views.
+Tolerances are fixed here: 1e-12 relative for QL deflation, 1e-8 for
 exact/numeric comparisons, 1e-6 for scaled polynomial residuals.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -17,6 +19,7 @@ from .errors import (
     ConsistencyError,
     ConvergenceError,
     DimensionError,
+    NonFiniteError,
     TheoremViolationError,
     ZeroPolynomialError,
 )
@@ -34,75 +37,154 @@ from .multipartite import (
     symmetrize_quotient,
 )
 
-JACOBI_CONVERGENCE = 1e-12
+EIGEN_CONVERGENCE = 1e-12
 COMPARISON_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
 SYMMETRY_TOL = 1e-10
-_MAX_SWEEPS = 64
+_MAX_QL_ITERATIONS = 30  # per eigenvalue, as in EISPACK tql1
 
 
 def _as_float_rows(m) -> list[list[float]]:
-    if isinstance(m, IntMatrix):
-        return [[float(v) for v in row] for row in m.rows]
-    rows = [[float(v) for v in row] for row in m]
+    try:
+        if isinstance(m, IntMatrix):
+            return [[float(v) for v in row] for row in m.rows]
+        rows = [[float(v) for v in row] for row in m]
+    except OverflowError as exc:
+        raise NonFiniteError(f"matrix entry outside the float range: {exc}") from exc
     for row in rows:
         if len(row) != len(rows):
             raise DimensionError(f"matrix must be square, got row of length {len(row)}")
     return rows
 
 
+def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Diagonal d and subdiagonal e (e[i] couples i - 1 and i, e[0] = 0).
+
+    Householder reduction of the symmetric rows a, last row first
+    (EISPACK tred2 without accumulating the transformations).  Step i
+    reflects the leading i x i block and rebuilds its rows at length i,
+    so every dot product is one fsum over two whole rows.
+    """
+    n = len(a)
+    d = [0.0] * n
+    e = [0.0] * n
+    for i in range(n - 1, 0, -1):
+        row = a[i]
+        d[i] = row[i]
+        scale = math.fsum(map(abs, row[:i]))
+        if i == 1 or scale == 0.0:
+            e[i] = row[i - 1]
+            continue
+        u = [v / scale for v in row[:i]]
+        h = math.fsum(map(mul, u, u))
+        f = u[-1]
+        g = -math.copysign(math.sqrt(h), f)
+        e[i] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        # P = I - u u^T / h; P A P = A - u q^T - q u^T
+        p = [math.fsum(map(mul, a[j], u)) / h for j in range(i)]
+        half = math.fsum(map(mul, u, p)) / (2.0 * h)
+        q = [pj - half * uj for pj, uj in zip(p, u)]
+        for j in range(i):
+            uj, qj = u[j], q[j]
+            a[j] = [v - uj * qk - qj * uk for v, qk, uk in zip(a[j], q, u)]
+    d[0] = a[0][0]
+    return d, e
+
+
+def _tql1(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of the symmetric tridiagonal (d, e), by implicit-shift QL.
+
+    EISPACK tql1: e[m] is deflated once |e[m]| <= EIGEN_CONVERGENCE *
+    (|d[m]| + |d[m+1]| + 1).  The caller scales the largest matrix entry
+    into [0.5, 1), so the 1 is at most twice that entry: it lets a
+    coupling between two zero diagonal entries deflate (the QL shift
+    cannot pass through it), and a deflation still moves an eigenvalue
+    by at most 4 * EIGEN_CONVERGENCE times the matrix norm.  Each
+    eigenvalue gets at most _MAX_QL_ITERATIONS QL steps.  d is
+    overwritten and returned.
+    """
+    n = len(d)
+    e = e[1:] + [0.0]
+    for l in range(n):
+        iterations = 0
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > EIGEN_CONVERGENCE * (
+                abs(d[m]) + abs(d[m + 1]) + 1.0
+            ):
+                m += 1
+            if m == l:
+                break
+            if iterations == _MAX_QL_ITERATIONS:
+                raise ConvergenceError(
+                    f"eigenvalue {l}: no QL convergence in {_MAX_QL_ITERATIONS} iterations"
+                )
+            iterations += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # underflow: e[i] is zero, split the block and start over
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return d
+
+
 def symmetric_eigenvalues(m) -> list[float]:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
-    Cyclic Jacobi rotations swept in a fixed row order until the
-    off-diagonal Frobenius norm drops below 1e-12 times the matrix norm,
-    so results are deterministic.
+    Householder tridiagonalisation, then implicit-shift QL, in a fixed
+    order, so results are deterministic.  The matrix is first divided by
+    the smallest power of two above its largest absolute entry (exact in
+    binary) and the eigenvalues are multiplied back, so finite input
+    cannot overflow.  Non-finite entries raise NonFiniteError before any
+    work, and so does an eigenvalue beyond the float range.
     """
     a = _as_float_rows(m)
     n = len(a)
+    if not all(all(map(math.isfinite, row)) for row in a):
+        raise NonFiniteError("matrix has a non-finite entry")
     asym = max(
         (abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i + 1, n)),
         default=0.0,
     )
     if asym > SYMMETRY_TOL:
         raise AsymmetryError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
+    big = max((max(map(abs, row)) for row in a), default=0.0)
+    if big == 0.0:
+        return [0.0] * n
+    shift = math.frexp(big)[1]
+    a = [[math.ldexp(v, -shift) for v in row] for row in a]
     for i in range(n):
         for j in range(i + 1, n):
             v = (a[i][j] + a[j][i]) / 2.0
             a[i][j] = a[j][i] = v
-    norm = math.sqrt(math.fsum(a[i][j] ** 2 for i in range(n) for j in range(n)))
-    threshold = JACOBI_CONVERGENCE * norm
-    for _ in range(_MAX_SWEEPS):
-        off = math.sqrt(
-            2.0 * math.fsum(a[i][j] ** 2 for i in range(n) for j in range(i + 1, n))
-        )
-        if off <= threshold or norm == 0.0:
-            return sorted((a[i][i] for i in range(n)), reverse=True)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                if abs(theta) > 1e12:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p][p], a[q][q]
-                a[p][p] = app - t * apq
-                a[q][q] = aqq + t * apq
-                a[p][q] = a[q][p] = 0.0
-                for r in range(n):
-                    if r == p or r == q:
-                        continue
-                    arp, arq = a[r][p], a[r][q]
-                    a[r][p] = a[p][r] = c * arp - s * arq
-                    a[r][q] = a[q][r] = s * arp + c * arq
-    raise ConvergenceError(f"Jacobi sweep limit {_MAX_SWEEPS} reached")
+    eigs = sorted(_tql1(*_tridiagonalize(a)), reverse=True)
+    try:
+        return [math.ldexp(v, shift) for v in eigs]
+    except OverflowError as exc:
+        raise NonFiniteError("an eigenvalue exceeds the float range") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +401,7 @@ class SpectrumReport:
                 "max_scaled_residual": repr(self.max_scaled_residual),
             },
             "tolerances": {
-                "jacobi_convergence": repr(JACOBI_CONVERGENCE),
+                "eigen_convergence": repr(EIGEN_CONVERGENCE),
                 "comparison": repr(COMPARISON_TOL),
                 "residual": repr(RESIDUAL_TOL),
             },

@@ -1,15 +1,18 @@
 import json
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seidelspec import (
     AsymmetryError,
     ConsistencyError,
+    ConvergenceError,
     IntPoly,
+    NonFiniteError,
     Partition,
     ZeroPolynomialError,
     charpoly_product,
@@ -26,7 +29,8 @@ from seidelspec import (
     sturm_distinct_real_roots,
     symmetric_eigenvalues,
 )
-from seidelspec.spectra import _primitive, sturm_chain
+from seidelspec import spectra
+from seidelspec.spectra import COMPARISON_TOL, _primitive, sturm_chain
 
 X_PLUS_1 = IntPoly([1, 1])
 
@@ -77,6 +81,117 @@ def reference_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     return a
 
 
+def reference_jacobi(m) -> list[float]:
+    # the cyclic Jacobi solver symmetric_eigenvalues ran before Householder
+    # + QL: rotations swept in a fixed row order until the off-diagonal
+    # Frobenius norm drops below 1e-12 times the matrix norm
+    a = [[float(v) for v in row] for row in m]
+    n = len(a)
+    norm = math.sqrt(math.fsum(a[i][j] ** 2 for i in range(n) for j in range(n)))
+    for _ in range(64):
+        off = math.sqrt(
+            2.0 * math.fsum(a[i][j] ** 2 for i in range(n) for j in range(i + 1, n))
+        )
+        if off <= 1e-12 * norm or norm == 0.0:
+            return sorted((a[i][i] for i in range(n)), reverse=True)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                if abs(theta) > 1e12:
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                app, aqq = a[p][p], a[q][q]
+                a[p][p] = app - t * apq
+                a[q][q] = aqq + t * apq
+                a[p][q] = a[q][p] = 0.0
+                for r in range(n):
+                    if r == p or r == q:
+                        continue
+                    arp, arq = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = c * arp - s * arq
+                    a[r][q] = a[q][r] = s * arp + c * arq
+    raise AssertionError("reference Jacobi did not converge")
+
+
+ENTRY = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_symmetric(draw, max_n=24):
+    n = draw(st.integers(1, max_n))
+    size = n * (n + 1) // 2
+    upper = iter(draw(st.lists(ENTRY, min_size=size, max_size=size)))
+    a = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = next(upper)
+    return a
+
+
+@st.composite
+def block_diagonal(draw):
+    # zero rows left of a block's first row take the zero-scale branch
+    blocks = draw(st.lists(random_symmetric(max_n=8), min_size=2, max_size=3))
+    n = sum(len(b) for b in blocks)
+    a = [[0.0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            a[at + i][at : at + len(b)] = row
+        at += len(b)
+    return a
+
+
+@st.composite
+def tridiagonal(draw):
+    n = draw(st.integers(1, 24))
+    diag = draw(st.lists(ENTRY, min_size=n, max_size=n))
+    off = draw(st.lists(ENTRY, min_size=n - 1, max_size=n - 1))
+    a = [[0.0] * n for _ in range(n)]
+    for i, v in enumerate(diag):
+        a[i][i] = v
+    for i, v in enumerate(off):
+        a[i][i + 1] = a[i + 1][i] = v
+    return a
+
+
+@st.composite
+def scaled_all_ones(draw):
+    # a*J or a*(J - I): eigenvalue n - 1 or n times a, the rest 0 or -a
+    n = draw(st.integers(1, 24))
+    a = draw(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    diag = 0.0 if draw(st.booleans()) else a
+    return [[diag if i == j else a for j in range(n)] for i in range(n)]
+
+
+multipartite_seidel = (
+    st.lists(st.integers(1, 6), min_size=1, max_size=6)
+    .filter(lambda parts: sum(parts) <= 24)
+    .map(lambda parts: seidel_matrix(complete_multipartite(parts)).rows)
+)
+
+SYMMETRIC_MATRICES = st.one_of(
+    random_symmetric(),
+    st.lists(ENTRY, min_size=1, max_size=24).map(
+        lambda diag: [[v if i == j else 0.0 for j in range(len(diag))] for i, v in enumerate(diag)]
+    ),
+    block_diagonal(),
+    tridiagonal(),
+    scaled_all_ones(),
+    multipartite_seidel,
+)
+
+ORDER_64 = seidel_matrix(complete_multipartite([17, 16, 10, 8, 4, 4, 3, 2])).rows
+
+
 class TestJacobi:
     def test_identity(self):
         assert symmetric_eigenvalues([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
@@ -111,6 +226,42 @@ class TestJacobi:
 
     def test_empty(self):
         assert symmetric_eigenvalues([]) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=SYMMETRIC_MATRICES)
+    @example(m=ORDER_64)
+    # couplings between zero diagonal entries, which a deflation test
+    # relative to the two neighbouring diagonal entries alone never splits
+    @example(m=[[0, 1, 0, 0], [1, 0, 2.5e-130, 0], [0, 2.5e-130, 0, 7e-234], [0, 0, 7e-234, 0]])
+    def test_matches_jacobi_and_numpy(self, m):
+        got = symmetric_eigenvalues(m)
+        tol = 1e-9 * max(1.0, math.sqrt(sum(float(v) ** 2 for row in m for v in row)))
+        assert got == pytest.approx(reference_jacobi(m), abs=tol)
+        want = sorted(np.linalg.eigvalsh(np.array(m, dtype=float)), reverse=True)
+        assert got == pytest.approx(want, abs=tol)
+
+    @pytest.mark.parametrize(
+        "m",
+        [[[0, math.inf], [math.inf, 0]], [[math.nan]], [[10**400]]],
+        ids=["inf", "nan", "int-beyond-float"],
+    )
+    def test_non_finite_refused(self, m):
+        with pytest.raises(NonFiniteError):
+            symmetric_eigenvalues(m)
+        assert issubclass(NonFiniteError, ValueError)
+
+    def test_huge_entries_do_not_overflow(self):
+        eigs = symmetric_eigenvalues([[1e300, 1e300], [1e300, 1e300]])
+        assert eigs == pytest.approx([2e300, 0.0], abs=1e-15 * 2e300)
+
+    def test_eigenvalue_beyond_float_range_refused(self):
+        with pytest.raises(NonFiniteError):
+            symmetric_eigenvalues([[1.5e308, 1.5e308], [1.5e308, 1.5e308]])
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", 0)
+        with pytest.raises(ConvergenceError):
+            symmetric_eigenvalues([[0, 1], [1, 0]])
 
 
 class TestRootCounting:
@@ -250,9 +401,25 @@ class TestSpectrumReport:
                 assert r.max_scaled_residual <= 1e-6
                 assert all(within for (_, _, _, within) in r.interval_checks)
 
+    def test_flags_match_jacobi_reference(self):
+        # the report's flags read from the Jacobi reference's eigenvalues
+        for n in range(1, 15):
+            for p in partitions_of(n):
+                r = spectrum_report(p)
+                ref = reference_jacobi(seidel_matrix(complete_multipartite(p)).rows)
+                assert r.bound_satisfied, p
+                assert r.bound_tight == (abs(ref[-1] - r.bound.value) <= COMPARISON_TOL), p
+                within = [w for (_, _, _, w) in r.interval_checks]
+                assert all(within), p
+                assert within == [
+                    lo - COMPARISON_TOL <= e <= hi + COMPARISON_TOL
+                    for e, (lo, hi) in zip(ref, r.structure.intervals)
+                ], p
+
     def test_json_schema(self):
         payload = spectrum_report(Partition([3, 2, 1])).to_json_dict()
         text = json.dumps(payload)
         assert json.loads(text)["-1_multiplicity"] == "3"
+        assert payload["tolerances"]["eigen_convergence"] == "1e-12"
         assert payload["charpoly"]["coefficients"][0] == "19"
         assert all(isinstance(v, str) for v in payload["eigenvalues"])
