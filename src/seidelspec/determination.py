@@ -24,13 +24,13 @@ from .errors import (
     NonMonicError,
     TheoremViolationError,
 )
-from .exactalg import IntPoly, _divisors, charpoly_oracle, integer_root_multiset
+from .exactalg import IntPoly, _divisors, integer_root_multiset
 from .graphs import (
     ENUMERATION_CAP,
     Graph,
     complete_multipartite,
     normalize_at,
-    seidel_matrix,
+    seidel_charpolys,
     switch,
     switching_equivalent,
 )
@@ -429,16 +429,20 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
     Class polynomials are found one relabeling orbit at a time: relabeling
     vertices 0..n-2 keeps vertex n-1 isolated, so it maps class keys to
     class keys, and it conjugates the Seidel matrix by a permutation
-    matrix, so every key in an orbit has the same exact polynomial.  The
-    oracle runs once, on each orbit's least key (156 orbits for the 32,768
-    keys at order 7), and the whole orbit joins that polynomial's key set.
+    matrix, so every key in an orbit has the same exact polynomial.  One
+    polynomial is computed per orbit, on its least key (156 orbits for the
+    32,768 keys at order 7), and the whole orbit joins that polynomial's
+    key set.
 
     For every class whose polynomial equals that of a complete
     multipartite partition, switching equivalence with relabeling to that
-    graph is decided and recorded; sampled non-canonical members are
-    re-checked with the oracle to share the class spectrum, one key at a
-    time, so the orbit sharing changes how classes are found, not what is
-    verified.  Distinct partitions with the same number of
+    graph is decided and recorded; sampled non-canonical members of every
+    matched key get a polynomial of their own, checked to equal the class
+    polynomial, so the orbit sharing changes how classes are found, not
+    what is verified.  The orbit leaders of one order, and the sampled
+    members of one class, each go through one ``seidel_charpolys`` batch,
+    which equals ``charpoly_oracle`` graph by graph; results are compared
+    in key and row order.  Distinct partitions with the same number of
     parts (three or more) are also confirmed pairwise non-equivalent,
     while partitions into at most two parts are confirmed all equivalent.
     """
@@ -456,8 +460,10 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
     partitions = [p for cls in classes for p in cls.partitions]
     targets = {cls.charpoly.coeffs: i for i, cls in enumerate(classes)}
     key_sets: list[set[int]] = [set() for _ in classes]
-    for orbit in relabel_orbits(n - 1):
-        poly = charpoly_oracle(seidel_matrix(Graph.from_mask(n, orbit[0])))
+    # held until the batch returns, so as compact arrays
+    orbits = [array("I", orbit) for orbit in relabel_orbits(n - 1)]
+    leaders = seidel_charpolys([Graph.from_mask(n, orbit[0]) for orbit in orbits])
+    for orbit, poly in zip(orbits, leaders):
         idx = targets.get(poly.coeffs)
         if idx is not None:
             key_sets[idx].update(orbit)
@@ -475,6 +481,7 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
         if normalize_at(anchor, n - 1).mask not in keys:
             raise ConsistencyError(f"class of {first} not matched to its own spectrum")
         verified = True
+        samples: list[tuple[int, int, Graph]] = []
         for d in sorted(keys):
             rep = Graph.from_mask(n, d)
             if switching_equivalent(rep, anchor) is None:
@@ -482,9 +489,11 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
                 equivalence_violations.append((str(first), d))
             for a in sample_rows:
                 # the class member whose vertex n-1 row is a
-                member = switch(rep, [v for v in range(n - 1) if a >> v & 1])
-                if charpoly_oracle(seidel_matrix(member)) != cls.charpoly:
-                    sample_violations.append((d, a))
+                samples.append((d, a, switch(rep, [v for v in range(n - 1) if a >> v & 1])))
+        polys = seidel_charpolys([member for _, _, member in samples])
+        for (d, a, _), poly in zip(samples, polys):
+            if poly != cls.charpoly:
+                sample_violations.append((d, a))
         matches.append(SurveyMatch(cls.partitions, tuple(sorted(keys)), verified))
 
     distinct_violations: list[tuple[str, str, str]] = []

@@ -270,6 +270,21 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
+def _lane_width(n: int, rho: int) -> int:
+    """Bits that hold every entry of every Faddeev-LeVerrier work matrix of
+    an n x n integer matrix with infinity norm rho as a signed lane.
+
+    |lambda| <= rho, hence |c_i| <= C(n,i) rho^i, and
+    |(A^j)_uv| <= ||A^j||_inf <= rho^j.  Every work matrix
+    A^k + c_1 A^(k-1) + ... + c_(k-1) A, with or without c_k I added
+    (k <= n), then has entries of magnitude at most
+    2^(n+1) rho^k <= 2^(n+1) rho^n < 2^(w-1) for
+    w = n * bit_length(rho) + n + 2 (a nonzero integer matrix has rho >= 1,
+    and the zero matrix keeps every lane at zero).
+    """
+    return n * rho.bit_length() + n + 2
+
+
 def charpoly_oracle(matrix) -> IntPoly:
     """Exact monic characteristic polynomial det(xI - M).
 
@@ -291,22 +306,15 @@ def charpoly_oracle(matrix) -> IntPoly:
     is linear, so both routes give the same integers.
 
     Packed arithmetic is exact; only the extraction needs every entry to
-    fit its lane, and w is fixed from this bound before any arithmetic:
-    with rho = max_i sum_j |a_ij| (the infinity norm), |lambda| <= rho,
-    hence |c_i| <= C(n,i) rho^i, and |(A^j)_uv| <= ||A^j||_inf <= rho^j.
-    Every work matrix A^k + c_1 A^(k-1) + ... + c_(k-1) A, with or without
-    c_k I added (k <= n), then has entries of magnitude at most
-    2^(n+1) rho^k <= 2^(n+1) rho^n < 2^(w-1) for
-    w = n * bit_length(rho) + n + 2 (a nonzero integer matrix has rho >= 1,
-    and the zero matrix keeps every lane at zero).
+    fit its lane, and w = ``_lane_width(n, rho)`` is fixed before any
+    arithmetic, with rho = max_i sum_j |a_ij| (the infinity norm).
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     n = m.n
     if n == 0:
         return IntPoly([1])
     rows = m.rows
-    rho = max(sum(map(abs, row)) for row in rows)
-    w = n * rho.bit_length() + n + 2
+    w = _lane_width(n, max(sum(map(abs, row)) for row in rows))
     shifts = range(0, n * w, w)
     half = 1 << (w - 1)
     lane = (1 << w) - 1

@@ -9,11 +9,13 @@ word operations.  That representation caps the order at 64 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
+from operator import add, and_, floordiv, mod, rshift, sub, xor
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceededError, ConsistencyError, GraphFormatError
-from .exactalg import IntMatrix
+from .errors import CapExceededError, ConsistencyError, DimensionError, GraphFormatError
+from .exactalg import IntMatrix, IntPoly, _lane_width
 from .multipartite import Partition
 
 MAX_VERTICES = 64
@@ -148,6 +150,121 @@ def seidel_matrix(g: Graph) -> IntMatrix:
     return IntMatrix(rows)
 
 
+# bits of one chunk's packed row; a chunk holds about C(n,2) + 3n of them
+_CHUNK_BITS = 1 << 16
+
+
+def _batch_layout(n: int) -> tuple[int, int, int]:
+    """(bits of the oracle's lane bound, lane bits, graphs per chunk) for
+    Seidel matrices of order n >= 1, whose infinity norm is n - 1."""
+    width = _lane_width(n, n - 1)
+    lane = -(-(width + n.bit_length()) // 8) * 8
+    return width, lane, max(1, _CHUNK_BITS // (n * lane))
+
+
+def seidel_charpolys(graphs: Iterable[Graph]) -> list[IntPoly]:
+    """det(xI - S(G)) for every graph, in order; the graphs share one order.
+
+    Equal to ``charpoly_oracle(seidel_matrix(g))`` for each g, by the same
+    Faddeev-LeVerrier recurrence with the same checked exact division, run
+    on a chunk of graphs at once.  Each packed row holds row i of every
+    graph's work matrix W, graph b in block b of n lanes.  Row i of S*W is
+    the sum over j != i of W_j, negated where ij is an edge.  Every lane is
+    biased to be nonnegative, w + half < 2 half, and XOR with 2 half - 1
+    turns it into half - 1 - w, so row i for all graphs at once is
+    sum_(j != i) ((W_j + bias) ^ F_ij) plus a constant row, where F_ij
+    covers the lanes of the graphs with edge ij.  F_ij is cut from the edge
+    masks; no matrix is built per graph.
+
+    A lane holds ``_lane_width(n, n - 1)`` bits, the oracle's bound for the
+    infinity norm n - 1 of a Seidel matrix, plus bit_length(n) bits so that
+    the n biased diagonal lanes of a block sum without a carry, rounded up
+    to whole bytes: blocks are packed and read through bytes, in time
+    linear in the chunk.  Graphs of different orders raise DimensionError
+    before any work.
+    """
+    gs = list(graphs)
+    if not gs:
+        return []
+    n = gs[0].n
+    if any(g.n != n for g in gs):
+        raise DimensionError(
+            f"batched Seidel polynomials need one order, got {sorted({g.n for g in gs})}"
+        )
+    if n == 0:
+        return [IntPoly([1]) for _ in gs]
+    width, lane, per_chunk = _batch_layout(n)
+    out: list[IntPoly] = []
+    for start in range(0, len(gs), per_chunk):
+        masks = [g.mask for g in gs[start : start + per_chunk]]
+        out.extend(_seidel_chunk(n, masks, width, lane))
+    return out
+
+
+def _seidel_chunk(n: int, masks: list[int], width: int, lane: int) -> list[IntPoly]:
+    lane_bytes = lane // 8
+    block_bytes = n * lane_bytes
+    block = 8 * block_bytes
+    size = len(masks) * block_bytes
+    little = repeat("little")
+    blocks = repeat(block_bytes)
+    # one bit at the start of every block
+    starts = int.from_bytes((b"\x01" + bytes(block_bytes - 1)) * len(masks), "little")
+    half = 1 << (width - 1)
+    shifts = range(0, block, lane)
+    bias = starts * sum(half << s for s in shifts)
+    # graph b's edge mask at the start of block b
+    packed = int.from_bytes(b"".join(map(int.to_bytes, masks, blocks, little)), "little")
+    # the low `width` bits of every lane: XOR there takes a biased lane
+    # w + half to half - 1 - w
+    low = starts * sum(((1 << width) - 1) << s for s in shifts)
+    # terms[i] = (every j != i, the lanes of the graphs with edge ij)
+    terms: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
+    bit = 0
+    for j in range(1, n):
+        for i in range(j):
+            flags = (packed >> bit) & starts
+            bit += 1
+            flip = ((flags << block) - flags) & low
+            for a, b in ((i, j), (j, i)):
+                terms[a][0].append(b)
+                terms[a][1].append(flip)
+    # with biased rows B = W + bias, row i of S*W + bias is
+    # sum_(j != i) (B_j ^ flip_ij) + const[i]: every j adds half, and every
+    # neighbour -w_j - 1 in place of w_j, so const[i] adds back the degree
+    # of i in every lane of each block and takes off (n - 2) * bias
+    ones = starts * sum(1 << s for s in shifts)
+    const = [sum(map(and_, repeat(ones), flips)) - (n - 2) * bias for _, flips in terms]
+    # W = I, so the first product is S
+    rows = [bias + (starts << s) for s in shifts]
+    lane0 = [slice(o, o + lane_bytes) for o in range(0, size, block_bytes)]
+    offset = n * half
+    lifted = half * starts
+    cols: list[list[int]] = []
+    for k in range(1, n + 1):
+        rows = [
+            sum(map(xor, map(rows.__getitem__, js), flips)) + c
+            for (js, flips), c in zip(terms, const)
+        ]
+        # lane 0 of each block: its n biased diagonal lanes summed
+        diag = sum(map(rshift, rows, shifts)).to_bytes(size, "little")
+        sums = map(int.from_bytes, map(diag.__getitem__, lane0), little)
+        negtr = list(map(sub, repeat(offset), sums))
+        if any(map(mod, negtr, repeat(k))):
+            raise ConsistencyError("trace recurrence produced a non-integer coefficient")
+        coeffs = list(map(floordiv, negtr, repeat(k)))
+        cols.append(coeffs)
+        if k == n:
+            break
+        # c_k at lane 0 of each block, biased through bytes, then added on
+        # the diagonal
+        biased = map(add, coeffs, repeat(half))
+        step = int.from_bytes(b"".join(map(int.to_bytes, biased, blocks, little)), "little")
+        step -= lifted
+        rows = [row + (step << s) for row, s in zip(rows, shifts)]
+    return [IntPoly(c) for c in zip(*reversed(cols), repeat(1))]
+
+
 def _vertex_mask(g: Graph, subset) -> int:
     mask = 0
     for v in subset:
@@ -189,6 +306,14 @@ def normalize_at(g: Graph, v: int) -> Graph:
     return switch(g, g.neighbors(v))
 
 
+def _adjacency_rows(g: Graph) -> list[list[bool]]:
+    """Row v, entry u: whether uv is an edge, read from the mask once."""
+    rows = [[False] * g.n for _ in range(g.n)]
+    for u, v in g.edges():
+        rows[u][v] = rows[v][u] = True
+    return rows
+
+
 def graph_isomorphic(g: Graph, h: Graph, pinned: tuple[int, int] | None = None):
     """A permutation with g.relabel(perm) == h, or None.
 
@@ -200,8 +325,10 @@ def graph_isomorphic(g: Graph, h: Graph, pinned: tuple[int, int] | None = None):
     n = g.n
     if n == 0:
         return ()
-    degg = [g.degree(v) for v in range(n)]
-    degh = [h.degree(v) for v in range(n)]
+    adjg = _adjacency_rows(g)
+    adjh = _adjacency_rows(h)
+    degg = [row.count(True) for row in adjg]
+    degh = [row.count(True) for row in adjh]
     if sorted(degg) != sorted(degh):
         return None
     candidates: list[list[int]] = [
@@ -213,8 +340,6 @@ def graph_isomorphic(g: Graph, h: Graph, pinned: tuple[int, int] | None = None):
             return None
         candidates[gv] = [hv]
     order = sorted(range(n), key=lambda v: (len(candidates[v]), -degg[v], v))
-    adjg = [[g.has_edge(u, v) for u in range(n)] for v in range(n)]
-    adjh = [[h.has_edge(u, v) for u in range(n)] for v in range(n)]
     perm: list[int | None] = [None] * n
     used = [False] * n
 

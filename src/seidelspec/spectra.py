@@ -159,19 +159,23 @@ def symmetric_eigenvalues(m) -> list[float]:
     the smallest power of two above its largest absolute entry (exact in
     binary) and the eigenvalues are multiplied back, so finite input
     cannot overflow.  Non-finite entries raise NonFiniteError before any
-    work, and so does an eigenvalue beyond the float range.
+    work, and so does an eigenvalue beyond the float range.  The largest
+    |a_ij - a_ji| may be at most SYMMETRY_TOL times the largest absolute
+    entry, else AsymmetryError, so the verdict does not depend on scale.
     """
     a = _as_float_rows(m)
     n = len(a)
     if not all(all(map(math.isfinite, row)) for row in a):
         raise NonFiniteError("matrix has a non-finite entry")
+    big = max((max(map(abs, row)) for row in a), default=0.0)
     asym = max(
         (abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i + 1, n)),
         default=0.0,
     )
-    if asym > SYMMETRY_TOL:
-        raise AsymmetryError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-    big = max((max(map(abs, row)) for row in a), default=0.0)
+    if asym > SYMMETRY_TOL * big:
+        raise AsymmetryError(
+            f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL} times the largest entry {big:.3e}"
+        )
     if big == 0.0:
         return [0.0] * n
     shift = math.frexp(big)[1]

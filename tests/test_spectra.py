@@ -224,6 +224,15 @@ class TestJacobi:
         with pytest.raises(AsymmetryError):
             symmetric_eigenvalues([[0, 1], [0.5, 0]])
 
+    def test_symmetry_tolerance_relative_to_largest_entry(self):
+        # symmetric to one ulp at a large scale: accepted
+        v = 1e10
+        got = symmetric_eigenvalues([[0, v], [v * (1 + 2**-52), 0]])
+        assert got == pytest.approx([v, -v], rel=1e-12)
+        # antisymmetric at a tiny scale: rejected, not symmetrised to zero
+        with pytest.raises(AsymmetryError):
+            symmetric_eigenvalues([[0, 1e-12], [-1e-12, 0]])
+
     def test_empty(self):
         assert symmetric_eigenvalues([]) == []
 
