@@ -28,6 +28,7 @@ from .exactalg import IntPoly, _divisors, integer_root_multiset
 from .graphs import (
     ENUMERATION_CAP,
     Graph,
+    _multipartite_witness,
     complete_multipartite,
     normalize_at,
     seidel_charpolys,
@@ -436,15 +437,21 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
 
     For every class whose polynomial equals that of a complete
     multipartite partition, switching equivalence with relabeling to that
-    graph is decided and recorded; sampled non-canonical members of every
-    matched key get a polynomial of their own, checked to equal the class
-    polynomial, so the orbit sharing changes how classes are found, not
-    what is verified.  The orbit leaders of one order, and the sampled
-    members of one class, each go through one ``seidel_charpolys`` batch,
-    which equals ``charpoly_oracle`` graph by graph; results are compared
-    in key and row order.  Distinct partitions with the same number of
-    parts (three or more) are also confirmed pairwise non-equivalent,
-    while partitions into at most two parts are confirmed all equivalent.
+    graph is decided and recorded.  Each matched key is certified by the
+    direct recogniser ``multipartite_switching_class``: it must name the
+    partition's switching class, and its witness is replayed against that
+    class's complete multipartite graph, built once per class.  Sampled
+    non-canonical members of every matched key get a polynomial of their
+    own, checked to equal the class polynomial, so the orbit sharing
+    changes how classes are found, not what is verified.  The orbit
+    leaders of one order, and the sampled members of one class, each go
+    through one ``seidel_charpolys`` batch, which equals
+    ``charpoly_oracle`` graph by graph; results are compared in key and
+    row order.  Distinct partitions with the same number of parts (three
+    or more) are also confirmed pairwise non-equivalent, while partitions
+    into at most two parts are confirmed all equivalent; those checks go
+    through ``switching_equivalent``, the backtracking decision for
+    general pairs, so the survey still cross-checks the two.
     """
     if n > ENUMERATION_CAP:
         raise CapExceededError(
@@ -480,13 +487,20 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
         # each partition's own class must show up for its spectrum
         if normalize_at(anchor, n - 1).mask not in keys:
             raise ConsistencyError(f"class of {first} not matched to its own spectrum")
+        # K_P with at most two parts is in the switching class of the
+        # empty graph, which the recogniser names Partition([n])
+        expected = first if first.k >= 3 else Partition([n])
+        target = complete_multipartite(expected)
         verified = True
         samples: list[tuple[int, int, Graph]] = []
         for d in sorted(keys):
             rep = Graph.from_mask(n, d)
-            if switching_equivalent(rep, anchor) is None:
+            found = _multipartite_witness(rep)
+            if found is None or found[0] != expected:
                 verified = False
                 equivalence_violations.append((str(first), d))
+            else:
+                found[1].replay(rep, target)
             for a in sample_rows:
                 # the class member whose vertex n-1 row is a
                 samples.append((d, a, switch(rep, [v for v in range(n - 1) if a >> v & 1])))

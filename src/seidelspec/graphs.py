@@ -9,6 +9,7 @@ word operations.  That representation caps the order at 64 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from math import comb
 from operator import add, and_, floordiv, mod, rshift, sub, xor
@@ -33,6 +34,30 @@ def _pair_index(i: int, j: int) -> int:
     if i > j:
         i, j = j, i
     return j * (j - 1) // 2 + i
+
+
+# entry p is the pair (i, j), i < j, at bit p of every order's edge mask
+_PAIR_ENDS = tuple((i, j) for j in range(MAX_VERTICES) for i in range(j))
+
+
+def _pairs(mask: int) -> Iterator[tuple[int, int]]:
+    """The pairs at the set bits of an edge mask, in bit order."""
+    while mask:
+        low = mask & -mask
+        yield _PAIR_ENDS[low.bit_length() - 1]
+        mask ^= low
+
+
+@cache
+def _stars(n: int) -> tuple[int, ...]:
+    """Entry v: the edge-mask bits of every pair of order n incident to v."""
+    stars = [0] * n
+    for j in range(1, n):
+        base = j * (j - 1) // 2
+        stars[j] = ((1 << j) - 1) << base
+        for i in range(j):
+            stars[i] |= 1 << (base + i)
+    return tuple(stars)
 
 
 class Graph:
@@ -75,11 +100,7 @@ class Graph:
         return bool((self.mask >> _pair_index(u, v)) & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for j in range(1, self.n):
-            base = j * (j - 1) // 2
-            for i in range(j):
-                if (self.mask >> (base + i)) & 1:
-                    yield (i, j)
+        return _pairs(self.mask)
 
     @property
     def edge_count(self) -> int:
@@ -87,11 +108,12 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return sum(1 for u in range(self.n) if u != v and self.has_edge(u, v))
+        return (self.mask & _stars(self.n)[v]).bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return tuple(u for u in range(self.n) if u != v and self.has_edge(u, v))
+        # the star's bits come in the order of the other end, i ^ j ^ v
+        return tuple(i ^ j ^ v for i, j in _pairs(self.mask & _stars(self.n)[v]))
 
     def complement(self) -> "Graph":
         full = (1 << comb(self.n, 2)) - 1
@@ -101,7 +123,10 @@ class Graph:
         """Graph with edge (perm[u], perm[v]) for every edge (u, v)."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"{perm!r} is not a permutation of 0..{self.n - 1}")
-        return Graph(self.n, ((perm[u], perm[v]) for u, v in self.edges()))
+        mask = 0
+        for u, v in _pairs(self.mask):
+            mask |= 1 << _pair_index(perm[u], perm[v])
+        return Graph.from_mask(self.n, mask)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph, relabeled 0..len(vertices)-1 in the given order."""
@@ -265,35 +290,24 @@ def _seidel_chunk(n: int, masks: list[int], width: int, lane: int) -> list[IntPo
     return [IntPoly(c) for c in zip(*reversed(cols), repeat(1))]
 
 
-def _vertex_mask(g: Graph, subset) -> int:
-    mask = 0
-    for v in subset:
-        g._check_vertex(v)
-        mask |= 1 << v
-    return mask
-
-
-def _cut_edges_mask(n: int, vmask: int) -> int:
-    out = 0
-    base = 0
-    for j in range(1, n):
-        bj = (vmask >> j) & 1
-        for i in range(j):
-            if ((vmask >> i) & 1) != bj:
-                out |= 1 << (base + i)
-        base += j
-    return out
-
-
 def switch(g: Graph, subset: Iterable[int]) -> Graph:
     """Seidel switching: complement every edge between ``subset`` and the rest.
 
     Edges inside the subset and inside its complement are untouched;
     switching twice at the same set gives the graph back, and switching at
-    the complementary set gives the same result.
+    the complementary set gives the same result.  A pair is cut when the
+    set holds exactly one of its ends, so the cut is the XOR of the stars
+    of the set's vertices, each vertex counted once.
     """
-    vmask = _vertex_mask(g, subset)
-    return Graph.from_mask(g.n, g.mask ^ _cut_edges_mask(g.n, vmask))
+    stars = _stars(g.n)
+    seen = 0
+    cut = 0
+    for v in subset:
+        g._check_vertex(v)
+        if not seen >> v & 1:
+            seen |= 1 << v
+            cut ^= stars[v]
+    return Graph.from_mask(g.n, g.mask ^ cut)
 
 
 def normalize_at(g: Graph, v: int) -> Graph:
@@ -306,11 +320,12 @@ def normalize_at(g: Graph, v: int) -> Graph:
     return switch(g, g.neighbors(v))
 
 
-def _adjacency_rows(g: Graph) -> list[list[bool]]:
-    """Row v, entry u: whether uv is an edge, read from the mask once."""
-    rows = [[False] * g.n for _ in range(g.n)]
-    for u, v in g.edges():
-        rows[u][v] = rows[v][u] = True
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Entry v: the neighbours of v as a vertex bitmask."""
+    rows = [0] * g.n
+    for i, j in g.edges():
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     return rows
 
 
@@ -325,10 +340,10 @@ def graph_isomorphic(g: Graph, h: Graph, pinned: tuple[int, int] | None = None):
     n = g.n
     if n == 0:
         return ()
-    adjg = _adjacency_rows(g)
-    adjh = _adjacency_rows(h)
-    degg = [row.count(True) for row in adjg]
-    degh = [row.count(True) for row in adjh]
+    adjg = _neighbour_masks(g)
+    adjh = _neighbour_masks(h)
+    degg = [row.bit_count() for row in adjg]
+    degh = [row.bit_count() for row in adjh]
     if sorted(degg) != sorted(degh):
         return None
     candidates: list[list[int]] = [
@@ -354,7 +369,7 @@ def graph_isomorphic(g: Graph, h: Graph, pinned: tuple[int, int] | None = None):
             hrow = adjh[u]
             ok = True
             for w in order[:pos]:
-                if row[w] != hrow[perm[w]]:
+                if (row >> w & 1) != (hrow >> perm[w] & 1):
                     ok = False
                     break
             if not ok:
@@ -382,6 +397,11 @@ class SwitchingWitness:
 
     def apply(self, g: Graph) -> Graph:
         return switch(g, self.subset).relabel(self.permutation)
+
+    def replay(self, g: Graph, target: Graph) -> None:
+        """Raise ConsistencyError unless the witness maps g onto target."""
+        if self.apply(g) != target:
+            raise ConsistencyError("witness replay does not reproduce the target graph")
 
 
 def switching_equivalent(g: Graph, h: Graph, relabel: bool = True):
@@ -421,8 +441,7 @@ def switching_equivalent(g: Graph, h: Graph, relabel: bool = True):
             set(g.neighbors(0)).symmetric_difference(inv[b] for b in h.neighbors(u))
         )
         witness = SwitchingWitness(tuple(subset), perm)
-        if witness.apply(g) != h:
-            raise ConsistencyError("witness replay does not reproduce the target graph")
+        witness.replay(g, h)
         return witness
     return None
 
@@ -443,37 +462,81 @@ def complete_multipartite(partition) -> Graph:
     return Graph(p.n, edges)
 
 
-def recognize_complete_multipartite(g: Graph):
-    """The partition of part sizes if g is complete multipartite, else None.
-
-    The complement must be a disjoint union of cliques; each clique is one
-    part.  Checked by taking connected components of the complement and
-    verifying every component is complete there.
-    """
-    if g.n == 0:
+def _multipartite_witness(g: Graph) -> tuple[Partition, SwitchingWitness] | None:
+    """``multipartite_switching_class`` without the replay, for callers
+    that replay against a target they build once."""
+    n = g.n
+    if n == 0:
         return None
-    comp = g.complement()
-    seen = [False] * g.n
-    sizes: list[int] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        component = [start]
-        while stack:
-            v = stack.pop()
-            for u in comp.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-                    component.append(u)
-        for i, u in enumerate(component):
-            for v in component[i + 1 :]:
-                if not comp.has_edge(u, v):
-                    return None
-        sizes.append(len(component))
-    return Partition(sizes)
+    full = (1 << n) - 1
+    rows = _neighbour_masks(g)
+    groups: dict[int, list[int]] = {}
+    for v, row in enumerate(rows):
+        groups.setdefault(min(row, full ^ row), []).append(v)
+    classes = list(groups.values())
+    if len(classes) == 2:
+        # switching at one class would give K_(a,b), whose vertices are
+        # all twins, and twin classes are a switching invariant
+        raise ConsistencyError(f"two twin classes in {g!r}")
+    # representatives: each class's least vertex; representative 0 is vertex 0
+    reps = [members[0] for members in classes]
+    rep_mask = sum(1 << r for r in reps)
+    far = rep_mask & ~rows[0] & ~1
+    # switching at `far` makes representative 0 adjacent to every other
+    # representative; g switches to a complete multipartite graph exactly
+    # when that makes every pair of representatives adjacent
+    for r in reps:
+        others = rep_mask ^ (1 << r)
+        if (rows[r] ^ (full ^ far if far >> r & 1 else far)) & others != others:
+            return None
+    # each vertex takes its representative's row (switch where negated),
+    # and the classes not adjacent to representative 0 switch whole
+    subset = 0
+    for members, r in zip(classes, reps):
+        flip = far >> r & 1
+        for v in members:
+            if (rows[v] != rows[r]) ^ flip:
+                subset |= 1 << v
+    # complete_multipartite groups the parts consecutively, largest first
+    perm = [0] * n
+    position = 0
+    for members in sorted(classes, key=len, reverse=True):
+        for v in members:
+            perm[v] = position
+            position += 1
+    witness = SwitchingWitness(
+        tuple(v for v in range(n) if subset >> v & 1), tuple(perm)
+    )
+    return Partition(map(len, classes)), witness
+
+
+def multipartite_switching_class(g: Graph) -> tuple[Partition, SwitchingWitness] | None:
+    """Whether g is switching equivalent, with relabeling, to a complete
+    multipartite graph: its partition and a replayed witness, or None.
+
+    Decided with no search, for any order up to 64.  Vertices u and v are
+    twins when rows u and v of S + I agree up to sign, that is N(u) = N(v)
+    or N(u) = full ^ N(v) as vertex bitmasks; twins stay twins under
+    switching and relabeling.  The parts of K_P with at least three parts
+    are its twin classes, and every vertex of K_P with at most two parts
+    is a twin of every other (K_(a,b) switches to the empty graph), so the
+    partition is the twin class sizes, ``Partition([n])`` for one class;
+    two classes cannot occur.  Switching so that every vertex takes the
+    row of its class's least vertex, and so that representative 0 is
+    adjacent to every other representative, leaves every class
+    independent and every two classes either fully joined or not joined
+    at all; g is in the switching class of a complete multipartite graph
+    exactly when all of them are joined.  The witness, switching at that
+    set and relabeling the classes largest first, is replayed against
+    ``complete_multipartite(partition)``; a bad replay raises
+    ConsistencyError.  The empty graph of order 0 has no partition and
+    gives None.
+    """
+    found = _multipartite_witness(g)
+    if found is not None:
+        partition, witness = found
+        witness.replay(g, complete_multipartite(partition))
+    return found
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:

@@ -281,6 +281,25 @@ class TestForcedPartSizes:
                     assert v.status == "s_determined_in_family"
 
 
+# (cospectral partitions, matched class keys) per order, in report order
+SURVEY_MATCHES = {
+    1: [("1", 1)],
+    2: [("1,1 2", 1)],
+    3: [("1,1,1", 1), ("2,1 3", 1)],
+    4: [("1,1,1,1", 1), ("2,1,1", 6), ("2,2 3,1 4", 1)],
+    5: [("1,1,1,1,1", 1), ("2,1,1,1", 10), ("2,2,1", 15), ("3,1,1", 10), ("3,2 4,1 5", 1)],
+    6: [
+        ("1,1,1,1,1,1", 1), ("2,1,1,1,1", 15), ("2,2,1,1", 45), ("2,2,2", 15),
+        ("3,1,1,1", 20), ("3,2,1", 60), ("3,3 4,2 5,1 6", 1), ("4,1,1", 15),
+    ],
+    7: [
+        ("1,1,1,1,1,1,1", 1), ("2,1,1,1,1,1", 21), ("2,2,1,1,1", 105), ("2,2,2,1", 105),
+        ("3,1,1,1,1", 35), ("3,2,1,1", 210), ("3,2,2", 105), ("3,3,1", 70),
+        ("4,1,1,1", 35), ("4,2,1", 105), ("4,3 5,2 6,1 7", 1), ("5,1,1", 21),
+    ],
+}
+
+
 class TestSurvey:
     def test_order_three_class_count(self):
         report = exhaustive_switching_survey(3)
@@ -370,6 +389,24 @@ class TestSurvey:
         payload = exhaustive_switching_survey(3).to_json_dict()
         assert payload["switching_class_count"] == "2"
         assert payload["equivalence_violations"] == []
+
+    @pytest.mark.parametrize("n", sorted(SURVEY_MATCHES))
+    def test_report_json_pinned(self, n):
+        # matched class keys per cospectral class, every one verified and
+        # no violation of any kind, at every order the survey runs
+        assert exhaustive_switching_survey(n).to_json_dict() == {
+            "order": str(n),
+            "graph_count": str(1 << comb(n, 2)),
+            "switching_class_count": str(1 << comb(n - 1, 2)),
+            "class_size": str(1 << (n - 1)),
+            "matches": [
+                {"partitions": parts.split(), "matched_classes": str(count), "verified": True}
+                for parts, count in SURVEY_MATCHES[n]
+            ],
+            "equivalence_violations": [],
+            "sample_violations": [],
+            "distinct_partition_violations": [],
+        }
 
 
 def generators(m):

@@ -18,9 +18,9 @@ from seidelspec import (
     graph6_decode,
     graph6_encode,
     graph_isomorphic,
+    multipartite_switching_class,
     normalize_at,
     partitions_of,
-    recognize_complete_multipartite,
     seidel_matrix,
     switch,
     switching_equivalent,
@@ -90,6 +90,29 @@ class TestSwitch:
     def test_invalid_vertex(self):
         with pytest.raises(IndexError):
             switch(Graph(3), [3])
+        with pytest.raises(IndexError):
+            switch(Graph(3), [-1])
+
+    def test_repeated_vertex_counts_once(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert switch(g, [1, 1, 2]) == switch(g, [1, 2])
+        assert switch(g, [0, 0]) == switch(g, [0])
+
+    def test_matches_per_pair_cut(self):
+        rng = random.Random(29)
+        for n in [*range(0, 9), 64]:
+            g = random_graph(rng, n)
+            u = set(random_subset(rng, n))
+            want = Graph(
+                n,
+                (
+                    (i, j)
+                    for j in range(n)
+                    for i in range(j)
+                    if g.has_edge(i, j) != ((i in u) != (j in u))
+                ),
+            )
+            assert switch(g, u) == want
 
     def test_spectral_invariance(self):
         rng = random.Random(22)
@@ -228,20 +251,71 @@ class TestCompleteMultipartite:
 
 class TestRecognize:
     def test_four_cycle(self):
+        # C4 = K_(2,2): switching at one side gives the empty graph
         c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert recognize_complete_multipartite(c4) == Partition([2, 2])
+        p, w = multipartite_switching_class(c4)
+        assert p == Partition([4])
+        assert set(w.subset) in ({0, 2}, {1, 3})
+        assert w.apply(c4) == Graph(4)
 
     def test_path_three(self):
-        assert recognize_complete_multipartite(P3) == Partition([2, 1])
+        # P3 = K_(2,1), in the switching class of the empty graph
+        p, w = multipartite_switching_class(P3)
+        assert p == Partition([3])
+        assert w.apply(P3) == Graph(3)
 
     def test_path_four_is_not(self):
+        # P4 is not complete multipartite, but its middle vertices are
+        # twins (N(1) = full ^ N(2)) and it switches to K_(2,1,1)
         p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert recognize_complete_multipartite(p4) is None
+        p, w = multipartite_switching_class(p4)
+        assert p == Partition([2, 1, 1])
+        assert w.subset != ()
+        assert w.apply(p4) == complete_multipartite(p)
+        assert switching_equivalent(p4, complete_multipartite(p)) is not None
 
     def test_roundtrip_all_partitions(self):
         for n in range(1, 13):
+            identity = tuple(range(n))
             for p in partitions_of(n):
-                assert recognize_complete_multipartite(complete_multipartite(p)) == p
+                g = complete_multipartite(p)
+                found = multipartite_switching_class(g)
+                if p.k >= 3:
+                    # a plain complete multipartite graph needs no switching
+                    assert found == (p, SwitchingWitness((), identity))
+                else:
+                    q, w = found
+                    assert q == Partition([n])
+                    assert w.apply(g) == Graph(n)
+                    assert w.subset == (() if p.k == 1 else tuple(range(p.parts[0], n)))
+
+    def test_minimal_non_cm_graphs(self):
+        # 2K2 + K1 and P4 + K1 (the pentagon's switching class)
+        for text in ("DCO", "DCo"):
+            g = graph6_decode(text)
+            assert multipartite_switching_class(g) is None
+            assert all(
+                switching_equivalent(g, complete_multipartite(p)) is None
+                for p in partitions_of(5)
+            )
+
+    def test_order_zero(self):
+        assert multipartite_switching_class(Graph(0)) is None
+
+    def test_order_64_switched_and_relabeled(self):
+        rng = random.Random(30)
+        p = Partition([20, 13, 13, 9, 5, 2, 1, 1])
+        h = complete_multipartite(p)
+        g = switch(h, random_subset(rng, 64)).relabel(rng.sample(range(64), 64))
+        q, w = multipartite_switching_class(g)
+        assert q == p
+        assert w.apply(g) == h
+
+    def test_bad_replay_raises(self, monkeypatch):
+        # the replay check must survive python -O, so it is no assert
+        monkeypatch.setattr(SwitchingWitness, "apply", lambda self, g: g.complement())
+        with pytest.raises(ConsistencyError):
+            multipartite_switching_class(complete_multipartite([2, 1, 1]))
 
 
 class TestEnumeration:
@@ -299,6 +373,31 @@ class TestGraphBasics:
         for _ in range(20):
             g = random_graph(rng, rng.randint(0, 8))
             assert g.complement().complement() == g
+
+    def test_mask_reads_match_has_edge(self):
+        rng = random.Random(31)
+        for n in [*range(0, 9), 64]:
+            g = random_graph(rng, n)
+            for v in range(n):
+                want = tuple(u for u in range(n) if u != v and g.has_edge(u, v))
+                assert g.neighbors(v) == want
+                assert g.degree(v) == len(want)
+            perm = rng.sample(range(n), n)
+            assert g.relabel(perm) == Graph(n, ((perm[u], perm[v]) for u, v in g.edges()))
+            assert list(g.edges()) == [
+                (i, j) for j in range(n) for i in range(j) if g.has_edge(i, j)
+            ]
+
+    def test_bad_vertex_and_permutation(self):
+        g = Graph(3, [(0, 1)])
+        for v in (3, -1):
+            with pytest.raises(IndexError):
+                g.neighbors(v)
+            with pytest.raises(IndexError):
+                g.degree(v)
+        for perm in ((0, 1), (0, 1, 1), (0, 1, 3)):
+            with pytest.raises(ValueError):
+                g.relabel(perm)
 
     def test_induced(self):
         g = complete_multipartite([2, 1])

@@ -6,16 +6,20 @@ step; it shares the recurrence with the oracle but none of its packing, so
 a lane that overflows or is read back wrongly shows up as a difference.
 """
 
+from math import comb
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seidelspec import (
+    Graph,
     IntPoly,
     Partition,
     charpoly_oracle,
     charpoly_product,
     complete_multipartite,
     seidel_matrix,
+    switch,
 )
 
 ENTRY_BOUND = 10**6
@@ -159,3 +163,19 @@ def partitions_of_64(draw) -> Partition:
 def test_order_64_complete_multipartite_matches_closed_form(p):
     oracle = charpoly_oracle(seidel_matrix(complete_multipartite(p)))
     assert oracle == charpoly_product(p).expanded
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_switching_and_relabeling_keep_the_polynomial(data):
+    # S(switch(G, U)) = D S(G) D with D = diag(+-1) and relabeling
+    # conjugates by a permutation matrix: both are similarities
+    n = data.draw(st.integers(0, 16))
+    g = Graph.from_mask(n, data.draw(st.integers(0, (1 << comb(n, 2)) - 1)))
+    row = data.draw(st.integers(0, (1 << n) - 1))
+    perm = data.draw(st.permutations(range(n)))
+    switched = switch(g, [v for v in range(n) if row >> v & 1])
+    poly = charpoly_oracle(seidel_matrix(g))
+    assert charpoly_oracle(seidel_matrix(switched)) == poly
+    assert charpoly_oracle(seidel_matrix(g.relabel(perm))) == poly
+    assert charpoly_oracle(seidel_matrix(switched.relabel(perm))) == poly

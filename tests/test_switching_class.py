@@ -1,0 +1,99 @@
+"""The direct recogniser of switching classes of complete multipartite
+graphs against the exhaustive survey and the backtracking decision."""
+
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import seidelspec.determination as determination
+from seidelspec import (
+    ConsistencyError,
+    Graph,
+    Partition,
+    SwitchingWitness,
+    complete_multipartite,
+    exhaustive_switching_survey,
+    multipartite_switching_class,
+    partitions_of,
+    switch,
+    switching_equivalent,
+)
+
+# class keys the survey matches to some partition's spectrum, per order
+MATCHED_KEYS = {1: 1, 2: 1, 3: 2, 4: 8, 5: 37, 6: 172, 7: 814}
+
+
+@pytest.mark.parametrize("n", sorted(MATCHED_KEYS))
+def test_accepts_exactly_the_surveys_matched_keys(n):
+    report = exhaustive_switching_survey(n)
+    matched = {d: m.partitions for m in report.matches for d in m.class_keys}
+    accepted = {}
+    for d in range(report.class_count):
+        found = multipartite_switching_class(Graph.from_mask(n, d))
+        if found is not None:
+            accepted[d] = found[0]
+    assert len(accepted) == MATCHED_KEYS[n]
+    assert accepted.keys() == matched.keys()
+    for d, p in accepted.items():
+        assert p in matched[d]
+
+
+def test_survey_raises_on_a_bad_replay(monkeypatch):
+    # every matched key's witness is replayed; the backtracking decision,
+    # which replays its own witnesses, is stubbed out
+    monkeypatch.setattr(determination, "switching_equivalent", lambda g, h: None)
+    monkeypatch.setattr(SwitchingWitness, "apply", lambda self, g: g.complement())
+    with pytest.raises(ConsistencyError):
+        exhaustive_switching_survey(4)
+
+
+@st.composite
+def cm_graphs(draw, max_n):
+    """(K_P switched and relabeled, P's switching class partition)."""
+    n = draw(st.integers(1, max_n))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else ())
+    p = Partition(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+    row = draw(st.integers(0, (1 << n) - 1))
+    perm = draw(st.permutations(range(n)))
+    g = switch(complete_multipartite(p), [v for v in range(n) if row >> v & 1])
+    return g.relabel(perm), p if p.k >= 3 else Partition([n])
+
+
+@st.composite
+def any_graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    return Graph.from_mask(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cm_graphs(8))
+def test_switched_relabeled_cm_graph_is_recognised(case):
+    g, p = case
+    found = multipartite_switching_class(g)
+    assert found is not None
+    assert found[0] == p
+    assert found[1].apply(g) == complete_multipartite(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graphs(8))
+def test_every_witness_replays(g):
+    found = multipartite_switching_class(g)
+    if found is not None:
+        p, w = found
+        assert w.apply(g) == complete_multipartite(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(any_graphs(7), cm_graphs(7).map(lambda case: case[0])))
+def test_agrees_with_backtracking(g):
+    found = multipartite_switching_class(g)
+    if found is not None:
+        assert switching_equivalent(g, complete_multipartite(found[0])) is not None
+    else:
+        assert all(
+            switching_equivalent(g, complete_multipartite(p)) is None
+            for p in partitions_of(g.n)
+        )
