@@ -67,7 +67,7 @@ def partitions_of(n: int, k: int | None = None) -> Iterator[Partition]:
     yield from rec(n, n, [])
 
 
-def recover_partitions(residual: IntPoly, n: int | None = None) -> list[Partition]:
+def recover_partitions(residual: IntPoly) -> list[Partition]:
     """All partitions whose degree-k residual equals the given polynomial.
 
     The residual's coefficients are the rows of ``residual_weights(k)``
@@ -79,7 +79,8 @@ def recover_partitions(residual: IntPoly, n: int | None = None) -> list[Partitio
     candidate polynomial with roots the parts that splits into positive
     integers is kept after reproducing the residual exactly; its roots are
     sought among the possible parts, found once per residual.  An empty
-    list means no partition matches.
+    list means no partition matches.  The residual forces the order, so
+    every partition returned has the same n = sigma_1.
     """
     if residual.is_zero() or not residual.is_monic():
         raise NonMonicError("residual must be monic and nonzero")
@@ -96,7 +97,7 @@ def recover_partitions(residual: IntPoly, n: int | None = None) -> list[Partitio
         if r:
             return []
         sig.append(q)
-    if sig[1] < k or n not in (None, sig[1]):
+    if sig[1] < k:
         return []
     # the other k - 1 parts are at least 1, so no part exceeds
     # sigma_1 - k + 1, and for k != 2 every part divides the forced

@@ -203,7 +203,7 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def to_string(self, var: str = "x") -> str:
+    def to_string(self) -> str:
         """Human form like ``x^3-3x^2-9x+19``."""
         if self.is_zero():
             return "0"
@@ -218,7 +218,7 @@ class IntPoly:
                 body = str(mag)
             else:
                 head = "" if mag == 1 else str(mag)
-                body = f"{head}{var}" + (f"^{i}" if i > 1 else "")
+                body = f"{head}x" + (f"^{i}" if i > 1 else "")
             parts.append(sign + body)
         return "".join(parts)
 
@@ -244,16 +244,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self.rows[i]

@@ -102,10 +102,6 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int]]:
         return _pairs(self.mask)
 
-    @property
-    def edge_count(self) -> int:
-        return self.mask.bit_count()
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return (self.mask & _stars(self.n)[v]).bit_count()
@@ -404,16 +400,15 @@ class SwitchingWitness:
             raise ConsistencyError("witness replay does not reproduce the target graph")
 
 
-def switching_equivalent(g: Graph, h: Graph, relabel: bool = True):
-    """Decide switching equivalence, by default combined with isomorphism.
+def switching_equivalent(g: Graph, h: Graph):
+    """Decide switching equivalence combined with isomorphism.
 
-    Returns a replayable SwitchingWitness or None.  Different orders are a
-    definitive no.  Method: each switching class has a canonical member in
-    which a chosen base vertex is isolated; the classes of g and h agree up
-    to relabeling iff the form of g based at vertex 0 is isomorphic, base
-    mapped to base, to the form of h based at some vertex.  With
-    ``relabel=False`` only plain switching is allowed and the canonical
-    forms must match bit for bit.
+    Returns a SwitchingWitness, replayed against h, or None.  Different
+    orders are a definitive no.  Method: each switching class has a
+    canonical member in which a chosen base vertex is isolated; the classes
+    of g and h agree up to relabeling iff the form of g based at vertex 0
+    is isomorphic, base mapped to base, to the form of h based at some
+    vertex.
     """
     if g.n != h.n:
         return None
@@ -425,13 +420,8 @@ def switching_equivalent(g: Graph, h: Graph, relabel: bool = True):
     if n == 0:
         return SwitchingWitness((), ())
     ng = normalize_at(g, 0)
-    bases = range(n) if relabel else (0,)
-    for u in bases:
-        nh = normalize_at(h, u)
-        if relabel:
-            perm = graph_isomorphic(ng, nh, pinned=(0, u))
-        else:
-            perm = tuple(range(n)) if ng == nh else None
+    for u in range(n):
+        perm = graph_isomorphic(ng, normalize_at(h, u), pinned=(0, u))
         if perm is None:
             continue
         inv = [0] * n
@@ -449,17 +439,20 @@ def switching_equivalent(g: Graph, h: Graph, relabel: bool = True):
 def complete_multipartite(partition) -> Graph:
     """The graph with parts of the given sizes and all edges across parts.
 
-    Vertices are grouped consecutively by part (largest part first).
+    Vertices are grouped consecutively by part (largest part first).  The
+    edge mask starts from all pairs; in a part starting at vertex s, the
+    pairs (s, j), ..., (j - 1, j) are j - s consecutive set bits, cleared
+    at once for each later vertex j of the part.
     """
     p = partition if isinstance(partition, Partition) else Partition(partition)
-    part_of = [i for i, size in enumerate(p.parts) for _ in range(size)]
-    edges = (
-        (u, v)
-        for v in range(p.n)
-        for u in range(v)
-        if part_of[u] != part_of[v]
-    )
-    return Graph(p.n, edges)
+    check_graph_order(p.n)
+    mask = (1 << comb(p.n, 2)) - 1
+    s = 0
+    for size in p.parts:
+        for j in range(s + 1, s + size):
+            mask ^= ((1 << (j - s)) - 1) << (j * (j - 1) // 2 + s)
+        s += size
+    return Graph.from_mask(p.n, mask)
 
 
 def _multipartite_witness(g: Graph) -> tuple[Partition, SwitchingWitness] | None:

@@ -94,9 +94,6 @@ class Partition:
                 out.append((p, 1))
         return tuple(out)
 
-    def grouped_str(self) -> str:
-        return ",".join(f"{r}*{s}" for s, r in self.grouped())
-
     def __iter__(self):
         return iter(self.parts)
 
@@ -161,16 +158,16 @@ class FactoredSeidelPoly:
             )
         return cls(ones_exponent, tuple(linear_factors), residual, full)
 
-    def factored_str(self, var: str = "x") -> str:
+    def factored_str(self) -> str:
         pieces: list[str] = []
         if self.ones_exponent:
             e = f"^{self.ones_exponent}" if self.ones_exponent > 1 else ""
-            pieces.append(f"({var}+1){e}")
+            pieces.append(f"(x+1){e}")
         for size, exp in self.linear_factors:
             e = f"^{exp}" if exp > 1 else ""
-            pieces.append(f"({_linear(size).to_string(var)}){e}")
+            pieces.append(f"({_linear(size).to_string()}){e}")
         if self.residual != IntPoly([1]) or not pieces:
-            pieces.append(f"({self.residual.to_string(var)})")
+            pieces.append(f"({self.residual.to_string()})")
         return " * ".join(pieces)
 
 

@@ -4,9 +4,16 @@ import tracemalloc
 
 import pytest
 
-from seidelspec import CapExceededError, InvalidPartitionError
+import seidelspec.determination as determination
+from seidelspec import CapExceededError, InvalidPartitionError, Partition
 from seidelspec.cli import main
-from seidelspec.verify import SWEEP_CAP, bounds_suite, closedform_suite, run_suites
+from seidelspec.verify import (
+    SWEEP_CAP,
+    bounds_suite,
+    closedform_suite,
+    determination_suite,
+    run_suites,
+)
 
 
 def run(capsys, *argv):
@@ -163,6 +170,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "determination", "--max-n", "8")
         assert code == 0
         assert "PASS determination" in out
+
+    def test_forced_pattern_with_mates_fails_its_order(self, capsys, monkeypatch):
+        # (6,6,1) is cospectral with (9,2,2); put under a forced pattern,
+        # its mates make the order-13 scan raise, recorded as one failure
+        real = determination.forced_rule
+        monkeypatch.setattr(
+            determination,
+            "forced_rule",
+            lambda p: "repeated_size" if p == Partition([6, 6, 1]) else real(p),
+        )
+        result = determination_suite(max_n=13)
+        (failure,) = result.failures
+        assert failure.startswith("order 13: 6,6,1 matches forced pattern repeated_size")
+        code, out, _ = run(capsys, "verify", "--suite", "determination", "--max-n", "13")
+        assert code == 3
+        assert "FAIL determination" in out
 
     def test_determination_over_cap_is_usage_error(self, capsys):
         # refused before the recovery sweep starts, not reported as a failure

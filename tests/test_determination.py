@@ -112,10 +112,6 @@ class TestRecoverPartitions:
         residual = charpoly_coefficients(Partition([2, 2])).residual
         assert recover_partitions(residual) == [Partition([2, 2]), Partition([3, 1])]
 
-    def test_explicit_n_mismatch(self):
-        residual = charpoly_coefficients(Partition([3, 2, 1])).residual
-        assert recover_partitions(residual, n=7) == []
-
     def test_non_monic_rejected(self):
         with pytest.raises(NonMonicError):
             recover_partitions(IntPoly([1, 2]))
@@ -148,8 +144,6 @@ class TestRecoverPartitions:
         assert p in got
         assert all(charpoly_coefficients(q).residual == residual for q in got)
         assert got == reference_recover(residual)
-        assert recover_partitions(residual, n=p.n) == got
-        assert recover_partitions(residual, n=p.n + 1) == []
         # a monic residual off the family by one coefficient below the lead
         near = residual + IntPoly([0] * (at % p.k) + [shift])
         assert recover_partitions(near) == reference_recover(near)

@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seidelspec import (
     CapExceededError,
@@ -47,6 +49,36 @@ def brute_force_equivalent(g, h):
         if graph_isomorphic(switch(g, u), h) is not None:
             return True
     return False
+
+
+def per_pair_multipartite(p):
+    """K_P by its definition: an edge between every two vertices in
+    different parts, the parts consecutive, largest first."""
+    part_of = [i for i, size in enumerate(p.parts) for _ in range(size)]
+    return Graph(
+        p.n, ((u, v) for v in range(p.n) for u in range(v) if part_of[u] != part_of[v])
+    )
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    return Graph.from_mask(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
+
+
+@st.composite
+def partitions_up_to_64(draw):
+    n = draw(st.integers(1, 64))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=63))) if n > 1 else []
+    return Partition([b - a for a, b in zip([0] + cuts, cuts + [n])])
+
+
+@st.composite
+def switched_relabeled(draw):
+    """(g, U, perm) with g of order at most 8."""
+    g = draw(graphs(8))
+    subset = draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    return g, sorted(subset), tuple(draw(st.permutations(range(g.n))))
 
 
 class TestSeidelMatrix:
@@ -207,17 +239,16 @@ class TestSwitchingEquivalent:
             h = random_graph(rng, n)
             assert (switching_equivalent(g, h) is not None) == brute_force_equivalent(g, h)
 
-    def test_label_preserving_flag(self):
-        g = complete_multipartite([2, 2])
-        h = switch(g, [0])
-        assert switching_equivalent(g, h, relabel=False) is not None
-        # a relabeled switch need not be a plain switch
-        rot = switch(g, [0]).relabel((1, 2, 3, 0))
-        plain = switching_equivalent(g, rot, relabel=False)
-        full = switching_equivalent(g, rot)
-        assert full is not None
-        if plain is not None:
-            assert plain.apply(g) == rot
+    @settings(max_examples=150, deadline=None)
+    @given(switched_relabeled())
+    # a relabeled switch, which need not be a plain switch
+    @example((complete_multipartite([2, 2]), [0], (1, 2, 3, 0)))
+    def test_witness_replays_onto_a_switched_relabeled_graph(self, case):
+        g, subset, perm = case
+        target = switch(g, subset).relabel(perm)
+        w = switching_equivalent(g, target)
+        assert w is not None
+        assert w.apply(g) == target
 
     def test_orders_differ(self):
         assert switching_equivalent(Graph(3), Graph(4)) is None
@@ -247,6 +278,25 @@ class TestCompleteMultipartite:
     def test_empty_partition(self):
         with pytest.raises(EmptyPartitionError):
             complete_multipartite([])
+
+    def test_over_cap_refused(self):
+        with pytest.raises(CapExceededError):
+            complete_multipartite([64, 1])
+        # refused from the order alone, before any mask is built
+        with pytest.raises(CapExceededError):
+            complete_multipartite([10**15, 10**15])
+
+    def test_every_partition_to_order_10_matches_the_definition(self):
+        for n in range(1, 11):
+            for p in partitions_of(n):
+                assert complete_multipartite(p) == per_pair_multipartite(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(partitions_up_to_64())
+    @example(Partition([1] * 64))
+    @example(Partition([64]))
+    def test_random_partitions_to_order_64_match_the_definition(self, p):
+        assert complete_multipartite(p) == per_pair_multipartite(p)
 
 
 class TestRecognize:
@@ -347,6 +397,12 @@ class TestGraph6:
         for n in range(0, 6):
             for g in enumerate_graphs(n):
                 assert graph6_decode(graph6_encode(g)) == g
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(62))
+    @example(Graph.from_mask(62, (1 << comb(62, 2)) - 1))
+    def test_roundtrip_random(self, g):
+        assert graph6_decode(graph6_encode(g)) == g
 
     def test_bad_inputs(self):
         with pytest.raises(GraphFormatError):

@@ -45,7 +45,6 @@ class TestPartition:
 
     def test_grouped(self):
         assert Partition([2, 2, 1]).grouped() == ((2, 2), (1, 1))
-        assert Partition([2, 2, 1]).grouped_str() == "2*2,1*1"
 
     def test_validation(self):
         with pytest.raises(EmptyPartitionError):

@@ -16,11 +16,11 @@ from seidelspec import (
     IntPoly,
     Partition,
     charpoly_oracle,
-    charpoly_product,
     complete_multipartite,
     seidel_matrix,
     switch,
 )
+from seidelspec.multipartite import CLOSED_FORMS
 
 ENTRY_BOUND = 10**6
 # the reference costs O(n^4) big-integer work; above this order the
@@ -152,17 +152,19 @@ def test_repeating_rows_match_reference(rows):
 
 
 @st.composite
-def partitions_of_64(draw) -> Partition:
-    cuts = sorted(draw(st.sets(st.integers(1, 63), max_size=9)))
-    return Partition([b - a for a, b in zip([0] + cuts, cuts + [64])])
+def partitions_up_to_64(draw) -> Partition:
+    n = draw(st.integers(1, 64))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=9))) if n > 1 else []
+    return Partition([b - a for a, b in zip([0] + cuts, cuts + [n])])
 
 
-@settings(max_examples=4, deadline=None)
-@given(partitions_of_64())
+@settings(max_examples=8, deadline=None)
+@given(partitions_up_to_64())
 @example(Partition([1] * 64))
 def test_order_64_complete_multipartite_matches_closed_form(p):
     oracle = charpoly_oracle(seidel_matrix(complete_multipartite(p)))
-    assert oracle == charpoly_product(p).expanded
+    for name, form in CLOSED_FORMS.items():
+        assert form(p).expanded == oracle, name
 
 
 @settings(max_examples=100, deadline=None)

@@ -90,7 +90,8 @@ def test_switching_pairs_report_the_perturbed_pair(monkeypatch):
     seen: list[Graph] = []
     # call 0 at each order is the batch of graphs g, call 1 that of h
     monkeypatch.setattr(verify, "seidel_charpolys", perturbing(order, 0, position, seen))
-    result = verify.switching_suite(max_n=order, seed=seed, pairs=pairs)
+    monkeypatch.setattr(verify, "SWITCHING_PAIRS", pairs)
+    result = verify.switching_suite(max_n=order, seed=seed)
 
     # the suite's draws, replayed up to the perturbed pair
     rng = random.Random(seed)
@@ -112,7 +113,8 @@ def test_survey_reports_the_perturbed_sample(monkeypatch):
     monkeypatch.setattr(
         determination, "seidel_charpolys", perturbing(order, call, position, seen)
     )
-    result = verify.switching_suite(max_n=order, pairs=1)
+    monkeypatch.setattr(verify, "SWITCHING_PAIRS", 1)
+    result = verify.switching_suite(max_n=order)
     (member,) = seen
     # the member's class key, and its vertex n-1 row as a bitmask
     key = normalize_at(member, order - 1).mask
