@@ -36,7 +36,8 @@ def _pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-# entry p is the pair (i, j), i < j, at bit p of every order's edge mask
+# entry p is the pair (i, j), i < j, at bit p of every order's edge mask:
+# the inverse of _pair_index
 _PAIR_ENDS = tuple((i, j) for j in range(MAX_VERTICES) for i in range(j))
 
 
@@ -52,11 +53,9 @@ def _pairs(mask: int) -> Iterator[tuple[int, int]]:
 def _stars(n: int) -> tuple[int, ...]:
     """Entry v: the edge-mask bits of every pair of order n incident to v."""
     stars = [0] * n
-    for j in range(1, n):
-        base = j * (j - 1) // 2
-        stars[j] = ((1 << j) - 1) << base
-        for i in range(j):
-            stars[i] |= 1 << (base + i)
+    for p, (i, j) in enumerate(_PAIR_ENDS[: comb(n, 2)]):
+        stars[i] |= 1 << p
+        stars[j] |= 1 << p
     return tuple(stars)
 
 
@@ -161,13 +160,8 @@ def seidel_matrix(g: Graph) -> IntMatrix:
     n = g.n
     mask = g.mask
     rows = [[0] * n for _ in range(n)]
-    bit = 0
-    # walk the mask in its own column-major pair order
-    for j in range(1, n):
-        row_j = rows[j]
-        for i in range(j):
-            rows[i][j] = row_j[i] = -1 if (mask >> bit) & 1 else 1
-            bit += 1
+    for p, (i, j) in enumerate(_PAIR_ENDS[: comb(n, 2)]):
+        rows[i][j] = rows[j][i] = -1 if (mask >> p) & 1 else 1
     return IntMatrix(rows)
 
 
@@ -241,15 +235,12 @@ def _seidel_chunk(n: int, masks: list[int], width: int, lane: int) -> list[IntPo
     low = starts * sum(((1 << width) - 1) << s for s in shifts)
     # terms[i] = (every j != i, the lanes of the graphs with edge ij)
     terms: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            flags = (packed >> bit) & starts
-            bit += 1
-            flip = ((flags << block) - flags) & low
-            for a, b in ((i, j), (j, i)):
-                terms[a][0].append(b)
-                terms[a][1].append(flip)
+    for p, (i, j) in enumerate(_PAIR_ENDS[: comb(n, 2)]):
+        flags = (packed >> p) & starts
+        flip = ((flags << block) - flags) & low
+        for a, b in ((i, j), (j, i)):
+            terms[a][0].append(b)
+            terms[a][1].append(flip)
     # with biased rows B = W + bias, row i of S*W + bias is
     # sum_(j != i) (B_j ^ flip_ij) + const[i]: every j adds half, and every
     # neighbour -w_j - 1 in place of w_j, so const[i] adds back the degree
@@ -450,14 +441,33 @@ def complete_multipartite(partition) -> Graph:
     s = 0
     for size in p.parts:
         for j in range(s + 1, s + size):
-            mask ^= ((1 << (j - s)) - 1) << (j * (j - 1) // 2 + s)
+            mask ^= ((1 << (j - s)) - 1) << _pair_index(s, j)
         s += size
     return Graph.from_mask(p.n, mask)
 
 
-def _multipartite_witness(g: Graph) -> tuple[Partition, SwitchingWitness] | None:
-    """``multipartite_switching_class`` without the replay, for callers
-    that replay against a target they build once."""
+def multipartite_switching_class(g: Graph) -> tuple[Partition, SwitchingWitness] | None:
+    """Whether g is switching equivalent, with relabeling, to a complete
+    multipartite graph: its partition and a replayed witness, or None.
+
+    Decided with no search, for any order up to 64.  Vertices u and v are
+    twins when rows u and v of S + I agree up to sign, that is N(u) = N(v)
+    or N(u) = full ^ N(v) as vertex bitmasks; twins stay twins under
+    switching and relabeling.  The parts of K_P with at least three parts
+    are its twin classes, and every vertex of K_P with at most two parts
+    is a twin of every other (K_(a,b) switches to the empty graph), so the
+    partition is the twin class sizes, ``Partition([n])`` for one class;
+    two classes cannot occur.  Switching so that every vertex takes the
+    row of its class's least vertex, and so that representative 0 is
+    adjacent to every other representative, leaves every class
+    independent and every two classes either fully joined or not joined
+    at all; g is in the switching class of a complete multipartite graph
+    exactly when all of them are joined.  The witness, switching at that
+    set and relabeling the classes largest first, is replayed against
+    ``complete_multipartite(partition)``; a bad replay raises
+    ConsistencyError.  The empty graph of order 0 has no partition and
+    gives None.
+    """
     n = g.n
     if n == 0:
         return None
@@ -497,39 +507,12 @@ def _multipartite_witness(g: Graph) -> tuple[Partition, SwitchingWitness] | None
         for v in members:
             perm[v] = position
             position += 1
+    partition = Partition(map(len, classes))
     witness = SwitchingWitness(
         tuple(v for v in range(n) if subset >> v & 1), tuple(perm)
     )
-    return Partition(map(len, classes)), witness
-
-
-def multipartite_switching_class(g: Graph) -> tuple[Partition, SwitchingWitness] | None:
-    """Whether g is switching equivalent, with relabeling, to a complete
-    multipartite graph: its partition and a replayed witness, or None.
-
-    Decided with no search, for any order up to 64.  Vertices u and v are
-    twins when rows u and v of S + I agree up to sign, that is N(u) = N(v)
-    or N(u) = full ^ N(v) as vertex bitmasks; twins stay twins under
-    switching and relabeling.  The parts of K_P with at least three parts
-    are its twin classes, and every vertex of K_P with at most two parts
-    is a twin of every other (K_(a,b) switches to the empty graph), so the
-    partition is the twin class sizes, ``Partition([n])`` for one class;
-    two classes cannot occur.  Switching so that every vertex takes the
-    row of its class's least vertex, and so that representative 0 is
-    adjacent to every other representative, leaves every class
-    independent and every two classes either fully joined or not joined
-    at all; g is in the switching class of a complete multipartite graph
-    exactly when all of them are joined.  The witness, switching at that
-    set and relabeling the classes largest first, is replayed against
-    ``complete_multipartite(partition)``; a bad replay raises
-    ConsistencyError.  The empty graph of order 0 has no partition and
-    gives None.
-    """
-    found = _multipartite_witness(g)
-    if found is not None:
-        partition, witness = found
-        witness.replay(g, complete_multipartite(partition))
-    return found
+    witness.replay(g, complete_multipartite(partition))
+    return partition, witness
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:

@@ -195,18 +195,11 @@ def symmetric_eigenvalues(m) -> list[float]:
 # exact root counting
 
 
-def _content(coeffs: Sequence[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-    return g
-
-
 def _primitive(p: IntPoly) -> IntPoly:
     """Divide out the content, keeping the sign of the leading coefficient."""
     if p.is_zero():
         return p
-    g = _content(p.coeffs)
+    g = math.gcd(*p.coeffs)
     return IntPoly([c // g for c in p.coeffs])
 
 

@@ -27,6 +27,7 @@ from seidelspec import (
     switch,
     switching_equivalent,
 )
+from seidelspec.graphs import MAX_VERTICES, _PAIR_ENDS, _pair_index
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -91,6 +92,26 @@ class TestSeidelMatrix:
 
     def test_path(self):
         assert seidel_matrix(P3) == IntMatrix([[0, -1, 1], [-1, 0, -1], [1, -1, 0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(64))
+    @example(Graph(0))
+    @example(Graph.from_mask(64, (1 << comb(64, 2)) - 1))
+    def test_matches_the_per_pair_definition(self, g):
+        want = [
+            [0 if u == v else -1 if g.has_edge(u, v) else 1 for v in range(g.n)]
+            for u in range(g.n)
+        ]
+        assert seidel_matrix(g) == IntMatrix(want)
+
+
+class TestPairOrder:
+    def test_pair_ends_invert_the_symmetric_pair_index(self):
+        pairs = [(i, j) for j in range(MAX_VERTICES) for i in range(j)]
+        assert len(_PAIR_ENDS) == len(pairs) == 2016
+        for i, j in pairs:
+            assert _PAIR_ENDS[_pair_index(i, j)] == (i, j)
+            assert _pair_index(j, i) == _pair_index(i, j)
 
 
 class TestSwitch:

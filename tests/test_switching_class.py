@@ -1,6 +1,7 @@
 """The direct recogniser of switching classes of complete multipartite
 graphs against the exhaustive survey and the backtracking decision."""
 
+from collections import Counter
 from math import comb
 
 import pytest
@@ -38,6 +39,20 @@ def test_accepts_exactly_the_surveys_matched_keys(n):
     assert accepted.keys() == matched.keys()
     for d, p in accepted.items():
         assert p in matched[d]
+
+
+def test_survey_certifies_through_the_recogniser(monkeypatch):
+    # every matched key, 1,035 in all, goes through the public recogniser once
+    orders = Counter()
+
+    def counted(g):
+        orders[g.n] += 1
+        return multipartite_switching_class(g)
+
+    monkeypatch.setattr(determination, "multipartite_switching_class", counted)
+    for n in MATCHED_KEYS:
+        exhaustive_switching_survey(n)
+    assert orders == MATCHED_KEYS
 
 
 def test_survey_raises_on_a_bad_replay(monkeypatch):
