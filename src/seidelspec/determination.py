@@ -24,7 +24,7 @@ from .errors import (
     NonMonicError,
     TheoremViolationError,
 )
-from .exactalg import IntPoly, _divisors, integer_root_multiset
+from .exactalg import IntPoly, integer_root_multiset
 from .graphs import (
     ENUMERATION_CAP,
     Graph,
@@ -100,10 +100,11 @@ def recover_partitions(residual: IntPoly) -> list[Partition]:
     if sig[1] < k:
         return []
     # the other k - 1 parts are at least 1, so no part exceeds
-    # sigma_1 - k + 1, and for k != 2 every part divides the forced
-    # sigma_k = prod n_i; found once, these candidates serve every sigma_2
+    # sigma_1 - k + 1, and every part divides the forced sigma_k = prod n_i
+    # (for k = 2 row 2 left sigma_2 = 0, which every part divides); found
+    # once, these candidates serve every sigma_2
     top = sig[1] - k + 1
-    parts = range(1, top + 1) if k == 2 else [d for d in _divisors(sig[k]) if d <= top]
+    parts = [d for d in range(1, top + 1) if sig[k] % d == 0]
     # coefficients of prod (x - n_i), constant first; slot k - 2 is sigma_2
     coeffs = [-s if i % 2 else s for i, s in enumerate(sig)][::-1]
     found: set[Partition] = set()
@@ -334,7 +335,10 @@ class SurveyReport:
     Every labeled graph corresponds to exactly one (vertex n-1 row, class
     key) pair, so walking class representatives covers all of them; the
     violation tuples must be empty.  A class key is the edge mask of the
-    class member in which vertex n-1 is isolated.
+    class member in which vertex n-1 is isolated.  An equivalence
+    violation names a matched key that the recogniser or, for a class's
+    least key, the backtracking decision does not place in the
+    partition's switching class.
     """
 
     order: int
@@ -344,7 +348,6 @@ class SurveyReport:
     matches: tuple[SurveyMatch, ...]
     equivalence_violations: tuple[tuple[str, int], ...]
     sample_violations: tuple[tuple[int, int], ...]
-    distinct_partition_violations: tuple[tuple[str, str, str], ...]
     elapsed: float
 
     def to_json_dict(self) -> dict:
@@ -367,10 +370,6 @@ class SurveyReport:
             ],
             "sample_violations": [
                 {"class_key": str(d), "row": str(a)} for d, a in self.sample_violations
-            ],
-            "distinct_partition_violations": [
-                {"first": a, "second": b, "kind": kind}
-                for a, b, kind in self.distinct_partition_violations
             ],
         }
 
@@ -448,11 +447,15 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
     leaders of one order, and the sampled members of one class, each go
     through one ``seidel_charpolys`` batch, which equals
     ``charpoly_oracle`` graph by graph; results are compared in key and
-    row order.  Distinct partitions with the same number of parts (three
-    or more) are also confirmed pairwise non-equivalent, while partitions
-    into at most two parts are confirmed all equivalent; those checks go
-    through ``switching_equivalent``, the backtracking decision for
-    general pairs, so the survey still cross-checks the two.
+    row order.  The least matched key of every class is also decided
+    against that class's complete multipartite graph by
+    ``switching_equivalent``, the backtracking decision for general
+    pairs, so the survey cross-checks the two deciders on its own
+    question; a None there is an equivalence violation too.  Partitions
+    need no pairwise checks: those with at most two parts share the one
+    degenerate class the recogniser names ``Partition([n])``, and
+    distinct partitions with three or more parts differ in their twin
+    class sizes, a switching invariant.
     """
     if n > ENUMERATION_CAP:
         raise CapExceededError(
@@ -465,7 +468,6 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
     class_size = 1 << (n - 1)
 
     classes = cospectral_classes(n)
-    partitions = [p for cls in classes for p in cls.partitions]
     targets = {cls.charpoly.coeffs: i for i, cls in enumerate(classes)}
     key_sets: list[set[int]] = [set() for _ in classes]
     # held until the batch returns, so as compact arrays
@@ -493,7 +495,8 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
         expected = first if first.k >= 3 else Partition([n])
         verified = True
         samples: list[tuple[int, int, Graph]] = []
-        for d in sorted(keys):
+        ordered = sorted(keys)
+        for d in ordered:
             rep = Graph.from_mask(n, d)
             found = multipartite_switching_class(rep)
             if found is None or found[0] != expected:
@@ -502,32 +505,16 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
             for a in sample_rows:
                 # the class member whose vertex n-1 row is a
                 samples.append((d, a, switch(rep, [v for v in range(n - 1) if a >> v & 1])))
+        # one backtracking decision per class on the survey's own
+        # question, as a cross-check of the recogniser
+        if switching_equivalent(Graph.from_mask(n, ordered[0]), anchor) is None:
+            verified = False
+            equivalence_violations.append((str(first), ordered[0]))
         polys = seidel_charpolys([member for _, _, member in samples])
         for (d, a, _), poly in zip(samples, polys):
             if poly != cls.charpoly:
                 sample_violations.append((d, a))
-        matches.append(SurveyMatch(cls.partitions, tuple(sorted(keys)), verified))
-
-    distinct_violations: list[tuple[str, str, str]] = []
-    by_k: dict[int, list[Partition]] = {}
-    for p in partitions:
-        by_k.setdefault(p.k, []).append(p)
-    for k, ps in sorted(by_k.items()):
-        if k < 3:
-            continue
-        for a, b in combinations(sorted(ps), 2):
-            if (
-                switching_equivalent(complete_multipartite(a), complete_multipartite(b))
-                is not None
-            ):
-                distinct_violations.append((str(a), str(b), "unexpected_equivalence"))
-    small = sorted(p for p in partitions if p.k <= 2)
-    for a, b in zip(small, small[1:]):
-        if (
-            switching_equivalent(complete_multipartite(a), complete_multipartite(b))
-            is None
-        ):
-            distinct_violations.append((str(a), str(b), "missing_equivalence"))
+        matches.append(SurveyMatch(cls.partitions, tuple(ordered), verified))
 
     return SurveyReport(
         order=n,
@@ -537,6 +524,5 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
         matches=tuple(matches),
         equivalence_violations=tuple(equivalence_violations),
         sample_violations=tuple(sample_violations),
-        distinct_partition_violations=tuple(distinct_violations),
         elapsed=time.monotonic() - start,
     )

@@ -2,6 +2,7 @@
 graphs against the exhaustive survey and the backtracking decision."""
 
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -21,6 +22,7 @@ from seidelspec import (
     switch,
     switching_equivalent,
 )
+from seidelspec.cli import main
 
 # class keys the survey matches to some partition's spectrum, per order
 MATCHED_KEYS = {1: 1, 2: 1, 3: 2, 4: 8, 5: 37, 6: 172, 7: 814}
@@ -53,6 +55,43 @@ def test_survey_certifies_through_the_recogniser(monkeypatch):
     for n in MATCHED_KEYS:
         exhaustive_switching_survey(n)
     assert orders == MATCHED_KEYS
+
+
+def test_survey_cross_checks_one_key_per_class_by_backtracking(monkeypatch):
+    # one backtracking decision per matched class, 32 in all for orders 1-7
+    orders = Counter()
+
+    def counted(g, h):
+        orders[g.n] += 1
+        return switching_equivalent(g, h)
+
+    monkeypatch.setattr(determination, "switching_equivalent", counted)
+    for n in MATCHED_KEYS:
+        exhaustive_switching_survey(n)
+    assert orders == {1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 8, 7: 12}
+
+
+def test_backtracking_no_unverifies_every_class(monkeypatch, capsys):
+    # a backtracking "no" is a violation of its own, one per class, and
+    # the switching suite then fails with exit code 3
+    monkeypatch.setattr(determination, "switching_equivalent", lambda g, h: None)
+    report = exhaustive_switching_survey(7)
+    assert len(report.matches) == 12
+    assert not any(m.verified for m in report.matches)
+    assert report.equivalence_violations == tuple(
+        (str(m.partitions[0]), m.class_keys[0]) for m in report.matches
+    )
+    assert main(["verify", "--suite", "switching"]) == 3
+    assert "FAIL switching" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", sorted(MATCHED_KEYS))
+def test_distinct_partitions_are_equivalent_only_with_at_most_two_parts(n):
+    # K_P with at most two parts switches to the empty graph; twin class
+    # sizes, a switching invariant, tell apart the others
+    for p, q in combinations(partitions_of(n), 2):
+        found = switching_equivalent(complete_multipartite(p), complete_multipartite(q))
+        assert (found is not None) == (p.k <= 2 and q.k <= 2), (p, q)
 
 
 def test_survey_raises_on_a_bad_replay(monkeypatch):
