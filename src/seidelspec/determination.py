@@ -1,7 +1,7 @@
 """Spectral determination searches over the complete multipartite family.
 
-Partition recovery inverts the coefficient formula (every sigma except
-sigma_2 is forced; sigma_2 is enumerated), cospectral classes group the
+Partition recovery splits the sum and product of the parts that the
+coefficient formula forces (sigma_2 drops out), cospectral classes group the
 family by exact characteristic polynomial, and the exhaustive survey walks
 every labeled graph at tiny orders to confirm that anything cospectral
 with a complete multipartite graph is switching equivalent to it.
@@ -24,7 +24,7 @@ from .errors import (
     NonMonicError,
     TheoremViolationError,
 )
-from .exactalg import IntPoly, integer_root_multiset
+from .exactalg import IntPoly
 from .graphs import (
     ENUMERATION_CAP,
     Graph,
@@ -37,6 +37,7 @@ from .graphs import (
 )
 from .multipartite import (
     Partition,
+    _flat_residual,
     charpoly_coefficients,
     residual_weights,
 )
@@ -74,13 +75,13 @@ def recover_partitions(residual: IntPoly) -> list[Partition]:
     applied to sigma_0 = 1, sigma_1, ..., sigma_k, a triangular system
     solved by forward substitution: row 1 gives sigma_1 = n and each row
     m >= 3 pins sigma_m with a nonzero weight.  Row 2 gives sigma_2 weight
-    zero, so it is a consistency check instead, and sigma_2 is enumerated
-    from C(k,2) (all parts at least 1) up to the Maclaurin bound.  Each
-    candidate polynomial with roots the parts that splits into positive
-    integers is kept after reproducing the residual exactly; its roots are
-    sought among the possible parts, found once per residual.  An empty
-    list means no partition matches.  The residual forces the order, so
-    every partition returned has the same n = sigma_1.
+    zero, so it is a consistency check instead.  The candidates are the
+    non-increasing k-tuples of positive parts with sum sigma_1 and, for
+    k >= 3, product sigma_k: each part divides what is left of the
+    product, and the largest part left is at least the mean, so at least
+    the geometric mean, of the parts left.  A candidate is kept when the
+    coefficient formula reproduces the residual exactly.  An empty list
+    means no partition matches; every partition returned has n = sigma_1.
     """
     if residual.is_zero() or not residual.is_monic():
         raise NonMonicError("residual must be monic and nonzero")
@@ -97,27 +98,30 @@ def recover_partitions(residual: IntPoly) -> list[Partition]:
         if r:
             return []
         sig.append(q)
-    if sig[1] < k:
+    product = sig[k] if k >= 3 else None
+    if sig[1] < k or (product is not None and product < 1):
         return []
-    # the other k - 1 parts are at least 1, so no part exceeds
-    # sigma_1 - k + 1, and every part divides the forced sigma_k = prod n_i
-    # (for k = 2 row 2 left sigma_2 = 0, which every part divides); found
-    # once, these candidates serve every sigma_2
-    top = sig[1] - k + 1
-    parts = [d for d in range(1, top + 1) if sig[k] % d == 0]
-    # coefficients of prod (x - n_i), constant first; slot k - 2 is sigma_2
-    coeffs = [-s if i % 2 else s for i, s in enumerate(sig)][::-1]
-    found: set[Partition] = set()
-    for sig2 in range(comb(k, 2), sig[1] * sig[1] * (k - 1) // (2 * k) + 1):
-        if k >= 2:
-            coeffs[k - 2] = sig2
-        roots = integer_root_multiset(IntPoly(coeffs), parts)
-        if roots is None:
-            continue
-        cand = Partition(roots)
-        if charpoly_coefficients(cand).residual == residual:
-            found.add(cand)
-    return sorted(found)
+
+    def splits(total: int, count: int, cap: int, product: int | None) -> Iterator[tuple[int, ...]]:
+        if count == 1:
+            if product is None or product == total:
+                yield (total,)
+            return
+        for d in range(min(cap, total - count + 1), -(-total // count) - 1, -1):
+            if product is not None:
+                if d**count < product:
+                    break
+                if product % d:
+                    continue
+            left = None if product is None else product // d
+            for tail in splits(total - d, count - 1, d, left):
+                yield (d, *tail)
+
+    return sorted(
+        Partition(parts)
+        for parts in splits(sig[1], k, sig[1], product)
+        if _flat_residual(parts) == residual
+    )
 
 
 @dataclass(frozen=True)

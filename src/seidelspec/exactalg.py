@@ -394,24 +394,19 @@ def _divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-def integer_root_multiset(p: IntPoly, candidates: Iterable[int] | None = None):
+def integer_root_multiset(p: IntPoly):
     """All integer roots with multiplicity, or None if p does not split.
 
     Requires p monic.  Every integer root is 0 or divides the lowest
     nonzero coefficient; a candidate with p(candidate) = 0 has as its
     multiplicity the number of leading zeros of ``p.taylor(candidate)``.
     p splits, and the sorted roots are returned, iff these sum to its degree.
-    Given distinct ``candidates``, only those are tried in place of the
-    divisor scan, so the result is the split of p into those candidates,
-    or None if there is none.
     """
     if p.is_zero() or not p.is_monic():
         raise NonMonicError("integer root extraction requires a monic polynomial")
-    if candidates is None:
-        low = next(c for c in p.coeffs if c)
-        candidates = (0, *(s * d for d in _divisors(low) for s in (1, -1)))
+    low = next(c for c in p.coeffs if c)
     roots: list[int] = []
-    for cand in candidates:
+    for cand in (0, *(s * d for d in _divisors(low) for s in (1, -1))):
         if p(cand) == 0:
             for a in p.taylor(cand):
                 if a:

@@ -58,10 +58,13 @@ class Partition:
             token = match.group(1).strip()
             if not token:
                 raise InvalidPartitionError(f"empty part in {text!r}")
-            count, size = token.split("*", 1) if "*" in token else ("1", token)
+            # ASCII digit runs only: int() alone would also read "1_0", "+3", "٣"
+            found = re.fullmatch(r"(?:([0-9]+)\s*\*\s*)?([0-9]+)", token)
+            if found is None:
+                raise InvalidPartitionError(f"bad part {token!r}")
             try:
-                count, size = int(count), int(size)
-            except ValueError:
+                count, size = int(found[1] or 1), int(found[2])
+            except ValueError:  # more digits than int() converts
                 raise InvalidPartitionError(f"bad part {token!r}") from None
             if count < 1:
                 raise InvalidPartitionError(f"part multiplicity must be >= 1 in {token!r}")

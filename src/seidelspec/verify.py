@@ -38,7 +38,7 @@ from .spectra import spectrum_report
 DEFAULT_SEED = 12345
 SWITCHING_PAIRS = 500
 SWEEP_CAP = 24  # closedform and bounds sweep every partition of each order
-RECOVER_CAP = 12  # determination's recovery round trip stops at this order
+RECOVER_CAP = 20  # determination's recovery round trip stops at this order
 
 
 @dataclass(frozen=True)

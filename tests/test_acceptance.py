@@ -33,6 +33,7 @@ from seidelspec import (
     switch,
     verify_shared_part_property,
 )
+from seidelspec.verify import RECOVER_CAP
 
 TOL = 1e-8
 
@@ -141,7 +142,7 @@ def test_acceptance_5_switching_invariance():
 
 def test_acceptance_6_partition_recovery_roundtrip():
     checked = 0
-    for n in range(1, 13):
+    for n in range(1, RECOVER_CAP + 1):
         for p in partitions_of(n):
             residual = charpoly_coefficients(p).residual
             recovered = recover_partitions(residual)
@@ -149,7 +150,7 @@ def test_acceptance_6_partition_recovery_roundtrip():
             for q in recovered:
                 assert charpoly_coefficients(q).residual == residual, (p, q)
             checked += 1
-    print(f"\nACCEPTANCE 6 PASS recovery round trip, {checked} partitions n<=12")
+    print(f"\nACCEPTANCE 6 PASS recovery round trip, {checked} partitions n<={RECOVER_CAP}")
 
 
 def test_acceptance_7_cospectral_partitions_share_no_part_size():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seidelspec.determination as determination
 from seidelspec import (
     CapExceededError,
     Graph,
@@ -31,7 +32,7 @@ from seidelspec import (
     verify_shared_part_property,
 )
 from seidelspec.determination import COSPECTRAL_CAP, relabel_orbits, relabel_table
-from seidelspec.multipartite import residual_weights
+from seidelspec.multipartite import FactoredSeidelPoly, residual_weights
 
 
 class TestPartitionsOf:
@@ -157,6 +158,38 @@ class TestRecoverPartitions:
         sig = (1, 9, 0, 10**30)
         residual = IntPoly([sum(map(mul, row, sig)) for row in reversed(residual_weights(3))])
         assert residual.is_monic() and residual.degree == 3
+        assert recover_partitions(residual) == []
+
+    def test_large_orders_recover_themselves(self):
+        # the parts are split from the forced sum and product, so no sigma_2
+        # is swept: the cost does not grow with the square of the order
+        for parts in ((998, 1, 1), (9998, 1, 1)):
+            residual = charpoly_coefficients(Partition(parts)).residual
+            assert recover_partitions(residual) == [Partition(parts)]
+
+    def test_candidates_are_not_expanded(self, monkeypatch):
+        # a candidate is checked by its residual alone, never by assembling
+        # the full polynomial with its (x+1)^(n-k) factor
+        residual = charpoly_coefficients(Partition([998, 1, 1])).residual
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a candidate's full polynomial was expanded")
+
+        monkeypatch.setattr(FactoredSeidelPoly, "assemble", refuse)
+        assert recover_partitions(residual) == [Partition([998, 1, 1])]
+
+    def test_zero_forced_product_is_refused_before_enumeration(self, monkeypatch):
+        # sigma = (1, 10**4, *, 0) at k = 3: no positive parts multiply to 0,
+        # and every part divides 0, so without the refusal every partition of
+        # 10**4 into three parts would be tried; no candidate is checked
+        sig = (1, 10**4, 0, 0)
+        residual = IntPoly([sum(map(mul, row, sig)) for row in reversed(residual_weights(3))])
+        assert residual.is_monic() and residual.degree == 3
+
+        def refuse(parts):
+            raise AssertionError(f"candidate {parts} was checked")
+
+        monkeypatch.setattr(determination, "_flat_residual", refuse)
         assert recover_partitions(residual) == []
 
     def test_smallest_three_part_cospectral_mates(self):

@@ -67,6 +67,10 @@ class TestPartition:
             Partition.parse("a,b")
         with pytest.raises(InvalidPartitionError):
             Partition.parse("0*3")
+        # only ASCII digit runs: int() alone reads these as 10, 3 and 3
+        for text in ("1_0,2", "+3", "\u0663"):
+            with pytest.raises(InvalidPartitionError):
+                Partition.parse(text)
 
     def test_ordering(self):
         assert sorted([Partition([3, 1]), Partition([2, 2])]) == [

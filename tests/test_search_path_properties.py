@@ -144,17 +144,3 @@ def test_integer_roots_match_deflation(roots, cofactor):
     assert got == reference_roots(p)
     if not cofactor:
         assert got == tuple(sorted(roots))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    roots=st.lists(small_ints, max_size=8),
-    cofactor=st.lists(st.integers(-12, 12), max_size=3),
-    candidates=st.sets(small_ints),
-)
-def test_integer_roots_among_candidates(roots, cofactor, candidates):
-    # restricted to candidates, a split is found iff every root is one
-    p = IntPoly.from_roots(roots) * IntPoly([*cofactor, 1])
-    full = integer_root_multiset(p)
-    want = full if full is not None and set(full) <= candidates else None
-    assert integer_root_multiset(p, candidates) == want
