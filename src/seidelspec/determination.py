@@ -3,19 +3,18 @@
 Partition recovery splits the sum and product of the parts that the
 coefficient formula forces (sigma_2 drops out), cospectral classes group the
 family by exact characteristic polynomial, and the exhaustive survey walks
-every labeled graph at tiny orders to confirm that anything cospectral
-with a complete multipartite graph is switching equivalent to it.
+every two-graph at tiny orders to confirm that anything cospectral with a
+complete multipartite graph is switching equivalent to it.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import (
     CapExceededError,
@@ -27,12 +26,11 @@ from .errors import (
 from .exactalg import IntPoly
 from .graphs import (
     ENUMERATION_CAP,
+    EQUIVALENCE_CAP,
     Graph,
     complete_multipartite,
     multipartite_switching_class,
-    normalize_at,
     seidel_charpolys,
-    switch,
     switching_equivalent,
 )
 from .multipartite import (
@@ -320,146 +318,118 @@ def verify_shared_part_property(n: int, k: int | None = None) -> DeterminationRe
 
 
 # ---------------------------------------------------------------------------
-# exhaustive survey over all labeled graphs at tiny orders
+# exhaustive survey over all two-graphs at tiny orders
 
 
 @dataclass(frozen=True)
 class SurveyMatch:
-    """All switching classes sharing the spectrum of these partitions."""
+    """The surveyed graphs sharing the spectrum of these partitions."""
 
     partitions: tuple[Partition, ...]
-    class_keys: tuple[int, ...]
+    members: tuple[int, ...]
     verified: bool
 
 
 @dataclass(frozen=True)
 class SurveyReport:
-    """Result of the all-graphs survey at one order.
+    """Result of the two-graph survey at one order.
 
-    Every labeled graph corresponds to exactly one (vertex n-1 row, class
-    key) pair, so walking class representatives covers all of them; the
-    violation tuples must be empty.  A class key is the edge mask of the
-    class member in which vertex n-1 is isolated.  An equivalence
-    violation names a matched key that the recogniser or, for a class's
-    least key, the backtracking decision does not place in the
-    partition's switching class.
+    ``class_counts`` holds the number of two-graphs built at each order
+    1..n-1; ``members`` of a match are the edge masks of the order n
+    graphs with the partitions' spectrum, each certified by the
+    recogniser.  An equivalence violation names a member that the
+    recogniser or, for a class's first member, the backtracking decision
+    does not place in the partition's switching class; there must be none.
     """
 
     order: int
-    graph_count: int
-    class_count: int
-    class_size: int
+    class_counts: tuple[int, ...]
     matches: tuple[SurveyMatch, ...]
     equivalence_violations: tuple[tuple[str, int], ...]
-    sample_violations: tuple[tuple[int, int], ...]
     elapsed: float
 
     def to_json_dict(self) -> dict:
         return {
             "order": str(self.order),
-            "graph_count": str(self.graph_count),
-            "switching_class_count": str(self.class_count),
-            "class_size": str(self.class_size),
+            "class_counts": [str(c) for c in self.class_counts],
             "matches": [
                 {
                     "partitions": [str(p) for p in m.partitions],
-                    "matched_classes": str(len(m.class_keys)),
+                    "members": [str(d) for d in m.members],
                     "verified": m.verified,
                 }
                 for m in self.matches
             ],
             "equivalence_violations": [
-                {"partition": p, "class_key": str(d)}
-                for p, d in self.equivalence_violations
-            ],
-            "sample_violations": [
-                {"class_key": str(d), "row": str(a)} for d, a in self.sample_violations
+                {"partition": p, "mask": str(d)} for p, d in self.equivalence_violations
             ],
         }
 
 
-def relabel_table(m: int, perm: Sequence[int]) -> array:
-    """Edge-mask images of all graphs of order m under one relabeling.
+def _augment(m: int, graphs: list[Graph]) -> list[Graph]:
+    """Every graph of order m - 1 with a vertex m - 1 added, once for each
+    neighbourhood inside 0..m-3.
 
-    Entry d is ``Graph.from_mask(m, d).relabel(perm).mask``.  Single edges
-    are relabeled through the Graph API; every other mask's image is the
-    union of the images of its lowest edge and of the rest, which has a
-    smaller mask and is already filled in.
+    Switching at {m - 1} alone complements the neighbourhood of m - 1 and
+    changes nothing else, so a neighbourhood and its complement give one
+    switching class; of the two, only the one without m - 2 is made.  The
+    pairs (i, m - 1) are bits C(m-1, 2) + i of the edge mask.
     """
-    table = array("I", [0]) * (1 << comb(m, 2))
-    for b in range(comb(m, 2)):
-        table[1 << b] = Graph.from_mask(m, 1 << b).relabel(perm).mask
-    for d in range(1, len(table)):
-        low = d & -d
-        table[d] = table[d ^ low] | table[low]
-    return table
+    shift = comb(m - 1, 2)
+    rows = range(1 << max(m - 2, 0))
+    return [Graph.from_mask(m, g.mask | nb << shift) for g in graphs for nb in rows]
 
 
-def relabel_orbits(m: int) -> Iterator[list[int]]:
-    """Orbits of the relabelings of vertices 0..m-1 on edge masks of order m.
+def two_graphs(n: int) -> list[list[Graph]]:
+    """Entry m: one graph from every switching class of order m up to
+    relabeling, that is one per two-graph, for m = 0..n (n at most 10).
 
-    The transposition (0 1) and the cycle v -> v+1 (mod m) generate the
-    symmetric group, so a breadth-first walk over their two image tables
-    closes each orbit.  Orbits come in increasing order of their least
-    mask, which is each list's first entry.
+    Built one vertex at a time.  Every graph of order m restricts to a
+    graph of order m - 1, which a switch and a relabeling fixing vertex
+    m - 1 take to a representative; switching at {m - 1} then leaves
+    m - 1 not joined to m - 2, so ``_augment`` of the order m - 1
+    representatives meets every class.  The candidates are bucketed on
+    their ``seidel_charpolys`` polynomial, a switching invariant, and a
+    candidate is kept unless ``switching_equivalent``, whose witness is
+    replayed, maps it to one already kept in its bucket.  The counts are
+    OEIS A002854: 1, 1, 2, 3, 7, 16, 54, 243, 2038, 33120 for n = 1..10.
     """
-    swap = [1, 0, *range(2, m)] if m >= 2 else list(range(m))
-    cycle = [(v + 1) % m for v in range(m)]
-    tables = (relabel_table(m, swap), relabel_table(m, cycle))
-    seen = bytearray(len(tables[0]))
-    for d in range(len(seen)):
-        if seen[d]:
-            continue
-        seen[d] = 1
-        orbit = [d]
-        for x in orbit:
-            for table in tables:
-                y = table[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    orbit.append(y)
-        yield orbit
+    if n > EQUIVALENCE_CAP:
+        raise CapExceededError(f"two-graphs are built up to order {EQUIVALENCE_CAP}, got {n}")
+    levels = [[Graph(0)]]
+    for m in range(1, n + 1):
+        candidates = _augment(m, levels[-1])
+        buckets: dict[tuple[int, ...], list[Graph]] = {}
+        kept: list[Graph] = []
+        for g, poly in zip(candidates, seidel_charpolys(candidates)):
+            bucket = buckets.setdefault(poly.coeffs, [])
+            if all(switching_equivalent(g, h) is None for h in bucket):
+                bucket.append(g)
+                kept.append(g)
+        levels.append(kept)
+    return levels
 
 
 def exhaustive_switching_survey(n: int) -> SurveyReport:
-    """Survey every labeled graph of order n (n at most 7).
+    """Survey every graph of order n up to switching and relabeling (n at
+    most 7): is each one cospectral with some K_P switching equivalent to it?
 
-    Labeled switching classes are walked through their canonical members
-    (vertex n-1 isolated, one class per graph on the first n-1 vertices;
-    each class holds exactly 2^(n-1) graphs, one per vertex n-1 row).  In
-    the column-major mask order the pairs among vertices 0..n-2 come
-    first, so the canonical members are exactly the masks below
-    2^C(n-1,2), and such a mask is its class's key.
-
-    Class polynomials are found one relabeling orbit at a time: relabeling
-    vertices 0..n-2 keeps vertex n-1 isolated, so it maps class keys to
-    class keys, and it conjugates the Seidel matrix by a permutation
-    matrix, so every key in an orbit has the same exact polynomial.  One
-    polynomial is computed per orbit, on its least key (156 orbits for the
-    32,768 keys at order 7), and the whole orbit joins that polynomial's
-    key set.
-
-    For every class whose polynomial equals that of a complete
-    multipartite partition, switching equivalence with relabeling to that
-    graph is decided and recorded.  Each matched key is certified by the
-    direct recogniser ``multipartite_switching_class``: it must name the
-    partition's switching class, and it replays its own witness against
-    that class's complete multipartite graph.  Sampled
-    non-canonical members of every matched key get a polynomial of their
-    own, checked to equal the class polynomial, so the orbit sharing
-    changes how classes are found, not what is verified.  The orbit
-    leaders of one order, and the sampled members of one class, each go
-    through one ``seidel_charpolys`` batch, which equals
-    ``charpoly_oracle`` graph by graph; results are compared in key and
-    row order.  The least matched key of every class is also decided
-    against that class's complete multipartite graph by
-    ``switching_equivalent``, the backtracking decision for general
-    pairs, so the survey cross-checks the two deciders on its own
+    The two-graphs of order n - 1 from ``two_graphs`` are each extended by
+    ``_augment``, with no dedupe, so the candidates meet every switching
+    class of order n at least once; one ``seidel_charpolys`` batch gives
+    their polynomials.  Every candidate whose polynomial equals a
+    partition class's is certified by the direct recogniser
+    ``multipartite_switching_class``: it must name the partition's
+    switching class, ``Partition([n])`` for every K_P with at most two
+    parts (all switch to the empty graph), and it replays its own witness
+    against that class's complete multipartite graph.  Every partition
+    class must be met, else ConsistencyError.  The first member of every
+    class is also decided against that class's complete multipartite
+    graph by ``switching_equivalent``, the backtracking decision for
+    general pairs, so the survey cross-checks the two deciders on its own
     question; a None there is an equivalence violation too.  Partitions
-    need no pairwise checks: those with at most two parts share the one
-    degenerate class the recogniser names ``Partition([n])``, and
-    distinct partitions with three or more parts differ in their twin
-    class sizes, a switching invariant.
+    need no pairwise checks: distinct partitions with three or more parts
+    differ in their twin class sizes, a switching invariant.
     """
     if n > ENUMERATION_CAP:
         raise CapExceededError(
@@ -468,65 +438,39 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
     if n < 1:
         raise InvalidPartitionError(f"the survey needs order n >= 1, got {n}")
     start = time.monotonic()
-    class_count = 1 << comb(n - 1, 2)
-    class_size = 1 << (n - 1)
-
+    levels = two_graphs(n - 1)
+    candidates = _augment(n, levels[-1])
     classes = cospectral_classes(n)
     targets = {cls.charpoly.coeffs: i for i, cls in enumerate(classes)}
-    key_sets: list[set[int]] = [set() for _ in classes]
-    # held until the batch returns, so as compact arrays
-    orbits = [array("I", orbit) for orbit in relabel_orbits(n - 1)]
-    leaders = seidel_charpolys([Graph.from_mask(n, orbit[0]) for orbit in orbits])
-    for orbit, poly in zip(orbits, leaders):
+    members: list[list[Graph]] = [[] for _ in classes]
+    for g, poly in zip(candidates, seidel_charpolys(candidates)):
         idx = targets.get(poly.coeffs)
         if idx is not None:
-            key_sets[idx].update(orbit)
+            members[idx].append(g)
     equivalence_violations: list[tuple[str, int]] = []
-    sample_violations: list[tuple[int, int]] = []
     matches: list[SurveyMatch] = []
-    if class_size <= 8:
-        sample_rows = list(range(1, class_size))
-    else:
-        sample_rows = [1, class_size // 2, class_size - 1]
-    for cls, keys in zip(classes, key_sets):
+    for cls, graphs in zip(classes, members):
         first = cls.partitions[0]
-        anchor = complete_multipartite(first)
-        # each partition's own class must show up for its spectrum
-        if normalize_at(anchor, n - 1).mask not in keys:
-            raise ConsistencyError(f"class of {first} not matched to its own spectrum")
-        # K_P with at most two parts is in the switching class of the
-        # empty graph, which the recogniser names Partition([n])
+        if not graphs:
+            raise ConsistencyError(f"no graph of order {n} has the spectrum of {first}")
         expected = first if first.k >= 3 else Partition([n])
         verified = True
-        samples: list[tuple[int, int, Graph]] = []
-        ordered = sorted(keys)
-        for d in ordered:
-            rep = Graph.from_mask(n, d)
-            found = multipartite_switching_class(rep)
+        for g in graphs:
+            found = multipartite_switching_class(g)
             if found is None or found[0] != expected:
                 verified = False
-                equivalence_violations.append((str(first), d))
-            for a in sample_rows:
-                # the class member whose vertex n-1 row is a
-                samples.append((d, a, switch(rep, [v for v in range(n - 1) if a >> v & 1])))
+                equivalence_violations.append((str(first), g.mask))
         # one backtracking decision per class on the survey's own
         # question, as a cross-check of the recogniser
-        if switching_equivalent(Graph.from_mask(n, ordered[0]), anchor) is None:
+        if switching_equivalent(graphs[0], complete_multipartite(first)) is None:
             verified = False
-            equivalence_violations.append((str(first), ordered[0]))
-        polys = seidel_charpolys([member for _, _, member in samples])
-        for (d, a, _), poly in zip(samples, polys):
-            if poly != cls.charpoly:
-                sample_violations.append((d, a))
-        matches.append(SurveyMatch(cls.partitions, tuple(ordered), verified))
+            equivalence_violations.append((str(first), graphs[0].mask))
+        matches.append(SurveyMatch(cls.partitions, tuple(g.mask for g in graphs), verified))
 
     return SurveyReport(
         order=n,
-        graph_count=1 << comb(n, 2),
-        class_count=class_count,
-        class_size=class_size,
+        class_counts=tuple(len(level) for level in levels[1:]),
         matches=tuple(matches),
         equivalence_violations=tuple(equivalence_violations),
-        sample_violations=tuple(sample_violations),
         elapsed=time.monotonic() - start,
     )

@@ -20,7 +20,7 @@ from .exactalg import IntMatrix, IntPoly, _lane_width
 from .multipartite import Partition
 
 MAX_VERTICES = 64
-ENUMERATION_CAP = 7      # 2^21 labeled graphs at n=7
+ENUMERATION_CAP = 7      # exhaustive two-graph survey: 512 candidates at n=7
 EQUIVALENCE_CAP = 10     # switching equivalence decision
 
 
@@ -513,16 +513,6 @@ def multipartite_switching_class(g: Graph) -> tuple[Partition, SwitchingWitness]
     )
     witness.replay(g, complete_multipartite(partition))
     return partition, witness
-
-
-def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """All 2^(n(n-1)/2) labeled graphs of order n, one per edge bitmask."""
-    if n > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"exhaustive enumeration is capped at {ENUMERATION_CAP} vertices, got {n}"
-        )
-    for mask in range(1 << comb(n, 2)):
-        yield Graph.from_mask(n, mask)
 
 
 GRAPH6_HEADER = ">>graph6<<"

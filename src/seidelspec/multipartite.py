@@ -31,6 +31,13 @@ from .errors import (
 from .exactalg import IntMatrix, IntPoly, elementary_symmetric, sigma_l
 
 
+def _excerpt(text: str) -> str:
+    """repr of text, cut after 40 characters so an error stays short."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 class Partition:
     """Multiset of positive part sizes, stored non-increasing."""
 
@@ -57,19 +64,21 @@ class Partition:
         for match in re.finditer(r"(?:^|,)([^,]*)", text):
             token = match.group(1).strip()
             if not token:
-                raise InvalidPartitionError(f"empty part in {text!r}")
+                raise InvalidPartitionError(f"empty part in {_excerpt(text)}")
             # ASCII digit runs only: int() alone would also read "1_0", "+3", "٣"
             found = re.fullmatch(r"(?:([0-9]+)\s*\*\s*)?([0-9]+)", token)
             if found is None:
-                raise InvalidPartitionError(f"bad part {token!r}")
+                raise InvalidPartitionError(f"bad part {_excerpt(token)}")
             try:
                 count, size = int(found[1] or 1), int(found[2])
             except ValueError:  # more digits than int() converts
-                raise InvalidPartitionError(f"bad part {token!r}") from None
+                raise InvalidPartitionError(f"bad part {_excerpt(token)}") from None
             if count < 1:
-                raise InvalidPartitionError(f"part multiplicity must be >= 1 in {token!r}")
+                raise InvalidPartitionError(
+                    f"part multiplicity must be >= 1 in {_excerpt(token)}"
+                )
             if size < 1:
-                raise InvalidPartitionError(f"parts must be >= 1 in {token!r}")
+                raise InvalidPartitionError(f"parts must be >= 1 in {_excerpt(token)}")
             yield size, count
 
     @classmethod

@@ -98,7 +98,7 @@ def bounds_suite(max_n: int = 12) -> SuiteResult:
 
 
 def switching_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Random switching invariance plus the exhaustive small-order survey.
+    """Random switching invariance plus the exhaustive two-graph survey.
 
     The ``SWITCHING_PAIRS`` random pairs of one order are drawn first, in
     a fixed order from the seeded generator; the polynomials of all graphs
@@ -124,10 +124,8 @@ def switching_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     for n in range(1, min(max_n, ENUMERATION_CAP) + 1):
         checks += 1
         report = exhaustive_switching_survey(n)
-        for partition, key in report.equivalence_violations:
-            failures.append(f"order {n}: class {key} cospectral with {partition} but not equivalent")
-        for key, row in report.sample_violations:
-            failures.append(f"order {n}: class {key} member row {row} has a different spectrum")
+        for partition, mask in report.equivalence_violations:
+            failures.append(f"order {n}: graph {mask} cospectral with {partition} but not equivalent")
     return SuiteResult("switching", not failures, checks, tuple(failures))
 
 

@@ -64,10 +64,15 @@ class TestCharpoly:
         assert out == ""
         assert "64" in err and argv[1].split("*")[0] in err
 
-    @pytest.mark.parametrize("text", ["5000000*1", "3000000*1,1*-3"])
+    @pytest.mark.parametrize(
+        "text",
+        ["5000000*1", "3000000*1,1*-3", "," + "1" * 5000, "1," + "x" * 5000, "3," + "9" * 5000],
+        ids=["5000000*1", "3000000*1,1*-3", "empty-then-5000", "5000-letter", "5000-digit"],
+    )
     def test_order_checked_before_expansion(self, capsys, text):
         # a huge count is refused from the group sum, a negative size as
-        # its token is read, so no part list is built or echoed
+        # its token is read, so no part list is built or echoed; a long
+        # bad token or text is echoed only in part
         code, out, err = run(capsys, "charpoly", text)
         assert code == 2
         assert out == ""

@@ -20,19 +20,20 @@ from seidelspec import (
     check_forced_part_sizes,
     complete_multipartite,
     cospectral_classes,
-    enumerate_graphs,
     exhaustive_switching_survey,
     forced_rule,
     integer_root_multiset,
     normalize_at,
     partitions_of,
     recover_partitions,
+    seidel_charpolys,
     seidel_matrix,
     switch,
+    switching_equivalent,
     verify_shared_part_property,
 )
-from seidelspec.determination import COSPECTRAL_CAP, relabel_orbits, relabel_table
-from seidelspec.multipartite import FactoredSeidelPoly, residual_weights
+from seidelspec.determination import COSPECTRAL_CAP, two_graphs
+from seidelspec.multipartite import FactoredSeidelPoly, _flat_residual, residual_weights
 
 
 class TestPartitionsOf:
@@ -164,7 +165,9 @@ class TestRecoverPartitions:
         # the parts are split from the forced sum and product, so no sigma_2
         # is swept: the cost does not grow with the square of the order
         for parts in ((998, 1, 1), (9998, 1, 1)):
-            residual = charpoly_coefficients(Partition(parts)).residual
+            # the coefficient formula alone; the factored form would first
+            # expand the residual times (x+1)^(n-k)
+            residual = _flat_residual(parts)
             assert recover_partitions(residual) == [Partition(parts)]
 
     def test_candidates_are_not_expanded(self, monkeypatch):
@@ -319,35 +322,83 @@ class TestForcedPartSizes:
                     assert v.status == "s_determined_in_family"
 
 
-# (cospectral partitions, matched class keys) per order, in report order
+# (cospectral partitions, survey members, labeled class keys) per order, in
+# report order: the class keys with the partitions' spectrum, among all
+# 2^C(n-1,2) of order n, which the members' relabeling orbits must give back
 SURVEY_MATCHES = {
-    1: [("1", 1)],
-    2: [("1,1 2", 1)],
-    3: [("1,1,1", 1), ("2,1 3", 1)],
-    4: [("1,1,1,1", 1), ("2,1,1", 6), ("2,2 3,1 4", 1)],
-    5: [("1,1,1,1,1", 1), ("2,1,1,1", 10), ("2,2,1", 15), ("3,1,1", 10), ("3,2 4,1 5", 1)],
+    1: [("1", 1, 1)],
+    2: [("1,1 2", 1, 1)],
+    3: [("1,1,1", 1, 1), ("2,1 3", 1, 1)],
+    4: [("1,1,1,1", 1, 1), ("2,1,1", 6, 6), ("2,2 3,1 4", 1, 1)],
+    5: [
+        ("1,1,1,1,1", 1, 1), ("2,1,1,1", 5, 10), ("2,2,1", 5, 15), ("3,1,1", 5, 10),
+        ("3,2 4,1 5", 1, 1),
+    ],
     6: [
-        ("1,1,1,1,1,1", 1), ("2,1,1,1,1", 15), ("2,2,1,1", 45), ("2,2,2", 15),
-        ("3,1,1,1", 20), ("3,2,1", 60), ("3,3 4,2 5,1 6", 1), ("4,1,1", 15),
+        ("1,1,1,1,1,1", 1, 1), ("2,1,1,1,1", 6, 15), ("2,2,1,1", 4, 45), ("2,2,2", 1, 15),
+        ("3,1,1,1", 2, 20), ("3,2,1", 14, 60), ("3,3 4,2 5,1 6", 1, 1), ("4,1,1", 6, 15),
     ],
     7: [
-        ("1,1,1,1,1,1,1", 1), ("2,1,1,1,1,1", 21), ("2,2,1,1,1", 105), ("2,2,2,1", 105),
-        ("3,1,1,1,1", 35), ("3,2,1,1", 210), ("3,2,2", 105), ("3,3,1", 70),
-        ("4,1,1,1", 35), ("4,2,1", 105), ("4,3 5,2 6,1 7", 1), ("5,1,1", 21),
+        ("1,1,1,1,1,1,1", 1, 1), ("2,1,1,1,1,1", 7, 21), ("2,2,1,1,1", 5, 105),
+        ("2,2,2,1", 3, 105), ("3,1,1,1,1", 2, 35), ("3,2,1,1", 6, 210), ("3,2,2", 4, 105),
+        ("3,3,1", 11, 70), ("4,1,1,1", 2, 35), ("4,2,1", 18, 105), ("4,3 5,2 6,1 7", 1, 1),
+        ("5,1,1", 7, 21),
     ],
 }
+
+# two-graphs per order, OEIS A002854 (Mallows and Sloane)
+TWO_GRAPH_COUNTS = (1, 1, 2, 3, 7, 16, 54, 243)
+
+
+def generators(m):
+    # the transposition (0 1) and the cycle v -> v+1 on vertices 0..m-1,
+    # which generate every relabeling of them
+    swap = [1, 0, *range(2, m)] if m >= 2 else list(range(m))
+    return swap, [(v + 1) % m for v in range(m)]
+
+
+def relabel_orbit(g, m):
+    """Edge masks of g under every relabeling that moves only vertices 0..m-1."""
+    perms = [[*perm, *range(m, g.n)] for perm in generators(m)]
+    seen = {g.mask}
+    todo = [g]
+    for h in todo:
+        for perm in perms:
+            image = h.relabel(perm)
+            if image.mask not in seen:
+                seen.add(image.mask)
+                todo.append(image)
+    return seen
+
+
+def class_keys(n, members):
+    """The labeled switching classes of the given graphs of order n and of
+    their relabelings, each as the edge mask of its member with vertex n-1
+    isolated."""
+    keys = set()
+    for d in members:
+        keys |= relabel_orbit(normalize_at(Graph.from_mask(n, d), n - 1), n - 1)
+    return keys
+
+
+def mask_poly(n, d):
+    return charpoly_oracle(seidel_matrix(Graph.from_mask(n, d)))
+
+
+@cache
+def representatives(n):
+    return two_graphs(n)[n]
 
 
 class TestSurvey:
     def test_order_three_class_count(self):
         report = exhaustive_switching_survey(3)
-        assert report.class_count == 2
-        assert report.graph_count == 8
+        assert report.class_counts == (1, 1)
         assert report.equivalence_violations == ()
 
     def test_order_four(self):
         report = exhaustive_switching_survey(4)
-        assert report.class_count == 8
+        assert report.class_counts == (1, 1, 2)
         # K_{2,1,1} is matched and every cospectral class verified
         for m in report.matches:
             if Partition([2, 1, 1]) in m.partitions:
@@ -355,41 +406,42 @@ class TestSurvey:
                 break
         else:
             pytest.fail("no match for 2,1,1")
-        assert report.sample_violations == ()
+        assert report.equivalence_violations == ()
 
     def test_order_five_clean(self):
         report = exhaustive_switching_survey(5)
         assert report.equivalence_violations == ()
-        assert report.sample_violations == ()
+        assert all(m.verified for m in report.matches)
 
     def test_matches_brute_force_grouping(self):
-        # every labeled graph of order 5, grouped by its normal form (the
-        # class key) and by its own oracle polynomial, must give exactly
-        # the survey's matched classes per partition spectrum
+        # every labeled graph of order 5, grouped by its own oracle
+        # polynomial and by its class key, must give exactly the labeled
+        # classes of the survey's members per partition spectrum
         n = 5
         spectra: dict[IntPoly, list[Partition]] = {}
         for p in partitions_of(n):
             spectra.setdefault(charpoly_product(p).expanded, []).append(p)
         brute: dict[IntPoly, set[int]] = {}
-        for g in enumerate_graphs(n):
-            poly = charpoly_oracle(seidel_matrix(g))
+        for d in range(1 << comb(n, 2)):
+            poly = mask_poly(n, d)
             if poly in spectra:
-                key = normalize_at(g, n - 1).mask
+                key = normalize_at(Graph.from_mask(n, d), n - 1).mask
                 brute.setdefault(poly, set()).add(key)
         report = exhaustive_switching_survey(n)
         assert len(report.matches) == len(spectra)
         for m in report.matches:
             poly = charpoly_product(m.partitions[0]).expanded
             assert m.partitions == tuple(sorted(spectra[poly]))
-            assert m.class_keys == tuple(sorted(brute[poly]))
+            assert class_keys(n, m.members) == brute[poly]
             assert m.verified
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_member_rows_and_keys(self, data):
-        # the survey's class walk: a mask below 2^C(n-1,2) leaves vertex
-        # n-1 isolated, so it is its own class key, and switching it at the
-        # bits of a gives the class member whose vertex n-1 row is a
+        # the class keys of the cross-checks: a mask below 2^C(n-1,2)
+        # leaves vertex n-1 isolated, so it is its own class key, and
+        # switching it at the bits of a gives the class member whose
+        # vertex n-1 row is a
         n = data.draw(st.integers(1, 7))
         d = data.draw(st.integers(0, (1 << comb(n - 1, 2)) - 1))
         a = data.draw(st.integers(0, (1 << (n - 1)) - 1))
@@ -408,13 +460,13 @@ class TestSurvey:
             exhaustive_switching_survey(n)
 
     def test_classes_partition_all_graphs(self):
-        # group the full enumeration by normal form and check the class
-        # structure the survey relies on: even sizes, constant spectrum
+        # group every labeled graph by normal form and check the class
+        # structure: even sizes, constant spectrum
         n = 4
         groups = {}
-        for g in enumerate_graphs(n):
-            key = normalize_at(g, 0).mask
-            groups.setdefault(key, []).append(g)
+        for d in range(1 << comb(n, 2)):
+            g = Graph.from_mask(n, d)
+            groups.setdefault(normalize_at(g, 0).mask, []).append(g)
         assert len(groups) == 8
         for members in groups.values():
             assert len(members) == 2 ** (n - 1)
@@ -423,91 +475,90 @@ class TestSurvey:
 
     def test_report_json(self):
         payload = exhaustive_switching_survey(3).to_json_dict()
-        assert payload["switching_class_count"] == "2"
+        assert payload["class_counts"] == ["1", "1"]
         assert payload["equivalence_violations"] == []
 
     @pytest.mark.parametrize("n", sorted(SURVEY_MATCHES))
     def test_report_json_pinned(self, n):
-        # matched class keys per cospectral class, every one verified and
-        # no violation of any kind, at every order the survey runs
-        assert exhaustive_switching_survey(n).to_json_dict() == {
+        # members per cospectral class, every one verified and no
+        # violation, at every order the survey runs; the members'
+        # relabeling orbits give back the labeled class keys
+        payload = exhaustive_switching_survey(n).to_json_dict()
+        members = [[int(d) for d in m.pop("members")] for m in payload["matches"]]
+        assert payload == {
             "order": str(n),
-            "graph_count": str(1 << comb(n, 2)),
-            "switching_class_count": str(1 << comb(n - 1, 2)),
-            "class_size": str(1 << (n - 1)),
+            "class_counts": [str(c) for c in TWO_GRAPH_COUNTS[: n - 1]],
             "matches": [
-                {"partitions": parts.split(), "matched_classes": str(count), "verified": True}
-                for parts, count in SURVEY_MATCHES[n]
+                {"partitions": parts.split(), "verified": True}
+                for parts, _, _ in SURVEY_MATCHES[n]
             ],
             "equivalence_violations": [],
-            "sample_violations": [],
         }
+        assert [len(ms) for ms in members] == [count for _, count, _ in SURVEY_MATCHES[n]]
+        assert [len(class_keys(n, ms)) for ms in members] == [
+            keys for _, _, keys in SURVEY_MATCHES[n]
+        ]
 
 
-def generators(m):
-    # the transposition (0 1) and the cycle v -> v+1, as relabel_orbits uses
-    swap = [1, 0, *range(2, m)] if m >= 2 else list(range(m))
-    return swap, [(v + 1) % m for v in range(m)]
+class TestTwoGraphs:
+    def test_counts_are_a002854(self):
+        levels = two_graphs(len(TWO_GRAPH_COUNTS))
+        assert [len(level) for level in levels] == [1, *TWO_GRAPH_COUNTS]
+        assert all(g.n == m for m, level in enumerate(levels) for g in level)
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_graph_has_exactly_one_representative(self, n):
+        # a representative with another polynomial is in another class, so
+        # only those with the graph's own are decided
+        reps = representatives(n)
+        by_poly: dict[IntPoly, list[Graph]] = {}
+        for h, poly in zip(reps, seidel_charpolys(reps)):
+            by_poly.setdefault(poly, []).append(h)
+        graphs = [Graph.from_mask(n, d) for d in range(1 << comb(n, 2))]
+        for g, poly in zip(graphs, seidel_charpolys(graphs)):
+            found = [h for h in by_poly.get(poly, []) if switching_equivalent(g, h) is not None]
+            assert len(found) == 1, g
 
-@cache
-def generator_tables(m):
-    return [(perm, relabel_table(m, perm)) for perm in generators(m)]
-
-
-@cache
-def orbit_leaders(m):
-    return {d: orbit[0] for orbit in relabel_orbits(m) for d in orbit}
-
-
-def mask_poly(n, d):
-    return charpoly_oracle(seidel_matrix(Graph.from_mask(n, d)))
+    def test_cap(self):
+        with pytest.raises(CapExceededError):
+            two_graphs(11)
 
 
 class TestRelabelOrbits:
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_tables_match_graph_relabel(self, data):
-        m = data.draw(st.integers(0, 6))
-        d = data.draw(st.integers(0, (1 << comb(m, 2)) - 1))
-        for perm, table in generator_tables(m):
-            assert table[d] == Graph.from_mask(m, d).relabel(perm).mask
-
-    def test_any_permutation_table(self):
-        perm = [3, 0, 4, 1, 2]
-        table = relabel_table(5, perm)
-        assert list(table) == [
-            Graph.from_mask(5, d).relabel(perm).mask for d in range(1 << 10)
-        ]
-
     @pytest.mark.parametrize(
         "m, count", [(0, 1), (1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)]
     )
     def test_orbit_counts_and_partition(self, m, count):
-        # graphs on m unlabeled vertices (OEIS A000088)
-        orbits = list(relabel_orbits(m))
+        # graphs on m unlabeled vertices (OEIS A000088): the closure under
+        # the two generators relabels exactly within each isomorphism class
+        orbits = []
+        seen = set()
+        for d in range(1 << comb(m, 2)):
+            if d not in seen:
+                orbit = relabel_orbit(Graph.from_mask(m, d), m)
+                seen |= orbit
+                orbits.append(orbit)
         assert len(orbits) == count
-        assert sorted(d for orbit in orbits for d in orbit) == list(
-            range(1 << comb(m, 2))
-        )
-        leaders = [orbit[0] for orbit in orbits]
-        assert leaders == sorted(leaders)
-        assert all(orbit[0] == min(orbit) for orbit in orbits)
+        assert sum(map(len, orbits)) == 1 << comb(m, 2)
 
     def test_order_six_keys_match_per_mask_scan(self):
-        # every class key's own polynomial is its orbit leader's, and the
-        # survey's key sets equal a per-mask oracle scan of all 1,024 keys
+        # the survey's members stand for exactly the class keys that a
+        # per-mask oracle scan of all 1,024 keys matches to each spectrum
         n = 6
-        leaders = orbit_leaders(n - 1)
         polys = [mask_poly(n, d) for d in range(1 << comb(n - 1, 2))]
-        assert all(polys[d] == polys[lead] for d, lead in leaders.items())
         report = exhaustive_switching_survey(n)
         for m in report.matches:
             target = charpoly_coefficients(m.partitions[0]).expanded
-            want = tuple(d for d, poly in enumerate(polys) if poly == target)
-            assert m.class_keys == want
+            want = {d for d, poly in enumerate(polys) if poly == target}
+            assert class_keys(n, m.members) == want
 
     @settings(max_examples=200, deadline=None)
     @given(d=st.integers(0, (1 << comb(6, 2)) - 1))
     def test_order_seven_mask_shares_leader_poly(self, d):
-        assert mask_poly(7, d) == mask_poly(7, orbit_leaders(6)[d])
+        # every class key of order 7 is switching equivalent to one of the
+        # 54 two-graph representatives, which has its polynomial
+        g = Graph.from_mask(7, d)
+        poly = mask_poly(7, d)
+        found = [h for h in representatives(7) if switching_equivalent(g, h) is not None]
+        assert len(found) == 1
+        assert mask_poly(7, found[0].mask) == poly

@@ -14,12 +14,16 @@ import seidelspec.verify as verify
 from seidelspec import (
     DimensionError,
     Graph,
+    Partition,
     charpoly_oracle,
+    charpoly_product,
     exhaustive_switching_survey,
-    normalize_at,
+    graph6_decode,
     seidel_charpolys,
     seidel_matrix,
+    switching_equivalent,
 )
+from seidelspec.cli import main
 
 BATCH_SIZES = ("empty", "one", "chunk-1", "chunk", "chunk+1")
 
@@ -105,27 +109,40 @@ def test_switching_pairs_report_the_perturbed_pair(monkeypatch):
     assert result.failures == (expected,)
 
 
-def test_survey_reports_the_perturbed_sample(monkeypatch):
-    order, call, position = 6, 3, 40
-    seen: list[Graph] = []
-    # call 0 at each order is the batch of orbit leaders; call c > 0 that
-    # of the sampled members of matched class c - 1
-    monkeypatch.setattr(
-        determination, "seidel_charpolys", perturbing(order, call, position, seen)
-    )
+def test_survey_reports_a_graph_given_a_partitions_spectrum(monkeypatch, capsys):
+    # 2K2 + K1 (graph6 DCO) is switching equivalent to no complete
+    # multipartite graph; a kernel that gives its switching class the
+    # spectrum of K_(2,1,1,1) must make the survey report every surveyed
+    # member of that class
+    order = 5
+    dco = graph6_decode("DCO")
+    target = charpoly_product(Partition([2, 1, 1, 1])).expanded
+
+    def kernel(batch):
+        batch = list(batch)
+        return [
+            target if g.n == order and switching_equivalent(g, dco) is not None else poly
+            for g, poly in zip(batch, seidel_charpolys(batch))
+        ]
+
+    monkeypatch.setattr(determination, "seidel_charpolys", kernel)
+    report = exhaustive_switching_survey(order)
+    (match,) = [m for m in report.matches if Partition([2, 1, 1, 1]) in m.partitions]
+    faked = [
+        d for d in match.members
+        if switching_equivalent(Graph.from_mask(order, d), dco) is not None
+    ]
+    # the first member is faked too, so the backtracking decision on it
+    # adds one more violation after the recogniser's
+    assert faked[0] == match.members[0]
+    assert not match.verified
+    flagged = [*faked, faked[0]]
+    assert report.equivalence_violations == tuple(("2,1,1,1", d) for d in flagged)
+
     monkeypatch.setattr(verify, "SWITCHING_PAIRS", 1)
     result = verify.switching_suite(max_n=order)
-    (member,) = seen
-    # the member's class key, and its vertex n-1 row as a bitmask
-    key = normalize_at(member, order - 1).mask
-    row = sum(1 << v for v in member.neighbors(order - 1))
-    assert result.failures == (
-        f"order {order}: class {key} member row {row} has a different spectrum",
+    assert result.failures == tuple(
+        f"order {order}: graph {d} cospectral with 2,1,1,1 but not equivalent" for d in flagged
     )
-
-    monkeypatch.setattr(
-        determination, "seidel_charpolys", perturbing(order, call, position, [])
-    )
-    report = exhaustive_switching_survey(order)
-    assert report.sample_violations == ((key, row),)
-    assert report.equivalence_violations == ()
+    assert main(["verify", "--suite", "switching"]) == 3
+    assert "FAIL switching" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """The direct recogniser of switching classes of complete multipartite
-graphs against the exhaustive survey and the backtracking decision."""
+graphs against a per-key scan, the exhaustive survey and the backtracking
+decision."""
 
 from collections import Counter
 from itertools import combinations
@@ -15,36 +16,44 @@ from seidelspec import (
     Graph,
     Partition,
     SwitchingWitness,
+    charpoly_product,
     complete_multipartite,
     exhaustive_switching_survey,
     multipartite_switching_class,
     partitions_of,
+    seidel_charpolys,
     switch,
     switching_equivalent,
 )
 from seidelspec.cli import main
 
-# class keys the survey matches to some partition's spectrum, per order
+# class keys with the spectrum of some complete multipartite graph, per
+# order: those the survey's members stand for
 MATCHED_KEYS = {1: 1, 2: 1, 3: 2, 4: 8, 5: 37, 6: 172, 7: 814}
+# survey members, all certified by the recogniser, per order
+SURVEY_MEMBERS = {1: 1, 2: 1, 3: 2, 4: 8, 5: 17, 6: 35, 7: 67}
 
 
 @pytest.mark.parametrize("n", sorted(MATCHED_KEYS))
 def test_accepts_exactly_the_surveys_matched_keys(n):
-    report = exhaustive_switching_survey(n)
-    matched = {d: m.partitions for m in report.matches for d in m.class_keys}
-    accepted = {}
-    for d in range(report.class_count):
-        found = multipartite_switching_class(Graph.from_mask(n, d))
+    # every class key on its own, with no survey: the recogniser accepts
+    # a key iff its polynomial is some K_P's, and then names such a P
+    spectra = {}
+    for p in partitions_of(n):
+        spectra.setdefault(charpoly_product(p).expanded, []).append(p)
+    keys = [Graph.from_mask(n, d) for d in range(1 << comb(n - 1, 2))]
+    accepted = 0
+    for g, poly in zip(keys, seidel_charpolys(keys)):
+        found = multipartite_switching_class(g)
+        assert (found is not None) == (poly in spectra), g
         if found is not None:
-            accepted[d] = found[0]
-    assert len(accepted) == MATCHED_KEYS[n]
-    assert accepted.keys() == matched.keys()
-    for d, p in accepted.items():
-        assert p in matched[d]
+            accepted += 1
+            assert found[0] in spectra[poly]
+    assert accepted == MATCHED_KEYS[n]
 
 
 def test_survey_certifies_through_the_recogniser(monkeypatch):
-    # every matched key, 1,035 in all, goes through the public recogniser once
+    # every member, 131 in all, goes through the public recogniser once
     orders = Counter()
 
     def counted(g):
@@ -52,13 +61,14 @@ def test_survey_certifies_through_the_recogniser(monkeypatch):
         return multipartite_switching_class(g)
 
     monkeypatch.setattr(determination, "multipartite_switching_class", counted)
-    for n in MATCHED_KEYS:
+    for n in SURVEY_MEMBERS:
         exhaustive_switching_survey(n)
-    assert orders == MATCHED_KEYS
+    assert orders == SURVEY_MEMBERS
 
 
 def test_survey_cross_checks_one_key_per_class_by_backtracking(monkeypatch):
-    # one backtracking decision per matched class, 32 in all for orders 1-7
+    # one backtracking decision per matched class at the surveyed order,
+    # 32 in all for orders 1-7; the dedupe's decisions are at lower orders
     orders = Counter()
 
     def counted(g, h):
@@ -66,20 +76,24 @@ def test_survey_cross_checks_one_key_per_class_by_backtracking(monkeypatch):
         return switching_equivalent(g, h)
 
     monkeypatch.setattr(determination, "switching_equivalent", counted)
-    for n in MATCHED_KEYS:
+    decisions = {}
+    for n in SURVEY_MEMBERS:
+        orders.clear()
         exhaustive_switching_survey(n)
-    assert orders == {1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 8, 7: 12}
+        decisions[n] = orders[n]
+    assert decisions == {1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 8, 7: 12}
 
 
 def test_backtracking_no_unverifies_every_class(monkeypatch, capsys):
     # a backtracking "no" is a violation of its own, one per class, and
-    # the switching suite then fails with exit code 3
+    # the switching suite then fails with exit code 3; the dedupe then
+    # keeps every candidate, which still meets every class
     monkeypatch.setattr(determination, "switching_equivalent", lambda g, h: None)
     report = exhaustive_switching_survey(7)
     assert len(report.matches) == 12
     assert not any(m.verified for m in report.matches)
     assert report.equivalence_violations == tuple(
-        (str(m.partitions[0]), m.class_keys[0]) for m in report.matches
+        (str(m.partitions[0]), m.members[0]) for m in report.matches
     )
     assert main(["verify", "--suite", "switching"]) == 3
     assert "FAIL switching" in capsys.readouterr().out
