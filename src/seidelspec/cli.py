@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .determination import verify_shared_part_property
 from .errors import ConsistencyError, SeidelSpecError
@@ -35,6 +36,16 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 
 FORMS = (*CLOSED_FORMS, "oracle")
+
+
+def _print_json(payload) -> None:
+    """Print ``json.dumps(payload, indent=2)`` and a newline, encoded
+    piecewise and written about 4,096 pieces at a time, so the whole text
+    is never held at once and a pipe sees few writes."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    print()
 
 
 def _form_result(p: Partition, form: str) -> dict:
@@ -76,7 +87,7 @@ def cmd_charpoly(args) -> int:
             ],
             "agree": agree,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"partition: {p}")
         for r in results:
@@ -96,7 +107,7 @@ def cmd_spectrum(args) -> int:
     p = _parse_partition(args.partition)
     report = spectrum_report(p)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        _print_json(report.to_json_dict())
         return EXIT_OK
     print(f"partition: {p}")
     print(f"order: {p.n}  parts: {p.k}")
@@ -131,7 +142,7 @@ def cmd_bound(args) -> int:
             "least_eigenvalue": repr(least),
             "tight": tight,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"partition: {p}")
         print(f"bound: {bound.value!r}")
@@ -151,7 +162,7 @@ def cmd_quotient(args) -> int:
             "partition": str(p),
             "quotient": [[str(v) for v in row] for row in b.rows],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"partition: {p}")
         for row in b.rows:
@@ -162,7 +173,7 @@ def cmd_quotient(args) -> int:
 def cmd_search(args) -> int:
     report = verify_shared_part_property(args.n, args.k)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        _print_json(report.to_json_dict())
     else:
         print(f"order: {report.order}" + (f"  k: {args.k}" if args.k else ""))
         print(f"classes: {len(report.classes)}")
@@ -198,7 +209,7 @@ def cmd_verify(args) -> int:
             ],
             "passed": all(r.passed for r in results),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for r in results:
             word = "PASS" if r.passed else "FAIL"
@@ -235,7 +246,7 @@ def cmd_switch_equiv(args) -> int:
             "switch_set": list(witness.subset),
             "permutation": list(witness.permutation),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"equivalent: switch at {list(witness.subset)}, relabel by {list(witness.permutation)}")
     return EXIT_OK

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import Iterator
 
 from .errors import (
@@ -37,6 +37,8 @@ from .multipartite import (
     Partition,
     _flat_residual,
     charpoly_coefficients,
+    key_poly,
+    key_weights,
     residual_weights,
 )
 from .spectra import exact_root_multiplicity, roots_in_open_interval
@@ -44,26 +46,58 @@ from .spectra import exact_root_multiplicity, roots_in_open_interval
 COSPECTRAL_CAP = 36
 
 
+def _parts_from(rest: int, cap: int, slots: int | None) -> Iterator[int]:
+    """Next parts to try, largest first: at most cap and rest, and with
+    slots parts still to place (this one included) each one leaving between
+    slots - 1 and (slots - 1) * part for the others."""
+    if slots is None:
+        return iter(range(min(cap, rest), 0, -1))
+    return iter(range(min(cap, rest - slots + 1), -(-rest // slots) - 1, -1))
+
+
+def _partition_walk(
+    n: int, k: int | None = None
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(parts, sigma) for every partition of n (into exactly k parts when k
+    is given), in descending lex order, where sigma[i] is the i-th
+    elementary symmetric function of the parts.
+
+    A depth-first walk of the partition tree on an explicit stack:
+    appending a part x to a prefix takes its sigma to
+    sigma_i + x * sigma_(i-1), once per edge, and a branch with no
+    partition below it is never entered.
+    """
+    if n < 1 or (k is not None and k < 1):
+        return
+    parts: list[int] = []
+    stack = [([1], n, _parts_from(n, n, k))]
+    while stack:
+        sig, rest, choices = stack[-1]
+        part = next(choices, 0)
+        if not part:
+            stack.pop()
+            if parts:
+                parts.pop()
+            continue
+        sig = [1, *map(add, sig[1:], map(mul, sig, repeat(part))), part * sig[-1]]
+        rest -= part
+        if part == 1:
+            # every part after a 1 is a 1: one path, walked without the stack
+            for _ in range(rest):
+                sig = [1, *map(add, sig[1:], sig), sig[-1]]
+            yield (*parts, *repeat(1, rest + 1)), sig
+        elif not rest:
+            yield (*parts, part), sig
+        else:
+            parts.append(part)
+            slots = None if k is None else k - len(parts)
+            stack.append((sig, rest, _parts_from(rest, part, slots)))
+
+
 def partitions_of(n: int, k: int | None = None) -> Iterator[Partition]:
     """Partitions of n (optionally into exactly k parts), descending lex order."""
-    if n < 1:
-        return
-
-    def rec(remaining: int, largest: int, prefix: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            if k is None or len(prefix) == k:
-                yield Partition(prefix)
-            return
-        if k is not None and len(prefix) >= k:
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            if k is not None and remaining - part < k - len(prefix) - 1:
-                continue
-            prefix.append(part)
-            yield from rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    yield from rec(n, n, [])
+    for parts, _ in _partition_walk(n, k):
+        yield Partition(parts)
 
 
 def recover_partitions(residual: IntPoly) -> list[Partition]:
@@ -138,10 +172,13 @@ class CospectralClass:
 def cospectral_classes(n: int, k: int | None = None) -> list[CospectralClass]:
     """Group all partitions of n (optionally with k parts) by exact spectrum.
 
-    Each partition is keyed on its expanded polynomial from the coefficient
-    formula; keying on the expanded polynomial rather than the residual
-    keeps the two-part degeneracy (all partitions into at most two parts
-    share one polynomial).  Partitions with different part counts, at
+    One walk of the partition tree gives each partition's elementary
+    symmetric functions, and its key is their dot product with
+    ``key_weights(n, k)``: the expanded polynomial from the coefficient
+    formula, packed into one int.  Keying on the expanded polynomial rather
+    than the residual keeps the two-part degeneracy (all partitions into at
+    most two parts share one polynomial).  Each class's key is unpacked
+    once into its polynomial.  Partitions with different part counts, at
     least one above two, must never share a polynomial (their -1
     multiplicities differ); that is checked, not assumed.
     """
@@ -153,20 +190,21 @@ def cospectral_classes(n: int, k: int | None = None) -> list[CospectralClass]:
         raise CapExceededError(
             f"cospectral search is capped at order {COSPECTRAL_CAP}, got {n}"
         )
-    groups: dict[tuple[int, ...], list[Partition]] = {}
-    for p in partitions_of(n, k):
-        groups.setdefault(charpoly_coefficients(p).expanded.coeffs, []).append(p)
-    classes = [
-        CospectralClass(IntPoly(key), tuple(sorted(ps))) for key, ps in groups.items()
-    ]
-    classes.sort(key=lambda cls: cls.partitions)
-    for cls in classes:
-        ks = {p.k for p in cls.partitions}
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for parts, sig in _partition_walk(n, k):
+        key = sum(map(mul, sig, key_weights(n, len(parts))))
+        groups.setdefault(key, []).append(parts)
+    classes = []
+    # member lists are disjoint, so the sort never compares keys
+    for members, key in sorted((sorted(ps), key) for key, ps in groups.items()):
+        partitions = tuple(map(Partition, members))
+        ks = {p.k for p in partitions}
         if len(ks) > 1 and max(ks) > 2:
             raise TheoremViolationError(
                 "partitions with different part counts share a spectrum: "
-                + "; ".join(str(p) for p in cls.partitions)
+                + "; ".join(str(p) for p in partitions)
             )
+        classes.append(CospectralClass(key_poly(key, n), partitions))
     return classes
 
 

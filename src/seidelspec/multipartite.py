@@ -28,7 +28,7 @@ from .errors import (
     InvalidPartitionError,
     ZeroVectorError,
 )
-from .exactalg import IntMatrix, IntPoly, elementary_symmetric, sigma_l
+from .exactalg import IntMatrix, IntPoly, _lane_width, elementary_symmetric, sigma_l
 
 
 def _excerpt(text: str) -> str:
@@ -227,6 +227,65 @@ def residual_weights(k: int) -> tuple[tuple[int, ...], ...]:
         + tuple((-2) ** (i - 1) * (i - 2) * comb(k - i, m - i) for i in range(1, m + 1))
         for m in range(k + 1)
     )
+
+
+@cache
+def _key_layout(n: int) -> tuple[int, int, int]:
+    """(bytes per lane, bias, bound) of an order-n polynomial packed by
+    ``key_weights``: a lane is the oracle's bound ``_lane_width(n, n - 1)``
+    for Seidel matrices of order n rounded up to whole bytes, the bias holds
+    half a lane in each of the n + 1 lanes, and a biased key lies in
+    [0, bound)."""
+    size = -(-_lane_width(n, n - 1) // 8)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * (n + 1), "little")
+    return size, bias, 1 << (8 * size * (n + 1))
+
+
+@cache
+def key_weights(n: int, k: int) -> tuple[int, ...]:
+    """Entry i packs column i of ``residual_weights(k)`` times (x+1)^(n-k),
+    the coefficient of x^j in lane j, so for a partition of n into k parts
+    with elementary symmetric functions sigma_0 .. sigma_k the key
+    sum(sigma_i * entry i) is its expanded Seidel polynomial packed into
+    signed lanes.  Every coefficient of a Seidel polynomial of order n fits
+    a lane, so equal keys mean equal polynomials.  Entry 2 is zero, since
+    sigma_2 drops out.  Built once per (n, k).
+    """
+    size = _key_layout(n)[0]
+    rows = residual_weights(k)
+    ones = IntPoly([comb(n - k, j) for j in range(n - k + 1)])
+    out = []
+    for i in range(k + 1):
+        column = IntPoly([rows[m][i] if m >= i else 0 for m in range(k, -1, -1)])
+        lanes = (column * ones).coeffs
+        out.append(sum(c << (8 * size * j) for j, c in enumerate(lanes)))
+    return tuple(out)
+
+
+def key_poly(key: int, n: int) -> IntPoly:
+    """The order-n polynomial packed in a ``key_weights`` key.
+
+    Adding the bias makes every lane nonnegative and XOR with it leaves
+    each lane's two's complement, which ``int.from_bytes`` reads back as
+    a right-sized int.  Raises ConsistencyError unless the polynomial is
+    monic of degree n.
+    """
+    size, bias, bound = _key_layout(n)
+    biased = key + bias
+    if not 0 <= biased < bound:
+        raise ConsistencyError(f"packed key overflows the {n + 1} lanes of order {n}")
+    raw = (biased ^ bias).to_bytes(size * (n + 1), "little")
+    poly = IntPoly(
+        [
+            int.from_bytes(raw[o : o + size], "little", signed=True)
+            for o in range(0, len(raw), size)
+        ]
+    )
+    if poly.degree != n or not poly.is_monic():
+        raise ConsistencyError(
+            f"unpacked polynomial has degree {poly.degree}, expected monic of degree {n}"
+        )
+    return poly
 
 
 def _flat_residual(parts: Sequence[int]) -> IntPoly:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 import tracemalloc
@@ -157,6 +158,27 @@ class TestSearch:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--n", "24", "--json"),
+                "784fad8afce54e276021bfcc4ea9dba3e936db522e7e3a8019abb95cb9b4fdde",
+            ),
+            (
+                ("--n", "13", "--k", "3"),
+                "a9426a34f151651a5898f70017e7150571855ab917ed73da4ac15d7e901679c0",
+            ),
+        ],
+    )
+    def test_search_output_pinned(self, capsys, argv, digest):
+        # SHA-256 of stdout recorded from the search that keyed every
+        # partition on its expanded coefficient tuple; the packed key and
+        # the batched JSON writer must not change a byte
+        code, out, _ = run(capsys, "search", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_search_json_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "search", "--n", "10", "--json")

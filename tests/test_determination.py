@@ -1,3 +1,4 @@
+import gc
 from functools import cache
 from math import comb
 from operator import mul
@@ -240,6 +241,26 @@ class TestCospectralClasses:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             cospectral_classes(COSPECTRAL_CAP + 1)
+
+    def test_leaves_no_reference_cycle(self):
+        # a cycle would keep the walk's key dictionary alive until the
+        # collector's next pass
+        gc.collect()
+        gc.disable()
+        try:
+            cospectral_classes(24)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_walk_keeps_order_and_k_pruning(self):
+        # with k given, the walk prunes by k and must still give exactly
+        # the unfiltered walk's partitions with k parts, in its order
+        for n in range(1, 13):
+            everything = [p.parts for p in partitions_of(n)]
+            for k in range(n + 2):
+                got = [parts for parts, _ in determination._partition_walk(n, k)]
+                assert got == [parts for parts in everything if len(parts) == k]
 
     @pytest.mark.parametrize("n, k", [(0, None), (-3, None), (5, 0), (5, -1)])
     def test_rejects_empty_order_or_part_count(self, n, k):

@@ -4,11 +4,13 @@ Each kernel is checked against the plainer code it replaced, kept here as
 the reference: root multiplicity by evaluating p(r) and then dividing
 exactly by x - r, the shift x = c - t and the Taylor coefficients by
 Horner composition of IntPoly products, the (x+1)^e factor as a repeated
-IntPoly power, the coefficient formula as a per-term loop, and integer
-root extraction as zero peeling then Horner-checked exact deflation.
+IntPoly power, the coefficient formula as a per-term loop, integer root
+extraction as zero peeling then Horner-checked exact deflation, and the
+search's packed key as the expanded polynomial of the coefficient formula.
 """
 
 from math import comb
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,9 @@ from seidelspec import (
     integer_root_multiset,
     roots_below,
 )
-from seidelspec.exactalg import _divisors
+from seidelspec.determination import COSPECTRAL_CAP, _partition_walk
+from seidelspec.exactalg import _divisors, elementary_symmetric
+from seidelspec.multipartite import key_poly, key_weights
 
 small_ints = st.integers(-6, 6)
 cofactors = st.lists(st.integers(-40, 40), min_size=1, max_size=8).filter(
@@ -144,3 +148,35 @@ def test_integer_roots_match_deflation(roots, cofactor):
     assert got == reference_roots(p)
     if not cofactor:
         assert got == tuple(sorted(roots))
+
+
+def unpacked_key(n: int, parts, sig) -> IntPoly:
+    return key_poly(sum(map(mul, sig, key_weights(n, len(parts)))), n)
+
+
+def test_unpacked_key_is_expanded_polynomial_to_order_20():
+    for n in range(1, 21):
+        for k in (None, *range(1, n + 1)):
+            for parts, sig in _partition_walk(n, k):
+                assert sig == elementary_symmetric(parts)
+                want = charpoly_coefficients(Partition(parts)).expanded
+                assert unpacked_key(n, parts, sig) == want
+
+
+@st.composite
+def partitions_to_cap(draw) -> Partition:
+    # an order up to the search's cap, cut at a random set of points
+    n = draw(st.integers(1, COSPECTRAL_CAP))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    return Partition(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=partitions_to_cap(), with_k=st.booleans())
+def test_unpacked_key_is_expanded_polynomial_to_order_36(p, with_k):
+    # the walk is in descending lex order, so it stops at p
+    walk = _partition_walk(p.n, p.k if with_k else None)
+    sig = next(sig for found, sig in walk if found == p.parts)
+    assert sig == elementary_symmetric(p.parts)
+    assert unpacked_key(p.n, p.parts, sig) == charpoly_coefficients(p).expanded
