@@ -7,7 +7,8 @@ construction.
 
 from __future__ import annotations
 
-from operator import index, itemgetter, lshift, ne, sub
+from math import isqrt
+from operator import index, itemgetter, lshift, mul, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -182,7 +183,11 @@ class IntPoly:
 
         The j-th is the remainder of the (j+1)-th synthetic division by
         x - c, so a caller that stops early pays only for what it read.
+        Since p(x + 0) = p, ``taylor(0)`` yields p's own coefficients.
         """
+        if not c:
+            yield from self.coeffs
+            return
         desc = self.coeffs[::-1]
         while desc:
             acc = 0
@@ -260,19 +265,25 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
-def _lane_width(n: int, rho: int) -> int:
+def _lane_width(squares: Sequence[int]) -> int:
     """Bits that hold every entry of every Faddeev-LeVerrier work matrix of
-    an n x n integer matrix with infinity norm rho as a signed lane.
+    an integer matrix whose rows have squared Euclidean norms ``squares``
+    as a signed lane.
 
-    |lambda| <= rho, hence |c_i| <= C(n,i) rho^i, and
-    |(A^j)_uv| <= ||A^j||_inf <= rho^j.  Every work matrix
-    A^k + c_1 A^(k-1) + ... + c_(k-1) A, with or without c_k I added
-    (k <= n), then has entries of magnitude at most
-    2^(n+1) rho^k <= 2^(n+1) rho^n < 2^(w-1) for
-    w = n * bit_length(rho) + n + 2 (a nonzero integer matrix has rho >= 1,
-    and the zero matrix keeps every lane at zero).
+    Let h_i = ceil(sqrt(s_i)) >= ||row i|| and E = max_m e_m(h).  By
+    Hadamard's inequality an m x m minor is at most the product of its
+    rows' norms, each at most the norm of the full row, so
+    |c_m| <= e_m(h), c_m being a signed sum of the principal m-minors.
+    The work matrix M_k is the coefficient of x^(n-k) in adj(xI - A);
+    each of its entries is a signed sum of (k-1)-minors of A with
+    pairwise distinct row sets, so it is at most e_(k-1)(h).  The packed
+    rows hold M_k or A M_k = M_(k+1) - c_k I, so every held value is at
+    most 2E < 2^(w-1) for w = bit_length(E) + 2.
+    Since h_i <= sum_j |a_ij| <= rho, the infinity norm, e_m(h) <=
+    C(n,m) rho^m and w never exceeds n * bit_length(rho) + n + 2 for n >= 1.
     """
-    return n * rho.bit_length() + n + 2
+    norms = [isqrt(s - 1) + 1 if s else 0 for s in squares]
+    return max(elementary_symmetric(norms)).bit_length() + 2
 
 
 def charpoly_oracle(matrix) -> IntPoly:
@@ -296,15 +307,15 @@ def charpoly_oracle(matrix) -> IntPoly:
     is linear, so both routes give the same integers.
 
     Packed arithmetic is exact; only the extraction needs every entry to
-    fit its lane, and w = ``_lane_width(n, rho)`` is fixed before any
-    arithmetic, with rho = max_i sum_j |a_ij| (the infinity norm).
+    fit its lane, and w = ``_lane_width`` of the squared row norms, by
+    Hadamard's inequality, is fixed before any arithmetic.
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     n = m.n
     if n == 0:
         return IntPoly([1])
     rows = m.rows
-    w = _lane_width(n, max(sum(map(abs, row)) for row in rows))
+    w = _lane_width([sum(map(mul, row, row)) for row in rows])
     shifts = range(0, n * w, w)
     half = 1 << (w - 1)
     lane = (1 << w) - 1

@@ -169,10 +169,12 @@ def seidel_matrix(g: Graph) -> IntMatrix:
 _CHUNK_BITS = 1 << 16
 
 
+@cache
 def _batch_layout(n: int) -> tuple[int, int, int]:
     """(bits of the oracle's lane bound, lane bits, graphs per chunk) for
-    Seidel matrices of order n >= 1, whose infinity norm is n - 1."""
-    width = _lane_width(n, n - 1)
+    Seidel matrices of order n >= 1, whose rows have squared norm n - 1.
+    Built once per order."""
+    width = _lane_width([n - 1] * n)
     lane = -(-(width + n.bit_length()) // 8) * 8
     return width, lane, max(1, _CHUNK_BITS // (n * lane))
 
@@ -191,12 +193,12 @@ def seidel_charpolys(graphs: Iterable[Graph]) -> list[IntPoly]:
     covers the lanes of the graphs with edge ij.  F_ij is cut from the edge
     masks; no matrix is built per graph.
 
-    A lane holds ``_lane_width(n, n - 1)`` bits, the oracle's bound for the
-    infinity norm n - 1 of a Seidel matrix, plus bit_length(n) bits so that
-    the n biased diagonal lanes of a block sum without a carry, rounded up
-    to whole bytes: blocks are packed and read through bytes, in time
-    linear in the chunk.  Graphs of different orders raise DimensionError
-    before any work.
+    A lane holds ``_lane_width([n - 1] * n)`` bits, the oracle's Hadamard
+    bound for a Seidel matrix, every row of squared norm n - 1, plus
+    bit_length(n) bits so that the n biased diagonal lanes of a block sum
+    without a carry, rounded up to whole bytes: blocks are packed and read
+    through bytes, in time linear in the chunk.  Graphs of different
+    orders raise DimensionError before any work.
     """
     gs = list(graphs)
     if not gs:

@@ -232,11 +232,12 @@ def residual_weights(k: int) -> tuple[tuple[int, ...], ...]:
 @cache
 def _key_layout(n: int) -> tuple[int, int, int]:
     """(bytes per lane, bias, bound) of an order-n polynomial packed by
-    ``key_weights``: a lane is the oracle's bound ``_lane_width(n, n - 1)``
-    for Seidel matrices of order n rounded up to whole bytes, the bias holds
+    ``key_weights``: a lane is the oracle's Hadamard bound
+    ``_lane_width([n - 1] * n)`` for Seidel matrices of order n, every row
+    of squared norm n - 1, rounded up to whole bytes, the bias holds
     half a lane in each of the n + 1 lanes, and a biased key lies in
     [0, bound)."""
-    size = -(-_lane_width(n, n - 1) // 8)
+    size = -(-_lane_width([n - 1] * n) // 8)
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * (n + 1), "little")
     return size, bias, 1 << (8 * size * (n + 1))
 

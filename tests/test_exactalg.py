@@ -77,6 +77,15 @@ class TestIntPoly:
         assert list(IntPoly([2, -3, 0, 1]).taylor(1)) == [0, 0, 3, 1]
         assert list(IntPoly().taylor(5)) == []
 
+    def test_taylor_at_zero_is_the_polynomial(self):
+        # p(x + 0) = p, zero and constant polynomials included
+        rng = random.Random(18)
+        polys = [IntPoly(), IntPoly([7]), IntPoly([-1])]
+        for _ in range(50):
+            polys.append(IntPoly([rng.randint(-50, 50) for _ in range(rng.randint(0, 12))]))
+        for p in polys:
+            assert list(p.taylor(0)) == list(p.coeffs)
+
     def test_zero_normalization(self):
         assert IntPoly([0]).is_zero()
         assert IntPoly([0, 0]).coeffs == ()

@@ -8,6 +8,7 @@ a lane that overflows or is read back wrongly shows up as a difference.
 
 from math import comb
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +18,12 @@ from seidelspec import (
     Partition,
     charpoly_oracle,
     complete_multipartite,
+    seidel_charpolys,
     seidel_matrix,
     switch,
 )
-from seidelspec.multipartite import CLOSED_FORMS
+from seidelspec.exactalg import _lane_width
+from seidelspec.multipartite import CLOSED_FORMS, _key_layout
 
 ENTRY_BOUND = 10**6
 # the reference costs O(n^4) big-integer work; above this order the
@@ -33,12 +36,20 @@ def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def reference_charpoly(rows: list[list[int]]) -> IntPoly:
+def _largest(work: list[list[int]]) -> int:
+    return max((abs(x) for row in work for x in row), default=0)
+
+
+def reference_run(rows: list[list[int]]) -> tuple[IntPoly, int]:
+    """The characteristic polynomial and the largest magnitude held by any
+    work matrix, A M_k or M_(k+1) = A M_k + c_k I."""
     n = len(rows)
     a = [list(r) for r in rows]
     coeffs = [1]
     work = [row[:] for row in a]
+    largest = 0
     for k in range(1, n + 1):
+        largest = max(largest, _largest(work))
         q, r = divmod(-sum(work[i][i] for i in range(n)), k)
         assert r == 0
         coeffs.append(q)
@@ -46,8 +57,13 @@ def reference_charpoly(rows: list[list[int]]) -> IntPoly:
             break
         for i in range(n):
             work[i][i] += q
+        largest = max(largest, _largest(work))
         work = _matmul(a, work)
-    return IntPoly(reversed(coeffs))
+    return IntPoly(reversed(coeffs)), largest
+
+
+def reference_charpoly(rows: list[list[int]]) -> IntPoly:
+    return reference_run(rows)[0]
 
 
 # small entries (0 and +-1 take their own branches in the kernel) mixed
@@ -99,10 +115,10 @@ def _scaled_ones(n: int, a: int, kind: str) -> tuple[list[list[int]], IntPoly]:
 @example(n=64, a=ENTRY_BOUND, kind="P")
 @example(n=REFERENCE_MAX_N, a=ENTRY_BOUND, kind="J-I")
 def test_matrices_at_the_lane_width_bound(n, a, kind):
-    # every entry equals max|a_ij| and every row sum equals the infinity
-    # norm that fixes the lane width, so the entries grow as fast as that
-    # bound allows; for a*I and a times a permutation the norm is n times
-    # below n*max|a_ij|
+    # every entry equals max|a_ij| and every row has the same Euclidean
+    # norm, the row norms that fix the lane width, so the entries grow as
+    # fast as the row norms allow; for a*I and a times a permutation each
+    # row norm is a, n times below that of a*J
     rows, expected = _scaled_ones(n, a, kind)
     got = charpoly_oracle(rows)
     assert got == expected
@@ -149,6 +165,63 @@ def repeating_row_matrices(draw, max_n: int = 12) -> list[list[int]]:
 @given(repeating_row_matrices())
 def test_repeating_rows_match_reference(rows):
     assert charpoly_oracle(rows) == reference_charpoly(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(integer_matrices(), repeating_row_matrices()).filter(len))
+def test_work_matrices_fit_the_hadamard_lane(rows):
+    # the oracle's lane width w holds every work-matrix value of the
+    # unpacked recurrence, and is never wider than the infinity-norm bound
+    # n * bit_length(rho) + n + 2
+    n = len(rows)
+    w = _lane_width([sum(x * x for x in row) for row in rows])
+    assert reference_run(rows)[1].bit_length() < w - 1
+    rho = max(sum(map(abs, row)) for row in rows)
+    assert w <= n * rho.bit_length() + n + 2
+
+
+def test_lane_widths_of_seidel_matrices():
+    # order 64 rows of squared norm 63 give 203-bit oracle lanes, and the
+    # search key at order 30 packs 11 bytes per coefficient
+    assert _lane_width([63] * 64) == 203
+    assert _key_layout(30)[0] == 11
+
+
+def sylvester_hadamard(n: int) -> list[list[int]]:
+    """The Sylvester-Hadamard matrix of order n, a power of two."""
+    rows = [[1]]
+    while len(rows) < n:
+        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+    return rows
+
+
+def paley_conference(q: int) -> list[list[int]]:
+    """The symmetric conference matrix of order q + 1 for a prime q = 1 mod 4:
+    a zero diagonal, +-1 elsewhere and C^2 = qI, so a Seidel matrix."""
+    squares = {x * x % q for x in range(1, q)}
+    chi = [0] + [1 if x in squares else -1 for x in range(1, q)]
+    return [[0] + [1] * q] + [[1] + [chi[(j - i) % q] for j in range(q)] for i in range(q)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64])
+def test_sylvester_hadamard_attains_the_bound(n):
+    # |det H| = n^(n/2) is the product of the row norms, Hadamard's
+    # inequality with equality, and H^2 = nI with trace 0 for n >= 2
+    expected = IntPoly([-1, 1]) if n == 1 else IntPoly([-n, 0, 1]) ** (n // 2)
+    assert charpoly_oracle(sylvester_hadamard(n)) == expected
+
+
+@pytest.mark.parametrize("q", [5, 13, 17, 29, 37, 41, 53, 61])
+def test_paley_conference_matrices(q):
+    # S^2 = (n - 1)I with trace 0: the Seidel matrix of a graph at the
+    # lane width's tight case, through the oracle and the batched kernel
+    rows = paley_conference(q)
+    n = q + 1
+    expected = IntPoly([-q, 0, 1]) ** (n // 2)
+    assert charpoly_oracle(rows) == expected
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] == -1])
+    assert seidel_matrix(g).rows == tuple(map(tuple, rows))
+    assert seidel_charpolys([g]) == [expected]
 
 
 @st.composite
