@@ -111,9 +111,10 @@ def recover_partitions(residual: IntPoly) -> list[Partition]:
     non-increasing k-tuples of positive parts with sum sigma_1 and, for
     k >= 3, product sigma_k: each part divides what is left of the
     product, and the largest part left is at least the mean, so at least
-    the geometric mean, of the parts left.  A candidate is kept when the
-    coefficient formula reproduces the residual exactly.  An empty list
-    means no partition matches; every partition returned has n = sigma_1.
+    the geometric mean, of the parts left (``_splits``).  A candidate is
+    kept when the coefficient formula reproduces the residual exactly.  An
+    empty list means no partition matches; every partition returned has
+    n = sigma_1.
     """
     if residual.is_zero() or not residual.is_monic():
         raise NonMonicError("residual must be monic and nonzero")
@@ -133,27 +134,45 @@ def recover_partitions(residual: IntPoly) -> list[Partition]:
     product = sig[k] if k >= 3 else None
     if sig[1] < k or (product is not None and product < 1):
         return []
-
-    def splits(total: int, count: int, cap: int, product: int | None) -> Iterator[tuple[int, ...]]:
-        if count == 1:
-            if product is None or product == total:
-                yield (total,)
-            return
-        for d in range(min(cap, total - count + 1), -(-total // count) - 1, -1):
-            if product is not None:
-                if d**count < product:
-                    break
-                if product % d:
-                    continue
-            left = None if product is None else product // d
-            for tail in splits(total - d, count - 1, d, left):
-                yield (d, *tail)
-
     return sorted(
         Partition(parts)
-        for parts in splits(sig[1], k, sig[1], product)
+        for parts in _splits(sig[1], k, sig[1], product)
         if _flat_residual(parts) == residual
     )
+
+
+def _splits(
+    total: int, count: int, cap: int, product: int | None
+) -> Iterator[tuple[int, ...]]:
+    """Non-increasing count-tuples of positive parts, each at most cap, with
+    sum total and, unless product is None, that product; descending lex.
+
+    The largest part d lies in [ceil(total / count), min(cap, total -
+    count + 1)] and, with a product, divides it with d**count >= product.
+    When the cofactors product // d of that range are fewer than its
+    candidates, the cofactors are walked upward instead, which meets the
+    same d in the same descending order: a product such as that of
+    (n - 2, 1, 1) then costs two divisions, not a scan of 2n / 3 values.
+    """
+    if count == 1:
+        if product is None or product == total:
+            yield (total,)
+        return
+    high, low = min(cap, total - count + 1), -(-total // count)
+    parts: Iterator[int] = iter(range(high, low - 1, -1))
+    if product is not None:
+        first, last = -(-product // high), product // low
+        if last - first < high - low:
+            parts = (product // c for c in range(first, last + 1) if not product % c)
+    for d in parts:
+        if product is not None:
+            if d**count < product:
+                break
+            if product % d:
+                continue
+        left = None if product is None else product // d
+        for tail in _splits(total - d, count - 1, d, left):
+            yield (d, *tail)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,12 @@ The exact side (root counts, multiplicities) is authoritative; the
 numeric companion is a Householder tridiagonalisation followed by
 implicit-shift QL, and every report cross-checks the two views.
 Tolerances are fixed here: 1e-12 relative for QL deflation, 1e-8 for
-exact/numeric comparisons, 1e-6 for scaled polynomial residuals.
+exact/numeric comparisons, 1e-6 for scaled polynomial residuals.  The
+tridiagonalisation skips a row whose off-diagonal 1-norm on the scaled
+matrix is at most EIGEN_CONVERGENCE instead of reflecting it; by Weyl's
+inequality all the skips together move no eigenvalue by more than
+(n - 2) * EIGEN_CONVERGENCE times the scale, and since S + I of K_P has
+rank k, a K_P spectrum costs about k reflections instead of n - 2.
 """
 
 from __future__ import annotations
@@ -64,6 +69,20 @@ def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
     (EISPACK tred2 without accumulating the transformations).  Step i
     reflects the leading i x i block and rebuilds its rows at length i,
     so every dot product is one fsum over two whole rows.
+
+    Row i counts as already reduced when the 1-norm of its off-diagonal
+    part, row[:i], is at most EIGEN_CONVERGENCE: e[i] keeps row[i - 1],
+    row[:i - 1] is dropped and the leading block is left as it is.  The
+    dropped part v is a symmetric perturbation e_i v^T + v e_i^T of the
+    current (orthogonally similar) matrix, whose eigenvalues are
+    +-||v||_2 <= ||v||_1 <= EIGEN_CONVERGENCE, so by Weyl's inequality one
+    skip moves no eigenvalue by more than EIGEN_CONVERGENCE, and the n - 2
+    steps that can skip move none by more than (n - 2) * EIGEN_CONVERGENCE.
+    symmetric_eigenvalues scales the largest entry into [0.5, 1) first,
+    so that is (n - 2) * EIGEN_CONVERGENCE * 2^shift on the caller's
+    matrix, the same absolute scale as _tql1's deflation.  S + I of K_P
+    has rank k, so after about k reflections every row left is roundoff
+    and is skipped; a dense matrix skips none.
     """
     n = len(a)
     d = [0.0] * n
@@ -72,7 +91,7 @@ def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
         row = a[i]
         d[i] = row[i]
         scale = math.fsum(map(abs, row[:i]))
-        if i == 1 or scale == 0.0:
+        if i == 1 or scale <= EIGEN_CONVERGENCE:
             e[i] = row[i - 1]
             continue
         u = [v / scale for v in row[:i]]
@@ -101,8 +120,10 @@ def _tql1(d: list[float], e: list[float]) -> list[float]:
     into [0.5, 1), so the 1 is at most twice that entry: it lets a
     coupling between two zero diagonal entries deflate (the QL shift
     cannot pass through it), and a deflation still moves an eigenvalue
-    by at most 4 * EIGEN_CONVERGENCE times the matrix norm.  Each
-    eigenvalue gets at most _MAX_QL_ITERATIONS QL steps.  d is
+    by at most 4 * EIGEN_CONVERGENCE times the matrix norm; the rows that
+    _tridiagonalize skips as already reduced add at most (n - 2) *
+    EIGEN_CONVERGENCE on the same scale (the proof is in its docstring).
+    Each eigenvalue gets at most _MAX_QL_ITERATIONS QL steps.  d is
     overwritten and returned.
     """
     n = len(d)
@@ -307,7 +328,14 @@ def roots_below(p: IntPoly, c: int, assume_real_rooted: bool = False) -> int:
 def roots_in_open_interval(
     p: IntPoly, a: int, b: int, assume_real_rooted: bool = False
 ) -> int:
-    """Roots with multiplicity in the open interval (a, b), integer endpoints."""
+    """Roots with multiplicity in the open interval (a, b), integer endpoints.
+
+    An empty interval (b <= a) holds no root.
+    """
+    if p.is_zero():
+        raise ZeroPolynomialError("the zero polynomial has no root count")
+    if b <= a:
+        return 0
     below_b = roots_below(p, b, assume_real_rooted)
     below_a = roots_below(p, a, assume_real_rooted=True)
     return below_b - below_a - exact_root_multiplicity(p, a)

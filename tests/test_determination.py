@@ -1,6 +1,6 @@
 import gc
 from functools import cache
-from math import comb
+from math import comb, prod
 from operator import mul
 
 import pytest
@@ -165,11 +165,30 @@ class TestRecoverPartitions:
     def test_large_orders_recover_themselves(self):
         # the parts are split from the forced sum and product, so no sigma_2
         # is swept: the cost does not grow with the square of the order
-        for parts in ((998, 1, 1), (9998, 1, 1)):
+        # nor with the order itself: (n - 2, 1, 1) walks two cofactors
+        for parts in ((998, 1, 1), (9998, 1, 1), (99_999_998, 1, 1)):
             # the coefficient formula alone; the factored form would first
             # expand the residual times (x+1)^(n-k)
             residual = _flat_residual(parts)
             assert recover_partitions(residual) == [Partition(parts)]
+
+    def test_splits_are_the_partitions_with_the_forced_product(self):
+        # every (n, k, product) with n <= 18, products one past the largest
+        # included: the splits, in order, are the partitions of n into k
+        # parts with that product (any product below three parts)
+        for n in range(1, 19):
+            for k in range(1, n + 1):
+                by_product: dict[int, list[tuple[int, ...]]] = {}
+                every = []
+                for p in partitions_of(n, k):
+                    by_product.setdefault(prod(p.parts), []).append(p.parts)
+                    every.append(p.parts)
+                if k < 3:
+                    assert list(determination._splits(n, k, n, None)) == every
+                    continue
+                for product in range(1, max(by_product) + 2):
+                    got = list(determination._splits(n, k, n, product))
+                    assert got == by_product.get(product, []), (n, k, product)
 
     def test_candidates_are_not_expanded(self, monkeypatch):
         # a candidate is checked by its residual alone, never by assembling

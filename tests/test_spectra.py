@@ -121,6 +121,15 @@ def reference_jacobi(m) -> list[float]:
     raise AssertionError("reference Jacobi did not converge")
 
 
+def reference_tol(m) -> float:
+    # 1e-9 times the Frobenius norm, at least 1e-9
+    return 1e-9 * max(1.0, math.sqrt(sum(float(v) ** 2 for row in m for v in row)))
+
+
+def numpy_eigenvalues(m) -> list[float]:
+    return sorted(np.linalg.eigvalsh(np.array(m, dtype=float)), reverse=True)
+
+
 ENTRY = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
 
@@ -172,6 +181,19 @@ def scaled_all_ones(draw):
     return [[diag if i == j else a for j in range(n)] for i in range(n)]
 
 
+@st.composite
+def shifted_low_rank(draw):
+    # sigma I + sum of r <= 3 outer products v v^T: after about r
+    # reflections every row left is roundoff, which the reduction skips
+    n = draw(st.integers(1, 24))
+    sigma = draw(ENTRY)
+    vectors = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n), max_size=3))
+    return [
+        [(sigma if i == j else 0.0) + math.fsum(v[i] * v[j] for v in vectors) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 multipartite_seidel = (
     st.lists(st.integers(1, 6), min_size=1, max_size=6)
     .filter(lambda parts: sum(parts) <= 24)
@@ -187,6 +209,7 @@ SYMMETRIC_MATRICES = st.one_of(
     tridiagonal(),
     scaled_all_ones(),
     multipartite_seidel,
+    shifted_low_rank(),
 )
 
 ORDER_64 = seidel_matrix(complete_multipartite([17, 16, 10, 8, 4, 4, 3, 2])).rows
@@ -244,10 +267,49 @@ class TestJacobi:
     @example(m=[[0, 1, 0, 0], [1, 0, 2.5e-130, 0], [0, 2.5e-130, 0, 7e-234], [0, 0, 7e-234, 0]])
     def test_matches_jacobi_and_numpy(self, m):
         got = symmetric_eigenvalues(m)
-        tol = 1e-9 * max(1.0, math.sqrt(sum(float(v) ** 2 for row in m for v in row)))
-        assert got == pytest.approx(reference_jacobi(m), abs=tol)
-        want = sorted(np.linalg.eigvalsh(np.array(m, dtype=float)), reverse=True)
-        assert got == pytest.approx(want, abs=tol)
+        assert got == pytest.approx(reference_jacobi(m), abs=reference_tol(m))
+        assert got == pytest.approx(numpy_eigenvalues(m), abs=reference_tol(m))
+
+    @pytest.mark.parametrize("n", range(16, 65, 8))
+    def test_large_multipartite_matches_numpy(self, n):
+        # one K_P per order 16, 24, ..., 64, 3 to 8 parts, as in the
+        # benchmark's large workload; all but about k rows are skipped
+        rng = random.Random(n)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(3, 8) - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+        m = seidel_matrix(complete_multipartite(parts)).rows
+        got = symmetric_eigenvalues(m)
+        assert got == pytest.approx(numpy_eigenvalues(m), abs=reference_tol(m))
+
+    @pytest.mark.parametrize("size, noise", [(1, 3), (2, 1), (5, 4), (8, 8)])
+    def test_roundoff_rows_leave_the_leading_block_alone(self, size, noise):
+        # rows whose off-diagonal 1-norm is at most EIGEN_CONVERGENCE after a
+        # dense block B count as reduced: B's (d, e) is what B alone gives,
+        # where reflecting the noise would rotate B
+        rng = random.Random(size * 100 + noise)
+        n = size + noise
+        a = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                v = rng.uniform(-1, 1)
+                if size <= i and j < i:
+                    v *= spectra.EIGEN_CONVERGENCE / (2 * i)
+                a[i][j] = a[j][i] = v
+        block = [row[:size] for row in a[:size]]
+        d, e = spectra._tridiagonalize([row[:] for row in a])
+        d_block, e_block = spectra._tridiagonalize(block)
+        assert d[:size] == d_block and e[:size] == e_block
+        assert d[size:] == [a[i][i] for i in range(size, n)]
+        assert e[size:] == [a[i][i - 1] for i in range(size, n)]
+
+    def test_skip_threshold_is_eigen_convergence(self):
+        # a last row of off-diagonal 1-norm exactly EIGEN_CONVERGENCE is
+        # skipped; at twice that it is reflected, which swaps the block's rows
+        tiny = spectra.EIGEN_CONVERGENCE
+        for off, skipped in ((tiny, True), (2 * tiny, False)):
+            a = [[0.5, 0.25, off], [0.25, -0.5, 0.0], [off, 0.0, 0.125]]
+            d, e = spectra._tridiagonalize(a)
+            assert (d == [0.5, -0.5, 0.125] and e[2] == 0.0) is skipped
 
     @pytest.mark.parametrize(
         "m",
@@ -312,6 +374,13 @@ class TestRootCounting:
         assert roots_in_open_interval(p, 0, 2) == 2
         assert roots_in_open_interval(p, 0, 1) == 0
         assert roots_in_open_interval(p, -1, 6) == 5
+
+    def test_empty_interval_holds_no_root(self):
+        assert roots_in_open_interval(IntPoly.from_roots([1]), 2, 0) == 0
+        assert roots_in_open_interval(IntPoly.from_roots([1]), 1, 1) == 0
+        assert roots_in_open_interval(IntPoly.from_roots([1, 1, 3]), 1, 1) == 0
+        with pytest.raises(ZeroPolynomialError):
+            roots_in_open_interval(IntPoly([]), 1, 1)
 
     def test_sturm_distinct_counts(self):
         assert sturm_distinct_real_roots(IntPoly([-1, 0, 1])) == 2
