@@ -229,14 +229,14 @@ def cmd_switch_equiv(args) -> int:
     h = graph6_decode(args.g6[1])
     if g.n != h.n:
         if args.json:
-            print(json.dumps({"equivalent": False, "reason": "orders differ"}))
+            _print_json({"equivalent": False, "reason": "orders differ"})
         else:
             print("not equivalent (orders differ)")
         return EXIT_NO
     witness = switching_equivalent(g, h)
     if witness is None:
         if args.json:
-            print(json.dumps({"equivalent": False}))
+            _print_json({"equivalent": False})
         else:
             print("not equivalent")
         return EXIT_NO

@@ -440,26 +440,34 @@ def spectrum_report(partition) -> SpectrumReport:
     count, extra eigenvalues below -1, broken interlacing, broken bound)
     raise TheoremViolationError; exact/numeric disagreements raise
     ConsistencyError.
+
+    The -1 multiplicity, the real-rootedness and the count below -1 are
+    taken on the degree-k residual: ``charpoly_coefficients`` assembles the
+    full polynomial as exactly (x+1)^(n-k) times the residual, so -1 has
+    multiplicity n - k plus its multiplicity in the residual, the product is
+    real-rooted iff the residual is (the other factor is), and (x+1)^(n-k)
+    has no root below -1.  The positive count and the numeric residuals
+    are still taken on the full polynomial.
     """
     p = partition if isinstance(partition, Partition) else Partition(partition)
     n, k = p.n, p.k
     factored = charpoly_coefficients(p)
-    full = factored.expanded
+    full, residual = factored.expanded, factored.residual
     structure = eigenvalue_intervals(p)
 
-    minus_one = exact_root_multiplicity(full, -1)
+    minus_one = factored.ones_exponent + exact_root_multiplicity(residual, -1)
     if minus_one != structure.minus_one_multiplicity:
         raise TheoremViolationError(
             f"{p}: -1 multiplicity {minus_one}, expected {structure.minus_one_multiplicity}"
         )
-    if not is_real_rooted(full):
+    if not is_real_rooted(residual):
         raise ConsistencyError(f"{p}: Seidel polynomial is not real-rooted")
     positives = positive_root_count(full, assume_real_rooted=True)
     if positives != structure.positive_count:
         raise TheoremViolationError(
             f"{p}: {positives} positive roots, expected {structure.positive_count}"
         )
-    below = roots_below(full, -1, assume_real_rooted=True)
+    below = roots_below(residual, -1, assume_real_rooted=True)
     expected_below = 1 if structure.least_is_simple_below_minus_one else 0
     if below != expected_below:
         raise TheoremViolationError(
@@ -493,7 +501,7 @@ def spectrum_report(partition) -> SpectrumReport:
         symmetric_eigenvalues(symmetrize_quotient(quotient_matrix(p), p))
     )
     quotient_residual = max(
-        abs(factored.residual(e)) / (1.0 + abs(e)) ** k
+        abs(residual(e)) / (1.0 + abs(e)) ** k
         for e in quotient_eigs
     )
     if quotient_residual > RESIDUAL_TOL:

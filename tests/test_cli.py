@@ -5,7 +5,9 @@ import tracemalloc
 
 import pytest
 
+import seidelspec.cli as cli
 import seidelspec.determination as determination
+import seidelspec.verify as verify
 from seidelspec import CapExceededError, InvalidPartitionError, Partition
 from seidelspec.cli import main
 from seidelspec.verify import (
@@ -271,6 +273,24 @@ class TestVerify:
         with pytest.raises(ValueError, match="frobnicate"):
             run_suites(["closedform", "frobnicate"], max_n=1)
 
+    def test_rebound_suite_runs_with_the_seed(self, capsys, monkeypatch):
+        # the span tracer rebinds verify.switching_suite after the first
+        # calls; the rebound function must run and get --seed
+        seen = []
+        original = verify.switching_suite
+
+        def recorded(**options):
+            seen.append(options)
+            return original(**options)
+
+        assert run(capsys, "verify", "--suite", "switching", "--max-n", "4")[0] == 0
+        monkeypatch.setattr(verify, "switching_suite", recorded)
+        (result,) = run_suites(["switching"], max_n=4, seed=7)
+        assert result.passed
+        code, out, _ = run(capsys, "verify", "--suite", "switching", "--max-n", "4", "--seed", "8")
+        assert code == 0 and "PASS switching" in out
+        assert seen == [{"max_n": 4, "seed": 7}, {"max_n": 4, "seed": 8}]
+
     def test_bounds_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bounds", "--max-n", "6", "--json")
         assert code == 0
@@ -309,6 +329,53 @@ class TestSwitchEquiv:
     def test_single_input_rejected(self, capsys):
         code, _, err = run(capsys, "switch-equiv", "--g6", "C]")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "pair, payload",
+        [
+            (("C?", "B?"), {"equivalent": False, "reason": "orders differ"}),
+            (("Bw", "B?"), {"equivalent": False}),
+        ],
+        ids=["orders-differ", "not-equivalent"],
+    )
+    def test_json_not_equivalent(self, capsys, pair, payload):
+        code, out, _ = run(capsys, "switch-equiv", "--g6", pair[0], "--g6", pair[1], "--json")
+        assert code == 1
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+
+class TestRepeatedCalls:
+    """main called many times in one process starts afresh every call."""
+
+    def test_usage_error_then_good_call(self, capsys):
+        code, out, err = run(capsys, "charpoly", "3,2,1", "--form", "nope")
+        assert code == 2 and out == "" and "nope" in err
+        code, out, _ = run(capsys, "charpoly", "3,2,1", "--form", "product")
+        assert code == 0
+        assert "(x+1)^3 * (x^3-3x^2-9x+19)" in out
+
+    def test_g6_lists_fresh_per_call(self, capsys):
+        code, out, _ = run(capsys, "switch-equiv", "--g6", "C]", "--g6", "C?")
+        assert code == 0 and "switch at" in out
+        # inputs left over from the first call would make three
+        code, out, _ = run(capsys, "switch-equiv", "--g6", "Bw", "--g6", "B?")
+        assert code == 1 and out == "not equivalent\n"
+        code, _, err = run(capsys, "switch-equiv", "--g6", "C]")
+        assert code == 2 and "exactly two" in err
+
+    def test_json_does_not_leak(self, capsys):
+        code, out, _ = run(capsys, "quotient", "2,1", "--json")
+        assert code == 0 and json.loads(out)["partition"] == "2,1"
+        code, out, _ = run(capsys, "quotient", "2,1")
+        assert code == 0 and out.startswith("partition: 2,1\n")
+
+    def test_rebound_handler_runs(self, capsys, monkeypatch):
+        # the span tracer rebinds cli.cmd_* after the first calls
+        assert run(capsys, "charpoly", "3,2,1")[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_charpoly", lambda args: seen.append(args.partition) or 0)
+        assert run(capsys, "charpoly", "2,1") == (0, "", "")
+        assert seen == ["2,1"]
 
 
 class TestUsage:

@@ -494,6 +494,32 @@ class TestSpectrumReport:
                     for e, (lo, hi) in zip(ref, r.structure.intervals)
                 ], p
 
+    def test_residual_counts_match_full_polynomial(self):
+        # the report counts on the degree-k residual; the sweep holds
+        # (3,3) and (1,1), whose residuals themselves vanish at -1
+        extra = [[17, 16, 10, 8, 4, 4, 3, 2], [64]]
+        sweep = [p for n in range(1, 17) for p in partitions_of(n)]
+        for p in sweep + [Partition(parts) for parts in extra]:
+            r = spectrum_report(p)
+            full, residual = r.charpoly.expanded, r.charpoly.residual
+            assert r.minus_one_multiplicity == exact_root_multiplicity(full, -1), p
+            assert r.roots_below_minus_one == roots_below(full, -1), p
+            assert is_real_rooted(residual) == is_real_rooted(full) is True, p
+            if p.parts in ((3, 3), (1, 1)):
+                assert exact_root_multiplicity(residual, -1) == 1, p
+
+    def test_sturm_chain_only_on_the_residual(self, monkeypatch):
+        degrees = []
+        original = spectra.is_real_rooted
+
+        def recorded(p):
+            degrees.append(p.degree)
+            return original(p)
+
+        monkeypatch.setattr(spectra, "is_real_rooted", recorded)
+        spectrum_report(Partition([17, 16, 10, 8, 4, 4, 3, 2]))
+        assert degrees == [8]
+
     def test_json_schema(self):
         payload = spectrum_report(Partition([3, 2, 1])).to_json_dict()
         text = json.dumps(payload)
