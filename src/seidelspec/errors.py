@@ -37,10 +37,6 @@ class GraphFormatError(SeidelSpecError, ValueError):
     """Malformed graph6 input."""
 
 
-class ZeroVectorError(SeidelSpecError, ValueError):
-    """Rayleigh quotient of the zero vector is undefined."""
-
-
 class AsymmetryError(SeidelSpecError, ValueError):
     """Matrix is not symmetric within tolerance."""
 

@@ -15,7 +15,6 @@ from .errors import (
     ConsistencyError,
     DimensionError,
     ExactDivisionError,
-    NonMonicError,
 )
 
 
@@ -390,39 +389,3 @@ def sigma_l(values: Sequence[int], l: int) -> list[int]:
     rest = list(values[: l - 1]) + list(values[l:])
     return [0] + [v * e for e in elementary_symmetric(rest)]
 
-
-def _divisors(m: int) -> list[int]:
-    m = abs(m)
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
-def integer_root_multiset(p: IntPoly):
-    """All integer roots with multiplicity, or None if p does not split.
-
-    Requires p monic.  Every integer root is 0 or divides the lowest
-    nonzero coefficient; a candidate with p(candidate) = 0 has as its
-    multiplicity the number of leading zeros of ``p.taylor(candidate)``.
-    p splits, and the sorted roots are returned, iff these sum to its degree.
-    """
-    if p.is_zero() or not p.is_monic():
-        raise NonMonicError("integer root extraction requires a monic polynomial")
-    low = next(c for c in p.coeffs if c)
-    roots: list[int] = []
-    for cand in (0, *(s * d for d in _divisors(low) for s in (1, -1))):
-        if p(cand) == 0:
-            for a in p.taylor(cand):
-                if a:
-                    break
-                roots.append(cand)
-    if len(roots) != p.degree:
-        return None
-    return tuple(sorted(roots))

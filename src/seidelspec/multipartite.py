@@ -26,7 +26,6 @@ from .errors import (
     DimensionError,
     EmptyPartitionError,
     InvalidPartitionError,
-    ZeroVectorError,
 )
 from .exactalg import IntMatrix, IntPoly, _lane_width, elementary_symmetric, sigma_l
 
@@ -406,17 +405,6 @@ def symmetrize_quotient(b: IntMatrix, p: Partition) -> list[list[float]]:
         [b.rows[i][j] * math.sqrt(ns[i] / ns[j]) for j in range(k)]
         for i in range(k)
     ]
-
-
-def rayleigh_quotient(m: Sequence[Sequence[float]], x: Sequence[float]) -> float:
-    """x^T M x / x^T x for a real symmetric matrix."""
-    if all(v == 0 for v in x):
-        raise ZeroVectorError("Rayleigh quotient of the zero vector")
-    num = 0.0
-    for i, row in enumerate(m):
-        num += x[i] * math.fsum(row[j] * x[j] for j in range(len(x)))
-    den = math.fsum(v * v for v in x)
-    return num / den
 
 
 @dataclass(frozen=True)

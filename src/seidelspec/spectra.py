@@ -274,11 +274,6 @@ def _chain_real_roots(chain: list[IntPoly]) -> int:
     return _sign_changes(at_minus) - _sign_changes(at_plus)
 
 
-def sturm_distinct_real_roots(p: IntPoly) -> int:
-    """Number of distinct real roots, from sign variations at -inf and +inf."""
-    return _chain_real_roots(sturm_chain(p))
-
-
 def is_real_rooted(p: IntPoly) -> bool:
     """True iff every complex root of p is real (certified exactly).
 

@@ -133,6 +133,42 @@ class TestSpectrumBoundQuotient:
         assert "bound: -3.0" in out
         assert "tight" in out and "yes" in out
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("2,2,2",),
+                "ba22ff22fb774e6d1789ace9930c67e75b2b4d1ab6fe1d7afe43c76923d78d1a",
+            ),
+            (
+                ("17,16,10,8,4,4,3,2", "--json"),
+                "5e598cd343034b5ce9a51b2cef1ae2ef99765a8d59a5e13735cbb200d2d7b4cb",
+            ),
+            (
+                ("64*1", "--json"),
+                "1184d0ae74ba2ca58e84d34712b8fd430764f07473c810ca7fd38d90869e05e0",
+            ),
+        ],
+    )
+    def test_bound_output_pinned(self, capsys, argv, digest):
+        # SHA-256 of stdout recorded when bound solved and compared on its
+        # own; reading the verdict from spectrum_report must not change a byte
+        code, out, _ = run(capsys, "bound", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_bound_violation_exits_3(self, capsys, monkeypatch):
+        # a bound below the least eigenvalue (-3 for 2,2,2) is refused by
+        # the report, and bound prints nothing to stdout
+        import seidelspec.spectra as spectra
+
+        low = spectra.least_eigenvalue_bound(Partition([5, 5, 5]))
+        monkeypatch.setattr(spectra, "least_eigenvalue_bound", lambda p: low)
+        code, out, err = run(capsys, "bound", "2,2,2")
+        assert code == 3
+        assert out == ""
+        assert "above bound" in err
+
     def test_quotient(self, capsys):
         code, out, _ = run(capsys, "quotient", "1,1")
         assert code == 0

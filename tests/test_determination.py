@@ -23,7 +23,6 @@ from seidelspec import (
     cospectral_classes,
     exhaustive_switching_survey,
     forced_rule,
-    integer_root_multiset,
     normalize_at,
     partitions_of,
     recover_partitions,
@@ -62,6 +61,18 @@ class TestPartitionsOf:
         assert list(partitions_of(0)) == []
 
 
+def positive_integer_roots(p: IntPoly):
+    # the roots of monic p if all are positive integers, else None; each is
+    # then at most their sum -coeffs[-2], so trial evaluation and exact
+    # deflation over 1..sum find them all
+    roots = []
+    for r in range(1, -p.coeffs[-2] + 1):
+        while p.degree > 0 and p(r) == 0:
+            roots.append(r)
+            p = p.divexact(IntPoly([-r, 1]))
+    return roots if p.degree == 0 else None
+
+
 def reference_recover(residual: IntPoly) -> list[Partition]:
     # the coefficient formula inverted by hand: sigma_1 from x^(k-1), the
     # x^(k-2) check, then sigma_m for m >= 3 with the i = 0, 1 terms peeled
@@ -95,8 +106,8 @@ def reference_recover(residual: IntPoly) -> list[Partition]:
         for i in range(k + 1):
             v = sig2 if i == 2 else sig[i]
             coeffs[k - i] = v if i % 2 == 0 else -v
-        roots = integer_root_multiset(IntPoly(coeffs))
-        if roots is None or roots[0] < 1:
+        roots = positive_integer_roots(IntPoly(coeffs))
+        if roots is None:
             continue
         cand = Partition(roots)
         if charpoly_coefficients(cand).residual == residual:

@@ -10,10 +10,8 @@ from seidelspec import (
     ExactDivisionError,
     IntMatrix,
     IntPoly,
-    NonMonicError,
     charpoly_oracle,
     elementary_symmetric,
-    integer_root_multiset,
     sigma_l,
 )
 
@@ -216,30 +214,3 @@ class TestSigmaL:
                 )
                 assert got[i] == expect
 
-
-class TestIntegerRoots:
-    def test_split_example(self):
-        assert integer_root_multiset(IntPoly([-6, 11, -6, 1])) == (1, 2, 3)
-
-    def test_irreducible(self):
-        assert integer_root_multiset(IntPoly([1, 0, 1])) is None
-
-    def test_repeated_zero(self):
-        assert integer_root_multiset(IntPoly([0, 0, 1])) == (0, 0)
-
-    def test_requires_monic(self):
-        with pytest.raises(NonMonicError):
-            integer_root_multiset(IntPoly([1, 2]))
-        with pytest.raises(NonMonicError):
-            integer_root_multiset(IntPoly([]))
-
-    def test_roundtrip_random(self):
-        rng = random.Random(8)
-        for _ in range(40):
-            roots = sorted(rng.randint(-6, 6) for _ in range(rng.randint(1, 6)))
-            assert integer_root_multiset(IntPoly.from_roots(roots)) == tuple(roots)
-
-    def test_partial_split_is_rejected(self):
-        # (x - 2)(x^2 + 1) has an integer root but does not split
-        p = IntPoly.from_roots([2]) * IntPoly([1, 0, 1])
-        assert integer_root_multiset(p) is None

@@ -4,9 +4,8 @@ Each kernel is checked against the plainer code it replaced, kept here as
 the reference: root multiplicity by evaluating p(r) and then dividing
 exactly by x - r, the shift x = c - t and the Taylor coefficients by
 Horner composition of IntPoly products, the (x+1)^e factor as a repeated
-IntPoly power, the coefficient formula as a per-term loop, integer root
-extraction as zero peeling then Horner-checked exact deflation, and the
-search's packed key as the expanded polynomial of the coefficient formula.
+IntPoly power, the coefficient formula as a per-term loop, and the search's
+packed key as the expanded polynomial of the coefficient formula.
 """
 
 from math import comb
@@ -21,11 +20,10 @@ from seidelspec import (
     charpoly_coefficients,
     descartes_sign_changes,
     exact_root_multiplicity,
-    integer_root_multiset,
     roots_below,
 )
 from seidelspec.determination import COSPECTRAL_CAP, _partition_walk
-from seidelspec.exactalg import _divisors, elementary_symmetric
+from seidelspec.exactalg import elementary_symmetric
 from seidelspec.multipartite import key_poly, key_weights
 
 small_ints = st.integers(-6, 6)
@@ -67,24 +65,6 @@ def reference_residual(parts) -> IntPoly:
             c += term if (i - 1) % 2 == 0 else -term
         out[k - m] = c
     return IntPoly(out)
-
-
-def reference_roots(p: IntPoly):
-    # zero roots peeled first, then each divisor candidate deflated away
-    roots = []
-    work = p
-    while work.degree > 0 and work.coeffs[0] == 0:
-        roots.append(0)
-        work = work.divexact(IntPoly([0, 1]))
-    if work.degree > 0:
-        for d in _divisors(work.coeffs[0]):
-            for cand in (d, -d):
-                while work.degree > 0 and work(cand) == 0:
-                    roots.append(cand)
-                    work = work.divexact(IntPoly([-cand, 1]))
-    if work.degree != 0:
-        return None
-    return tuple(sorted(roots))
 
 
 @settings(max_examples=300, deadline=None)
@@ -134,20 +114,6 @@ def test_coefficient_formula_matches_per_term_loop(parts):
     assert charpoly_coefficients(Partition(parts)).residual == reference_residual(
         sorted(parts, reverse=True)
     )
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    roots=st.lists(small_ints, max_size=8),
-    cofactor=st.lists(st.integers(-12, 12), max_size=3),
-)
-def test_integer_roots_match_deflation(roots, cofactor):
-    # a monic cofactor of degree 0..3 may or may not split further
-    p = IntPoly.from_roots(roots) * IntPoly([*cofactor, 1])
-    got = integer_root_multiset(p)
-    assert got == reference_roots(p)
-    if not cofactor:
-        assert got == tuple(sorted(roots))
 
 
 def unpacked_key(n: int, parts, sig) -> IntPoly:
