@@ -36,9 +36,8 @@ from .graphs import (
 from .multipartite import (
     Partition,
     _flat_residual,
-    charpoly_coefficients,
-    key_poly,
-    key_weights,
+    _ones_power,
+    _sigma_residual,
     residual_weights,
 )
 from .spectra import exact_root_multiplicity, roots_in_open_interval
@@ -177,10 +176,22 @@ def _splits(
 
 @dataclass(frozen=True)
 class CospectralClass:
-    """Partitions sharing one exact Seidel characteristic polynomial."""
+    """Partitions sharing one exact Seidel characteristic polynomial.
 
-    charpoly: IntPoly
+    ``residual`` is the degree-k residual of the class's first partition
+    found.  Every partition with at most two parts has the polynomial
+    (x+1)^(n-1) (x+1-n), so in that class the residual may be of degree 1
+    or 2 whatever ``partitions[0]`` is; ``charpoly`` reads the degree off
+    the residual itself.
+    """
+
+    residual: IntPoly
     partitions: tuple[Partition, ...]
+
+    @property
+    def charpoly(self) -> IntPoly:
+        """The expanded polynomial, residual * (x+1)^(n - degree)."""
+        return self.residual * _ones_power(self.partitions[0].n - self.residual.degree)
 
     @property
     def degenerate_bipartite(self) -> bool:
@@ -192,14 +203,18 @@ def cospectral_classes(n: int, k: int | None = None) -> list[CospectralClass]:
     """Group all partitions of n (optionally with k parts) by exact spectrum.
 
     One walk of the partition tree gives each partition's elementary
-    symmetric functions, and its key is their dot product with
-    ``key_weights(n, k)``: the expanded polynomial from the coefficient
-    formula, packed into one int.  Keying on the expanded polynomial rather
-    than the residual keeps the two-part degeneracy (all partitions into at
-    most two parts share one polynomial).  Each class's key is unpacked
-    once into its polynomial.  Partitions with different part counts, at
-    least one above two, must never share a polynomial (their -1
-    multiplicities differ); that is checked, not assumed.
+    symmetric functions sigma, and its key is (sigma_3, ..., sigma_k).
+    With k parts the polynomial is (x+1)^(n-k) times the degree-k residual,
+    whose coefficients are the rows of ``residual_weights(k)`` applied to
+    sigma: sigma_1 = n, sigma_2 has weight 0 in every row, and row m >= 3
+    gives sigma_m a nonzero weight, so two partitions with k parts share a
+    polynomial iff they share the key.  The key has k - 2 entries, so
+    partitions with different k >= 3 never share one, and every partition
+    with at most two parts gets the key (), the two-part degeneracy.  That
+    no two classes share a polynomial either is checked, not assumed: a
+    residual with k >= 3 has value (-2)^(k-1) (k-2) sigma_k at -1, which
+    must not vanish, so -1 has multiplicity exactly n - k and the
+    polynomial fixes k.
     """
     if n < 1:
         raise InvalidPartitionError(f"cospectral search needs order n >= 1, got {n}")
@@ -209,21 +224,20 @@ def cospectral_classes(n: int, k: int | None = None) -> list[CospectralClass]:
         raise CapExceededError(
             f"cospectral search is capped at order {COSPECTRAL_CAP}, got {n}"
         )
-    groups: dict[int, list[tuple[int, ...]]] = {}
+    groups: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
     for parts, sig in _partition_walk(n, k):
-        key = sum(map(mul, sig, key_weights(n, len(parts))))
-        groups.setdefault(key, []).append(parts)
+        groups.setdefault(tuple(sig[3:]), (sig, []))[1].append(parts)
     classes = []
-    # member lists are disjoint, so the sort never compares keys
-    for members, key in sorted((sorted(ps), key) for key, ps in groups.items()):
+    # member lists are disjoint, so the sort never compares sigmas
+    for members, sig in sorted((sorted(ps), sig) for sig, ps in groups.values()):
         partitions = tuple(map(Partition, members))
-        ks = {p.k for p in partitions}
-        if len(ks) > 1 and max(ks) > 2:
+        residual = _sigma_residual(sig)
+        if residual.degree >= 3 and not residual(-1):
             raise TheoremViolationError(
-                "partitions with different part counts share a spectrum: "
-                + "; ".join(str(p) for p in partitions)
+                f"the residual of {partitions[0]} vanishes at -1, so its "
+                "polynomial does not fix the part count"
             )
-        classes.append(CospectralClass(key_poly(key, n), partitions))
+        classes.append(CospectralClass(residual, partitions))
     return classes
 
 
@@ -257,9 +271,10 @@ def forced_rule(p: Partition) -> str | None:
 
 
 def _build_verdict(
-    p: Partition, mates: tuple[Partition, ...], full: IntPoly
+    p: Partition, mates: tuple[Partition, ...], residual: IntPoly
 ) -> ForcedSizeVerdict:
-    # full is the expanded Seidel polynomial of p, read by the evidence checks
+    # the evidence is read off p's degree-k residual: the full polynomial
+    # only adds (x+1)^(n-k), which has no root at 1, 3, 2s - 1 or in (0, 1)
     rule = forced_rule(p)
     if rule == "bipartite":
         # all partitions into at most two parts of the same order form one
@@ -273,19 +288,19 @@ def _build_verdict(
                     evidence.append(
                         (
                             f"root {2 * size - 1} multiplicity >= {r - 1}",
-                            exact_root_multiplicity(full, 2 * size - 1) >= r - 1,
+                            exact_root_multiplicity(residual, 2 * size - 1) >= r - 1,
                         )
                     )
         elif rule == "trailing_ones":
-            evidence.append(("root 1 present", exact_root_multiplicity(full, 1) >= 1))
+            evidence.append(("root 1 present", exact_root_multiplicity(residual, 1) >= 1))
             evidence.append(
                 (
                     "no root in (0,1)",
-                    roots_in_open_interval(full, 0, 1, assume_real_rooted=True) == 0,
+                    roots_in_open_interval(residual, 0, 1, assume_real_rooted=True) == 0,
                 )
             )
         elif rule == "trailing_2_2_1":
-            evidence.append(("root 3 present", exact_root_multiplicity(full, 3) >= 1))
+            evidence.append(("root 3 present", exact_root_multiplicity(residual, 3) >= 1))
     status = "s_determined_in_family" if not mates else "cospectral_mates_in_family"
     if rule is not None:
         if mates:
@@ -301,14 +316,14 @@ def _build_verdict(
 def check_forced_part_sizes(partition) -> ForcedSizeVerdict:
     """Verdict for one partition, recovering its cospectral family afresh."""
     p = partition if isinstance(partition, Partition) else Partition(partition)
-    f = charpoly_coefficients(p)
+    residual = _flat_residual(p.parts)
     if p.k <= 2:
-        return _build_verdict(p, (), f.expanded)
-    family = recover_partitions(f.residual)
+        return _build_verdict(p, (), residual)
+    family = recover_partitions(residual)
     if p not in family:
         raise ConsistencyError(f"recovery lost the partition {p}")
     mates = tuple(q for q in family if q != p)
-    return _build_verdict(p, mates, f.expanded)
+    return _build_verdict(p, mates, residual)
 
 
 @dataclass(frozen=True)
@@ -362,7 +377,7 @@ def verify_shared_part_property(n: int, k: int | None = None) -> DeterminationRe
                 violations.append((a, b, min(shared)))
         for p in cls.partitions:
             mates = tuple(q for q in cls.partitions if q != p and q.k == p.k)
-            verdicts.append(_build_verdict(p, mates, cls.charpoly))
+            verdicts.append(_build_verdict(p, mates, cls.residual))
     verdicts.sort(key=lambda v: v.partition)
     return DeterminationReport(
         order=n,

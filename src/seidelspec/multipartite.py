@@ -27,7 +27,7 @@ from .errors import (
     EmptyPartitionError,
     InvalidPartitionError,
 )
-from .exactalg import IntMatrix, IntPoly, _lane_width, elementary_symmetric, sigma_l
+from .exactalg import IntMatrix, IntPoly, elementary_symmetric, sigma_l
 
 
 def _excerpt(text: str) -> str:
@@ -137,6 +137,12 @@ def _linear(size: int) -> IntPoly:
     return IntPoly([1 - 2 * size, 1])
 
 
+@cache
+def _ones_power(e: int) -> IntPoly:
+    """(x+1)^e, built once per exponent."""
+    return IntPoly([comb(e, i) for i in range(e + 1)])
+
+
 @dataclass(frozen=True)
 class FactoredSeidelPoly:
     """A Seidel characteristic polynomial kept in factored form.
@@ -159,8 +165,7 @@ class FactoredSeidelPoly:
         residual: IntPoly,
         order: int,
     ) -> "FactoredSeidelPoly":
-        ones = IntPoly([comb(ones_exponent, i) for i in range(ones_exponent + 1)])
-        full = residual * ones
+        full = residual * _ones_power(ones_exponent)
         for size, exp in linear_factors:
             full = full * _linear(size) ** exp
         if full.degree != order or not full.is_monic():
@@ -228,70 +233,15 @@ def residual_weights(k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@cache
-def _key_layout(n: int) -> tuple[int, int, int]:
-    """(bytes per lane, bias, bound) of an order-n polynomial packed by
-    ``key_weights``: a lane is the oracle's Hadamard bound
-    ``_lane_width([n - 1] * n)`` for Seidel matrices of order n, every row
-    of squared norm n - 1, rounded up to whole bytes, the bias holds
-    half a lane in each of the n + 1 lanes, and a biased key lies in
-    [0, bound)."""
-    size = -(-_lane_width([n - 1] * n) // 8)
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * (n + 1), "little")
-    return size, bias, 1 << (8 * size * (n + 1))
-
-
-@cache
-def key_weights(n: int, k: int) -> tuple[int, ...]:
-    """Entry i packs column i of ``residual_weights(k)`` times (x+1)^(n-k),
-    the coefficient of x^j in lane j, so for a partition of n into k parts
-    with elementary symmetric functions sigma_0 .. sigma_k the key
-    sum(sigma_i * entry i) is its expanded Seidel polynomial packed into
-    signed lanes.  Every coefficient of a Seidel polynomial of order n fits
-    a lane, so equal keys mean equal polynomials.  Entry 2 is zero, since
-    sigma_2 drops out.  Built once per (n, k).
-    """
-    size = _key_layout(n)[0]
-    rows = residual_weights(k)
-    ones = IntPoly([comb(n - k, j) for j in range(n - k + 1)])
-    out = []
-    for i in range(k + 1):
-        column = IntPoly([rows[m][i] if m >= i else 0 for m in range(k, -1, -1)])
-        lanes = (column * ones).coeffs
-        out.append(sum(c << (8 * size * j) for j, c in enumerate(lanes)))
-    return tuple(out)
-
-
-def key_poly(key: int, n: int) -> IntPoly:
-    """The order-n polynomial packed in a ``key_weights`` key.
-
-    Adding the bias makes every lane nonnegative and XOR with it leaves
-    each lane's two's complement, which ``int.from_bytes`` reads back as
-    a right-sized int.  Raises ConsistencyError unless the polynomial is
-    monic of degree n.
-    """
-    size, bias, bound = _key_layout(n)
-    biased = key + bias
-    if not 0 <= biased < bound:
-        raise ConsistencyError(f"packed key overflows the {n + 1} lanes of order {n}")
-    raw = (biased ^ bias).to_bytes(size * (n + 1), "little")
-    poly = IntPoly(
-        [
-            int.from_bytes(raw[o : o + size], "little", signed=True)
-            for o in range(0, len(raw), size)
-        ]
-    )
-    if poly.degree != n or not poly.is_monic():
-        raise ConsistencyError(
-            f"unpacked polynomial has degree {poly.degree}, expected monic of degree {n}"
-        )
-    return poly
+def _sigma_residual(sig: Sequence[int]) -> IntPoly:
+    """The degree-k residual of the parts whose elementary symmetric
+    functions are sig = sigma_0 .. sigma_k, by the coefficient formula."""
+    rows = residual_weights(len(sig) - 1)
+    return IntPoly([sum(map(mul, row, sig)) for row in reversed(rows)])
 
 
 def _flat_residual(parts: Sequence[int]) -> IntPoly:
-    sig = elementary_symmetric(parts)
-    rows = residual_weights(len(parts))
-    return IntPoly([sum(map(mul, row, sig)) for row in reversed(rows)])
+    return _sigma_residual(elementary_symmetric(parts))
 
 
 def _grouped_residual(sizes: Sequence[int], mults: Sequence[int]) -> IntPoly:

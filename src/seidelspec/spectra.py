@@ -436,13 +436,13 @@ def spectrum_report(partition) -> SpectrumReport:
     raise TheoremViolationError; exact/numeric disagreements raise
     ConsistencyError.
 
-    The -1 multiplicity, the real-rootedness and the count below -1 are
-    taken on the degree-k residual: ``charpoly_coefficients`` assembles the
-    full polynomial as exactly (x+1)^(n-k) times the residual, so -1 has
-    multiplicity n - k plus its multiplicity in the residual, the product is
-    real-rooted iff the residual is (the other factor is), and (x+1)^(n-k)
-    has no root below -1.  The positive count and the numeric residuals
-    are still taken on the full polynomial.
+    Every exact count is taken on the degree-k residual:
+    ``charpoly_coefficients`` assembles the full polynomial as exactly
+    (x+1)^(n-k) times the residual, so -1 has multiplicity n - k plus its
+    multiplicity in the residual, the product is real-rooted iff the
+    residual is (the other factor is), and (x+1)^(n-k) has no root below
+    -1 and no positive root.  Only the numeric residual check reads the
+    full polynomial.
     """
     p = partition if isinstance(partition, Partition) else Partition(partition)
     n, k = p.n, p.k
@@ -457,7 +457,7 @@ def spectrum_report(partition) -> SpectrumReport:
         )
     if not is_real_rooted(residual):
         raise ConsistencyError(f"{p}: Seidel polynomial is not real-rooted")
-    positives = positive_root_count(full, assume_real_rooted=True)
+    positives = positive_root_count(residual, assume_real_rooted=True)
     if positives != structure.positive_count:
         raise TheoremViolationError(
             f"{p}: {positives} positive roots, expected {structure.positive_count}"

@@ -212,8 +212,9 @@ class TestSearch:
     )
     def test_search_output_pinned(self, capsys, argv, digest):
         # SHA-256 of stdout recorded from the search that keyed every
-        # partition on its expanded coefficient tuple; the packed key and
-        # the batched JSON writer must not change a byte
+        # partition on its expanded coefficient tuple; keying on
+        # (sigma_3, ..., sigma_k), expanding each class's residual and the
+        # batched JSON writer must not change a byte
         code, out, _ = run(capsys, "search", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -33,6 +33,7 @@ from seidelspec import (
     verify_shared_part_property,
 )
 from seidelspec.determination import COSPECTRAL_CAP, two_graphs
+from seidelspec.exactalg import elementary_symmetric
 from seidelspec.multipartite import FactoredSeidelPoly, _flat_residual, residual_weights
 
 
@@ -272,6 +273,32 @@ class TestCospectralClasses:
         with pytest.raises(CapExceededError):
             cospectral_classes(COSPECTRAL_CAP + 1)
 
+    def test_degenerate_class_polynomial_fits_every_member(self):
+        # the class of the partitions into at most two parts keeps the
+        # residual of whichever member the walk met first; its polynomial
+        # must still be each member's own
+        for n in range(1, 13):
+            for k in (None, 1, 2):
+                degenerate = [
+                    cls for cls in cospectral_classes(n, k) if cls.degenerate_bipartite
+                ]
+                assert len(degenerate) == (0 if (n, k) == (1, 2) else 1)
+                for cls in degenerate:
+                    assert {p.k for p in cls.partitions} <= {1, 2}
+                    assert (Partition([n]) in cls.partitions) == (k != 2)
+                    for q in cls.partitions:
+                        assert cls.charpoly == charpoly_coefficients(q).expanded, (n, k, q)
+
+    def test_residual_at_minus_one(self):
+        # residual(-1) = (-2)^(k-1) (k-2) sigma_k, nonzero for k != 2, so
+        # -1 has multiplicity exactly n - k and the polynomial fixes k
+        for n in range(1, 21):
+            for p in partitions_of(n):
+                k = p.k
+                sigma_k = elementary_symmetric(p.parts)[k]
+                want = (-2) ** (k - 1) * (k - 2) * sigma_k
+                assert charpoly_coefficients(p).residual(-1) == want, p
+
     def test_leaves_no_reference_cycle(self):
         # a cycle would keep the walk's key dictionary alive until the
         # collector's next pass
@@ -322,8 +349,8 @@ class TestSharedPartProperty:
             assert report.shared_part_violations == ()
 
     def test_verdicts_match_fresh_recovery(self):
-        # the scan reuses each class polynomial; check_forced_part_sizes
-        # recovers the family and builds the product form on its own
+        # the scan reuses each class residual; check_forced_part_sizes
+        # recovers the family and builds the residual on its own
         for n in range(3, 16):
             for v in verify_shared_part_property(n).verdicts:
                 if v.partition.k >= 3:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from seidelspec import (
-    ConsistencyError,
     DimensionError,
     EmptyPartitionError,
     IntMatrix,
@@ -25,7 +24,7 @@ from seidelspec import (
     seidel_matrix,
     symmetrize_quotient,
 )
-from seidelspec.multipartite import _key_layout, key_poly, key_weights, residual_weights
+from seidelspec.multipartite import residual_weights
 
 X_PLUS_1 = IntPoly([1, 1])
 
@@ -117,31 +116,12 @@ class TestClosedForms:
         # x^3 + (3 - s1) x^2 + (3 - 2 s1) x + (1 - s1 + 4 s3); s2 has weight 0
         assert residual_weights(3) == ((1,), (3, -1), (3, -2, 0), (1, -1, 0, 4))
         assert all(len(row) == m + 1 for m, row in enumerate(residual_weights(9)))
-        assert [row[2] for row in residual_weights(9)[2:]] == [0] * 8
-
-    def test_key_weights_small(self):
-        # order 4, 3 parts: (x+1) * residual_weights(3) by columns; sigma_0
-        # packs (x+1)^4 and sigma_2 nothing
-        lane = 8 * _key_layout(4)[0]
-        packed = lambda cs: sum(c << (lane * j) for j, c in enumerate(cs))
-        assert key_weights(4, 3) == (
-            packed([1, 4, 6, 4, 1]),
-            packed([-1, -3, -3, -1]),
-            0,
-            packed([4, 4]),
-        )
-        # (2,1,1): sigma = 1, 4, 5, 2 gives (x+1) * (x^3 - x^2 - 5x + 5)
-        key = sum(s * w for s, w in zip((1, 4, 5, 2), key_weights(4, 3)))
-        assert key_poly(key, 4) == charpoly_coefficients(Partition([2, 1, 1])).expanded
-
-    @pytest.mark.parametrize("n", [1, 5, 36])
-    def test_key_poly_refuses_what_is_not_monic_of_degree_n(self, n):
-        lane = 8 * _key_layout(n)[0]
-        monic = (1 << (lane * n)) - 3
-        assert key_poly(monic, n) == IntPoly([-3] + [0] * (n - 1) + [1])
-        for key in (0, 2 << (lane * n), monic - (1 << (lane * n)), 1 << (lane * (n + 1))):
-            with pytest.raises(ConsistencyError):
-                key_poly(key, n)
+        # the search keys on (s3, ..., sk): s2 has weight 0 in every row and
+        # each row m >= 3 gives s_m a nonzero weight
+        for k in range(1, 65):
+            rows = residual_weights(k)
+            assert all(row[2] == 0 for row in rows[2:]), k
+            assert all(row[m] for m, row in enumerate(rows) if m != 2), k
 
     def test_two_parts_similar_to_empty_graph(self):
         rng = random.Random(31)

@@ -23,7 +23,7 @@ from seidelspec import (
     switch,
 )
 from seidelspec.exactalg import _lane_width
-from seidelspec.multipartite import CLOSED_FORMS, _key_layout
+from seidelspec.multipartite import CLOSED_FORMS
 
 ENTRY_BOUND = 10**6
 # the reference costs O(n^4) big-integer work; above this order the
@@ -181,10 +181,8 @@ def test_work_matrices_fit_the_hadamard_lane(rows):
 
 
 def test_lane_widths_of_seidel_matrices():
-    # order 64 rows of squared norm 63 give 203-bit oracle lanes, and the
-    # search key at order 30 packs 11 bytes per coefficient
+    # order 64 rows of squared norm 63 give 203-bit oracle lanes
     assert _lane_width([63] * 64) == 203
-    assert _key_layout(30)[0] == 11
 
 
 def sylvester_hadamard(n: int) -> list[list[int]]:

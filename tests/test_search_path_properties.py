@@ -5,11 +5,11 @@ the reference: root multiplicity by evaluating p(r) and then dividing
 exactly by x - r, the shift x = c - t and the Taylor coefficients by
 Horner composition of IntPoly products, the (x+1)^e factor as a repeated
 IntPoly power, the coefficient formula as a per-term loop, and the search's
-packed key as the expanded polynomial of the coefficient formula.
+class polynomials and verdict evidence, both built from the degree-k
+residual, against the expanded polynomial of the coefficient formula.
 """
 
 from math import comb
-from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +22,15 @@ from seidelspec import (
     exact_root_multiplicity,
     roots_below,
 )
-from seidelspec.determination import COSPECTRAL_CAP, _partition_walk
+from seidelspec.determination import (
+    COSPECTRAL_CAP,
+    _build_verdict,
+    _partition_walk,
+    cospectral_classes,
+    forced_rule,
+    partitions_of,
+)
 from seidelspec.exactalg import elementary_symmetric
-from seidelspec.multipartite import key_poly, key_weights
 
 small_ints = st.integers(-6, 6)
 cofactors = st.lists(st.integers(-40, 40), min_size=1, max_size=8).filter(
@@ -116,17 +122,15 @@ def test_coefficient_formula_matches_per_term_loop(parts):
     )
 
 
-def unpacked_key(n: int, parts, sig) -> IntPoly:
-    return key_poly(sum(map(mul, sig, key_weights(n, len(parts)))), n)
-
-
-def test_unpacked_key_is_expanded_polynomial_to_order_20():
+def test_class_charpoly_is_expanded_polynomial_to_order_20():
     for n in range(1, 21):
         for k in (None, *range(1, n + 1)):
             for parts, sig in _partition_walk(n, k):
                 assert sig == elementary_symmetric(parts)
-                want = charpoly_coefficients(Partition(parts)).expanded
-                assert unpacked_key(n, parts, sig) == want
+            for cls in cospectral_classes(n, k):
+                got = cls.charpoly
+                for p in cls.partitions:
+                    assert got == charpoly_coefficients(p).expanded, (p, k)
 
 
 @st.composite
@@ -140,9 +144,23 @@ def partitions_to_cap(draw) -> Partition:
 
 @settings(max_examples=40, deadline=None)
 @given(p=partitions_to_cap(), with_k=st.booleans())
-def test_unpacked_key_is_expanded_polynomial_to_order_36(p, with_k):
+def test_class_charpoly_is_expanded_polynomial_to_order_36(p, with_k):
     # the walk is in descending lex order, so it stops at p
-    walk = _partition_walk(p.n, p.k if with_k else None)
-    sig = next(sig for found, sig in walk if found == p.parts)
+    k = p.k if with_k else None
+    sig = next(sig for found, sig in _partition_walk(p.n, k) if found == p.parts)
     assert sig == elementary_symmetric(p.parts)
-    assert unpacked_key(p.n, p.parts, sig) == charpoly_coefficients(p).expanded
+    cls = next(c for c in cospectral_classes(p.n, k) if p in c.partitions)
+    assert cls.charpoly == charpoly_coefficients(p).expanded
+
+
+def test_verdict_evidence_on_residual_matches_expanded_to_order_20():
+    # (x+1)^(n-k) has no root at 1, 3, 2s - 1 or in (0, 1), so the
+    # evidence read off the residual is the evidence of the full polynomial
+    rules = set()
+    for n in range(1, 21):
+        for p in partitions_of(n):
+            f = charpoly_coefficients(p)
+            got = _build_verdict(p, (), f.residual)
+            assert got == _build_verdict(p, (), f.expanded), p
+            rules.add(forced_rule(p))
+    assert rules == {None, "bipartite", "repeated_size", "trailing_ones", "trailing_2_2_1"}

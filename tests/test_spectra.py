@@ -509,6 +509,7 @@ class TestSpectrumReport:
             full, residual = r.charpoly.expanded, r.charpoly.residual
             assert r.minus_one_multiplicity == exact_root_multiplicity(full, -1), p
             assert r.roots_below_minus_one == roots_below(full, -1), p
+            assert r.positive_roots == positive_root_count(full), p
             assert is_real_rooted(residual) == is_real_rooted(full) is True, p
             if p.parts in ((3, 3), (1, 1)):
                 assert exact_root_multiplicity(residual, -1) == 1, p
