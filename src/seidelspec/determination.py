@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from math import comb
-from operator import add, mul
+from operator import add, eq, mul
 from typing import Iterator
 
 from .errors import (
@@ -36,8 +36,8 @@ from .graphs import (
 from .multipartite import (
     Partition,
     _flat_residual,
-    _ones_power,
     _sigma_residual,
+    _times_ones_power,
     residual_weights,
 )
 from .spectra import exact_root_multiplicity, roots_in_open_interval
@@ -190,8 +190,9 @@ class CospectralClass:
 
     @property
     def charpoly(self) -> IntPoly:
-        """The expanded polynomial, residual * (x+1)^(n - degree)."""
-        return self.residual * _ones_power(self.partitions[0].n - self.residual.degree)
+        """The expanded polynomial: the residual times (x+1)^(n - degree),
+        by ``_times_ones_power``'s one packed-integer product."""
+        return _times_ones_power(self.residual, self.partitions[0].n - self.residual.degree)
 
     @property
     def degenerate_bipartite(self) -> bool:
@@ -261,11 +262,14 @@ def forced_rule(p: Partition) -> str | None:
     """The uniqueness pattern a partition falls under, if any."""
     if p.k <= 2:
         return "bipartite"
-    if any(r >= 3 for _, r in p.grouped()):
+    # parts are non-increasing, so a size used three or more times fills
+    # three consecutive places
+    ps = p.parts
+    if any(map(eq, ps, ps[2:])):
         return "repeated_size"
-    if p.parts[-2:] == (1, 1):
+    if ps[-2:] == (1, 1):
         return "trailing_ones"
-    if p.parts[-3:] == (2, 2, 1):
+    if ps[-3:] == (2, 2, 1):
         return "trailing_2_2_1"
     return None
 

@@ -16,9 +16,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
-from operator import index, mul
+from operator import index, lshift, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -137,10 +137,40 @@ def _linear(size: int) -> IntPoly:
     return IntPoly([1 - 2 * size, 1])
 
 
-@cache
-def _ones_power(e: int) -> IntPoly:
-    """(x+1)^e, built once per exponent."""
-    return IntPoly([comb(e, i) for i in range(e + 1)])
+@lru_cache(maxsize=256)
+def _ones_layout(w: int, length: int, e: int) -> tuple[range, int, int]:
+    """(lane shifts, bias, packed (x+1)^e) for a product of length + e
+    coefficients in w-bit lanes: the bias holds 2^(w-1) in every lane and
+    the packed power is (2^w + 1)^e, (x+1)^e at x = 2^w."""
+    shifts = range(0, (length + e) * w, w)
+    return shifts, sum(1 << (w - 1 + s) for s in shifts), ((1 << w) + 1) ** e
+
+
+def _times_ones_power(p: IntPoly, e: int) -> IntPoly:
+    """p * (x+1)^e by Kronecker substitution: one big-integer product.
+
+    p's coefficients c_i are packed as signed w-bit lanes, sum c_i 2^(w i),
+    and multiplied by the packed power; then 2^(w-1) is added to every
+    lane and the lanes are read back by shift and mask.  The product's
+    coefficient q_j = sum_i c_i C(e, j - i) has
+    |q_j| <= ||p||_1 C(e, floor(e/2)) = B, so for w = bit_length(B) + 1,
+    |q_j| < 2^(w-1) and every biased lane q_j + 2^(w-1) lies in
+    [0, 2^w): no borrow or carry crosses a lane boundary, and the lanes
+    read back are exactly the q_j.  B is reached by a constant p at
+    j = floor(e/2), so no narrower lane holds every input; since
+    C(e, floor(e/2)) <= 2^e, w is at most bit_length(||p||_1) + e + 1.
+    The bound holds for any p, not only for a correct residual.  w is
+    rounded up to a multiple of 32 bits, so the polynomials of one order
+    share a few ``_ones_layout`` entries.
+    """
+    cs = p.coeffs
+    if not cs or not e:
+        return p
+    w = -(-((sum(map(abs, cs)) * comb(e, e // 2)).bit_length() + 1) // 32) * 32
+    shifts, bias, power = _ones_layout(w, len(cs), e)
+    half, lane = 1 << (w - 1), (1 << w) - 1
+    packed = sum(map(lshift, cs, shifts)) * power + bias
+    return IntPoly([((packed >> s) & lane) - half for s in shifts])
 
 
 @dataclass(frozen=True)
@@ -165,9 +195,16 @@ class FactoredSeidelPoly:
         residual: IntPoly,
         order: int,
     ) -> "FactoredSeidelPoly":
-        full = residual * _ones_power(ones_exponent)
+        """Expand the factored form and check it is monic of degree order.
+
+        The residual is multiplied by the linear factors first, while it
+        is short, and the (x+1)^ones_exponent factor comes last, in one
+        ``_times_ones_power`` product.
+        """
+        full = residual
         for size, exp in linear_factors:
             full = full * _linear(size) ** exp
+        full = _times_ones_power(full, ones_exponent)
         if full.degree != order or not full.is_monic():
             raise ConsistencyError(
                 f"assembled polynomial has degree {full.degree}, expected monic of degree {order}"

@@ -205,6 +205,11 @@ class TestSearch:
                 "784fad8afce54e276021bfcc4ea9dba3e936db522e7e3a8019abb95cb9b4fdde",
             ),
             (
+                # the order of the search benchmark
+                ("--n", "30", "--json"),
+                "0fab0be696ab7b8ca6f003c180306c6bebc5a8840db33b6d8332f2229abda065",
+            ),
+            (
                 ("--n", "13", "--k", "3"),
                 "a9426a34f151651a5898f70017e7150571855ab917ed73da4ac15d7e901679c0",
             ),
@@ -213,8 +218,9 @@ class TestSearch:
     def test_search_output_pinned(self, capsys, argv, digest):
         # SHA-256 of stdout recorded from the search that keyed every
         # partition on its expanded coefficient tuple; keying on
-        # (sigma_3, ..., sigma_k), expanding each class's residual and the
-        # batched JSON writer must not change a byte
+        # (sigma_3, ..., sigma_k), expanding each class's residual, the
+        # batched JSON writer and the packed (x+1)^e product must not
+        # change a byte
         code, out, _ = run(capsys, "search", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,6 +11,7 @@ residual, against the expanded polynomial of the coefficient formula.
 
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,11 +32,14 @@ from seidelspec.determination import (
     partitions_of,
 )
 from seidelspec.exactalg import elementary_symmetric
+from seidelspec.multipartite import _times_ones_power
 
 small_ints = st.integers(-6, 6)
 cofactors = st.lists(st.integers(-40, 40), min_size=1, max_size=8).filter(
     lambda cs: any(cs)
 )
+wide = st.integers(-(2**300), 2**300)
+ones_exponents = st.integers(0, 70)
 
 
 def reference_multiplicity(p: IntPoly, r: int) -> int:
@@ -105,6 +109,53 @@ def test_assembled_ones_factor_matches_power(parts):
     p = Partition(parts)
     f = charpoly_coefficients(p)
     assert f.expanded == IntPoly([1, 1]) ** f.ones_exponent * f.residual
+
+
+def reference_times_ones_power(p: IntPoly, e: int) -> IntPoly:
+    return p * IntPoly([1, 1]) ** e
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(wide, max_size=20), e=ones_exponents)
+def test_times_ones_power_matches_schoolbook(coeffs, e):
+    p = IntPoly(coeffs)
+    assert _times_ones_power(p, e) == reference_times_ones_power(p, e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 2**300),
+    length=st.integers(0, 20),
+    alternating=st.booleans(),
+    e=ones_exponents,
+)
+def test_times_ones_power_at_the_lane_bound(m, length, alternating, e):
+    # every coefficient +M, or alternating +-M: the two extreme sign
+    # patterns of a one-norm, all of it in coefficients as wide as drawn
+    p = IntPoly([-m if alternating and i % 2 else m for i in range(length)])
+    assert _times_ones_power(p, e) == reference_times_ones_power(p, e)
+
+
+@pytest.mark.parametrize("words", [1, 2, 10])
+def test_times_ones_power_fills_a_whole_lane(words):
+    # a constant M times (x+1)^e has the middle coefficient M C(e, e // 2),
+    # the kernel's bound; M is chosen so that it takes a whole number of
+    # 32-bit words, where the lane rounded up from one bit fewer would
+    # overflow
+    for e in range(71):
+        middle = comb(e, e // 2)
+        bits = 32 * (words + middle.bit_length() // 32)
+        m = -(-(1 << (bits - 1)) // middle)
+        for c in (m, -m):
+            got = _times_ones_power(IntPoly([c]), e)
+            assert got == reference_times_ones_power(IntPoly([c]), e)
+            assert abs(got.coeffs[e // 2]).bit_length() == bits
+
+
+def test_times_ones_power_rejects_a_negative_exponent():
+    # refused before any lane layout is built, not read back as garbage
+    with pytest.raises(ValueError):
+        _times_ones_power(IntPoly([1, 1]), -1)
 
 
 @settings(max_examples=300, deadline=None)
