@@ -205,13 +205,13 @@ class TestSearch:
                 "784fad8afce54e276021bfcc4ea9dba3e936db522e7e3a8019abb95cb9b4fdde",
             ),
             (
+                ("--n", "13", "--k", "3"),
+                "a9426a34f151651a5898f70017e7150571855ab917ed73da4ac15d7e901679c0",
+            ),
+            (
                 # the order of the search benchmark
                 ("--n", "30", "--json"),
                 "0fab0be696ab7b8ca6f003c180306c6bebc5a8840db33b6d8332f2229abda065",
-            ),
-            (
-                ("--n", "13", "--k", "3"),
-                "a9426a34f151651a5898f70017e7150571855ab917ed73da4ac15d7e901679c0",
             ),
         ],
     )
