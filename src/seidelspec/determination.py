@@ -34,10 +34,10 @@ from .graphs import (
     switching_equivalent,
 )
 from .multipartite import (
+    FactoredSeidelPoly,
     Partition,
-    _flat_residual,
     _sigma_residual,
-    _times_ones_power,
+    charpoly_coefficients,
     residual_weights,
 )
 from .spectra import exact_root_multiplicity, roots_in_open_interval
@@ -133,11 +133,8 @@ def recover_partitions(residual: IntPoly) -> list[Partition]:
     product = sig[k] if k >= 3 else None
     if sig[1] < k or (product is not None and product < 1):
         return []
-    return sorted(
-        Partition(parts)
-        for parts in _splits(sig[1], k, sig[1], product)
-        if _flat_residual(parts) == residual
-    )
+    candidates = map(Partition, _splits(sig[1], k, sig[1], product))
+    return sorted(p for p in candidates if charpoly_coefficients(p).residual == residual)
 
 
 def _splits(
@@ -178,21 +175,14 @@ def _splits(
 class CospectralClass:
     """Partitions sharing one exact Seidel characteristic polynomial.
 
-    ``residual`` is the degree-k residual of the class's first partition
-    found.  Every partition with at most two parts has the polynomial
-    (x+1)^(n-1) (x+1-n), so in that class the residual may be of degree 1
-    or 2 whatever ``partitions[0]`` is; ``charpoly`` reads the degree off
-    the residual itself.
+    ``charpoly`` is (x+1)^(n - degree) times the degree-k residual of the
+    class's first partition found.  Every partition with at most two parts
+    has the polynomial (x+1)^(n-1) (x+1-n), so in that class the residual
+    may be of degree 1 or 2 whatever ``partitions[0]`` is.
     """
 
-    residual: IntPoly
+    charpoly: FactoredSeidelPoly
     partitions: tuple[Partition, ...]
-
-    @property
-    def charpoly(self) -> IntPoly:
-        """The expanded polynomial: the residual times (x+1)^(n - degree),
-        by ``_times_ones_power``'s one packed-integer product."""
-        return _times_ones_power(self.residual, self.partitions[0].n - self.residual.degree)
 
     @property
     def degenerate_bipartite(self) -> bool:
@@ -238,7 +228,8 @@ def cospectral_classes(n: int, k: int | None = None) -> list[CospectralClass]:
                 f"the residual of {partitions[0]} vanishes at -1, so its "
                 "polynomial does not fix the part count"
             )
-        classes.append(CospectralClass(residual, partitions))
+        charpoly = FactoredSeidelPoly(n - residual.degree, (), residual)
+        classes.append(CospectralClass(charpoly, partitions))
     return classes
 
 
@@ -320,7 +311,7 @@ def _build_verdict(
 def check_forced_part_sizes(partition) -> ForcedSizeVerdict:
     """Verdict for one partition, recovering its cospectral family afresh."""
     p = partition if isinstance(partition, Partition) else Partition(partition)
-    residual = _flat_residual(p.parts)
+    residual = charpoly_coefficients(p).residual
     if p.k <= 2:
         return _build_verdict(p, (), residual)
     family = recover_partitions(residual)
@@ -347,7 +338,7 @@ class DeterminationReport:
             "k": None if self.k_filter is None else str(self.k_filter),
             "classes": [
                 {
-                    "charpoly": [str(c) for c in cls.charpoly.coeffs],
+                    "charpoly": [str(c) for c in cls.charpoly.expanded.coeffs],
                     "partitions": [str(p) for p in cls.partitions],
                     "degenerate_bipartite": cls.degenerate_bipartite,
                 }
@@ -381,7 +372,7 @@ def verify_shared_part_property(n: int, k: int | None = None) -> DeterminationRe
                 violations.append((a, b, min(shared)))
         for p in cls.partitions:
             mates = tuple(q for q in cls.partitions if q != p and q.k == p.k)
-            verdicts.append(_build_verdict(p, mates, cls.residual))
+            verdicts.append(_build_verdict(p, mates, cls.charpoly.residual))
     verdicts.sort(key=lambda v: v.partition)
     return DeterminationReport(
         order=n,
@@ -517,7 +508,7 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
     levels = two_graphs(n - 1)
     candidates = _augment(n, levels[-1])
     classes = cospectral_classes(n)
-    targets = {cls.charpoly.coeffs: i for i, cls in enumerate(classes)}
+    targets = {cls.charpoly.expanded.coeffs: i for i, cls in enumerate(classes)}
     members: list[list[Graph]] = [[] for _ in classes]
     for g, poly in zip(candidates, seidel_charpolys(candidates)):
         idx = targets.get(poly.coeffs)

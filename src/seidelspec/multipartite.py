@@ -175,17 +175,15 @@ def _times_ones_power(p: IntPoly, e: int) -> IntPoly:
 
 @dataclass(frozen=True)
 class FactoredSeidelPoly:
-    """A Seidel characteristic polynomial kept in factored form.
-
-    expanded == (x+1)^ones_exponent * prod (x+1-2m)^e * residual, exactly;
-    the expanded polynomial is monic of full degree.  ``linear_factors``
-    holds (part size m, exponent) pairs.
+    """A Seidel characteristic polynomial kept in factored form:
+    (x+1)^ones_exponent * prod (x+1-2m)^e * residual, monic of full degree.
+    ``linear_factors`` holds (part size m, exponent) pairs.  Nothing is
+    multiplied out until ``expanded`` is read.
     """
 
     ones_exponent: int
     linear_factors: tuple[tuple[int, int], ...]
     residual: IntPoly
-    expanded: IntPoly
 
     @classmethod
     def assemble(
@@ -195,21 +193,28 @@ class FactoredSeidelPoly:
         residual: IntPoly,
         order: int,
     ) -> "FactoredSeidelPoly":
-        """Expand the factored form and check it is monic of degree order.
+        """Check the factored form is monic of degree order, unexpanded.
 
-        The residual is multiplied by the linear factors first, while it
-        is short, and the (x+1)^ones_exponent factor comes last, in one
-        ``_times_ones_power`` product.
+        Every factor but the residual is monic and degrees add over the
+        integers, so this is the check on the expanded product.
         """
-        full = residual
-        for size, exp in linear_factors:
-            full = full * _linear(size) ** exp
-        full = _times_ones_power(full, ones_exponent)
-        if full.degree != order or not full.is_monic():
+        degree = ones_exponent + sum(e for _, e in linear_factors) + residual.degree
+        if degree != order or not residual.is_monic():
             raise ConsistencyError(
-                f"assembled polynomial has degree {full.degree}, expected monic of degree {order}"
+                f"assembled polynomial has degree {degree}, expected monic of degree {order}"
             )
-        return cls(ones_exponent, tuple(linear_factors), residual, full)
+        return cls(ones_exponent, tuple(linear_factors), residual)
+
+    @property
+    def expanded(self) -> IntPoly:
+        """The product, multiplied out on every read: the residual times
+        the linear factors first, while it is short, then (x+1)^ones_exponent
+        in one ``_times_ones_power`` product.  Not cached, so the thousands
+        of classes a search holds keep only their residuals."""
+        full = self.residual
+        for size, exp in self.linear_factors:
+            full = full * _linear(size) ** exp
+        return _times_ones_power(full, self.ones_exponent)
 
     def factored_str(self) -> str:
         pieces: list[str] = []

@@ -29,7 +29,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .exactalg import IntMatrix, IntPoly
-from .graphs import complete_multipartite, seidel_matrix
+from .graphs import check_graph_order, complete_multipartite, seidel_matrix
 from .multipartite import (
     EigenvalueBound,
     FactoredSeidelPoly,
@@ -434,20 +434,21 @@ def spectrum_report(partition) -> SpectrumReport:
     Violated structural properties (wrong -1 multiplicity, wrong positive
     count, extra eigenvalues below -1, broken interlacing, broken bound)
     raise TheoremViolationError; exact/numeric disagreements raise
-    ConsistencyError.
+    ConsistencyError.  The order is checked against the graph cap before
+    any exact or numeric work.
 
-    Every exact count is taken on the degree-k residual:
-    ``charpoly_coefficients`` assembles the full polynomial as exactly
-    (x+1)^(n-k) times the residual, so -1 has multiplicity n - k plus its
-    multiplicity in the residual, the product is real-rooted iff the
-    residual is (the other factor is), and (x+1)^(n-k) has no root below
-    -1 and no positive root.  Only the numeric residual check reads the
-    full polynomial.
+    Every exact count is taken on the degree-k residual of
+    ``charpoly_coefficients``, whose polynomial is exactly (x+1)^(n-k)
+    times the residual: -1 has multiplicity n - k plus its multiplicity in
+    the residual, the product is real-rooted iff the residual is (the
+    other factor is), and (x+1)^(n-k) has no root below -1 and no positive
+    root.  Only the numeric residual check expands the full polynomial.
     """
     p = partition if isinstance(partition, Partition) else Partition(partition)
     n, k = p.n, p.k
+    check_graph_order(n)
     factored = charpoly_coefficients(p)
-    full, residual = factored.expanded, factored.residual
+    residual = factored.residual
     structure = eigenvalue_intervals(p)
 
     minus_one = factored.ones_exponent + exact_root_multiplicity(residual, -1)
@@ -484,6 +485,7 @@ def spectrum_report(partition) -> SpectrumReport:
         raise ConsistencyError(
             f"{p}: eigenvalue square sum off by {square_sum_error:.3e}"
         )
+    full = factored.expanded
     max_scaled_residual = max(
         abs(full(e)) / (1.0 + abs(e)) ** n for e in eigs
     )

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seidelspec.determination as determination
+import seidelspec.multipartite as multipartite
 from seidelspec import (
     CapExceededError,
     Graph,
@@ -34,7 +35,7 @@ from seidelspec import (
 )
 from seidelspec.determination import COSPECTRAL_CAP, two_graphs
 from seidelspec.exactalg import elementary_symmetric
-from seidelspec.multipartite import FactoredSeidelPoly, _flat_residual, residual_weights
+from seidelspec.multipartite import residual_weights
 
 
 class TestPartitionsOf:
@@ -179,9 +180,8 @@ class TestRecoverPartitions:
         # is swept: the cost does not grow with the square of the order
         # nor with the order itself: (n - 2, 1, 1) walks two cofactors
         for parts in ((998, 1, 1), (9998, 1, 1), (99_999_998, 1, 1)):
-            # the coefficient formula alone; the factored form would first
-            # expand the residual times (x+1)^(n-k)
-            residual = _flat_residual(parts)
+            # the factored form: (x+1)^(n-k) is never multiplied out
+            residual = charpoly_coefficients(Partition(parts)).residual
             assert recover_partitions(residual) == [Partition(parts)]
 
     def test_splits_are_the_partitions_with_the_forced_product(self):
@@ -203,14 +203,14 @@ class TestRecoverPartitions:
                     assert got == by_product.get(product, []), (n, k, product)
 
     def test_candidates_are_not_expanded(self, monkeypatch):
-        # a candidate is checked by its residual alone, never by assembling
+        # a candidate is checked by its residual alone, never by expanding
         # the full polynomial with its (x+1)^(n-k) factor
         residual = charpoly_coefficients(Partition([998, 1, 1])).residual
 
         def refuse(*args, **kwargs):
             raise AssertionError("a candidate's full polynomial was expanded")
 
-        monkeypatch.setattr(FactoredSeidelPoly, "assemble", refuse)
+        monkeypatch.setattr(multipartite, "_times_ones_power", refuse)
         assert recover_partitions(residual) == [Partition([998, 1, 1])]
 
     def test_zero_forced_product_is_refused_before_enumeration(self, monkeypatch):
@@ -221,10 +221,10 @@ class TestRecoverPartitions:
         residual = IntPoly([sum(map(mul, row, sig)) for row in reversed(residual_weights(3))])
         assert residual.is_monic() and residual.degree == 3
 
-        def refuse(parts):
-            raise AssertionError(f"candidate {parts} was checked")
+        def refuse(p):
+            raise AssertionError(f"candidate {p} was checked")
 
-        monkeypatch.setattr(determination, "_flat_residual", refuse)
+        monkeypatch.setattr(determination, "charpoly_coefficients", refuse)
         assert recover_partitions(residual) == []
 
     def test_smallest_three_part_cospectral_mates(self):
@@ -287,7 +287,7 @@ class TestCospectralClasses:
                     assert {p.k for p in cls.partitions} <= {1, 2}
                     assert (Partition([n]) in cls.partitions) == (k != 2)
                     for q in cls.partitions:
-                        assert cls.charpoly == charpoly_coefficients(q).expanded, (n, k, q)
+                        assert cls.charpoly.expanded == charpoly_coefficients(q).expanded, (n, k, q)
 
     def test_residual_at_minus_one(self):
         # residual(-1) = (-2)^(k-1) (k-2) sigma_k, nonzero for k != 2, so
@@ -333,7 +333,7 @@ class TestCospectralClasses:
         for p in partitions_of(n, k):
             brute.setdefault(charpoly_product(p).expanded, []).append(p)
         classes = cospectral_classes(n, k)
-        assert {cls.charpoly: list(cls.partitions) for cls in classes} == {
+        assert {cls.charpoly.expanded: list(cls.partitions) for cls in classes} == {
             poly: sorted(ps) for poly, ps in brute.items()
         }
         if k is None:

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import seidelspec.multipartite as multipartite
 from seidelspec import (
+    ConsistencyError,
     DimensionError,
     EmptyPartitionError,
     IntMatrix,
@@ -24,7 +26,7 @@ from seidelspec import (
     seidel_matrix,
     symmetrize_quotient,
 )
-from seidelspec.multipartite import residual_weights
+from seidelspec.multipartite import FactoredSeidelPoly, residual_weights
 
 X_PLUS_1 = IntPoly([1, 1])
 
@@ -179,6 +181,35 @@ class TestClosedForms:
         for n in range(1, 11):
             for p in partitions_of(n):
                 assert charpoly_oracle(quotient_matrix(p)) == charpoly_product(p).residual
+
+
+class TestAssemble:
+    @pytest.fixture(autouse=True)
+    def no_expansion(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("assemble expanded the polynomial")
+
+        monkeypatch.setattr(multipartite, "_times_ones_power", refuse)
+
+    @pytest.mark.parametrize(
+        "ones, factors, residual, order",
+        [
+            pytest.param(2, (), IntPoly([1, 2]), 3, id="non-monic"),
+            pytest.param(2, ((3, 1),), IntPoly([1, -1, 1, 2]), 6, id="non-monic-factored"),
+            pytest.param(2, (), IntPoly(), 2, id="zero"),
+            pytest.param(2, (), IntPoly(), 1, id="zero-at-its-degree"),
+            pytest.param(2, (), IntPoly([1, 1]), 4, id="degree-mismatch"),
+            pytest.param(2, ((3, 2),), IntPoly([5, 1]), 4, id="degree-mismatch-factored"),
+        ],
+    )
+    def test_refusals(self, ones, factors, residual, order):
+        with pytest.raises(ConsistencyError):
+            FactoredSeidelPoly.assemble(ones, factors, residual, order)
+
+    def test_a_billion_vertices_is_not_expanded(self):
+        f = charpoly_coefficients(Partition([10**9]))
+        assert f.ones_exponent == 10**9 - 1
+        assert f.residual == IntPoly([1 - 10**9, 1])
 
 
 class TestBound:

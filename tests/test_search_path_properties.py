@@ -19,6 +19,7 @@ from seidelspec import (
     IntPoly,
     Partition,
     charpoly_coefficients,
+    charpoly_grouped_coefficients,
     descartes_sign_changes,
     exact_root_multiplicity,
     roots_below,
@@ -106,9 +107,13 @@ def test_shift_sign_changes_match_on_any_polynomial(coeffs, c):
 @settings(max_examples=100, deadline=None)
 @given(parts=st.lists(st.integers(1, 9), min_size=1, max_size=7))
 def test_assembled_ones_factor_matches_power(parts):
+    # the grouped form carries linear factors (x+1-2m)^e as well
     p = Partition(parts)
-    f = charpoly_coefficients(p)
-    assert f.expanded == IntPoly([1, 1]) ** f.ones_exponent * f.residual
+    for f in (charpoly_coefficients(p), charpoly_grouped_coefficients(p)):
+        want = f.residual * IntPoly([1, 1]) ** f.ones_exponent
+        for size, exp in f.linear_factors:
+            want = want * IntPoly([1 - 2 * size, 1]) ** exp
+        assert f.expanded == want
 
 
 def reference_times_ones_power(p: IntPoly, e: int) -> IntPoly:
@@ -179,7 +184,7 @@ def test_class_charpoly_is_expanded_polynomial_to_order_20():
             for parts, sig in _partition_walk(n, k):
                 assert sig == elementary_symmetric(parts)
             for cls in cospectral_classes(n, k):
-                got = cls.charpoly
+                got = cls.charpoly.expanded
                 for p in cls.partitions:
                     assert got == charpoly_coefficients(p).expanded, (p, k)
 
@@ -201,7 +206,7 @@ def test_class_charpoly_is_expanded_polynomial_to_order_36(p, with_k):
     sig = next(sig for found, sig in _partition_walk(p.n, k) if found == p.parts)
     assert sig == elementary_symmetric(p.parts)
     cls = next(c for c in cospectral_classes(p.n, k) if p in c.partitions)
-    assert cls.charpoly == charpoly_coefficients(p).expanded
+    assert cls.charpoly.expanded == charpoly_coefficients(p).expanded
 
 
 def test_verdict_evidence_on_residual_matches_expanded_to_order_20():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from seidelspec import (
     AsymmetryError,
+    CapExceededError,
     ConsistencyError,
     ConvergenceError,
     IntPoly,
@@ -513,6 +514,15 @@ class TestSpectrumReport:
             assert is_real_rooted(residual) == is_real_rooted(full) is True, p
             if p.parts in ((3, 3), (1, 1)):
                 assert exact_root_multiplicity(residual, -1) == 1, p
+
+    @pytest.mark.parametrize("parts", [[10**6], [1] * 65])
+    def test_order_cap_is_checked_before_any_work(self, parts, monkeypatch):
+        def refuse(p):
+            raise AssertionError(f"the polynomial of {p} was built")
+
+        monkeypatch.setattr(spectra, "charpoly_coefficients", refuse)
+        with pytest.raises(CapExceededError):
+            spectrum_report(Partition(parts))
 
     def test_sturm_chain_only_on_the_residual(self, monkeypatch):
         degrees = []
