@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
+from itertools import repeat
 
 from .determination import verify_shared_part_property
 from .errors import ConsistencyError, SeidelSpecError
@@ -33,14 +33,64 @@ EXIT_VIOLATION = 3
 FORMS = (*CLOSED_FORMS, "oracle")
 
 
+_encode = json.encoder.encode_basestring_ascii
+# pieces per write: a search piece is a whole coefficient list or dict
+# entry, so 256 of them make writes of some 40 kB; larger writes raised the
+# peak RSS of a search
+_WRITE_PIECES = 256
+
+
 def _print_json(payload) -> None:
-    """Print ``json.dumps(payload, indent=2)`` and a newline, encoded
-    piecewise and written about 4,096 pieces at a time, so the whole text
-    is never held at once and a pipe sees few writes."""
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    while batch := "".join(islice(chunks, 4096)):
-        sys.stdout.write(batch)
-    print()
+    """Print ``json.dumps(payload, indent=2)`` and a newline, byte for
+    byte, written ``_WRITE_PIECES`` pieces at a time, so the whole text is
+    never held at once and a pipe sees few writes.  Dict keys are strings."""
+    pieces: list[str] = []
+    _json_pieces(payload, "\n", pieces)
+    pieces.append("\n")
+    sys.stdout.write("".join(pieces))
+
+
+def _json_pieces(value, newline: str, pieces: list[str]) -> None:
+    """Append the text of ``json.dumps(value, indent=2)``, nested at the
+    indent that ``newline`` ends in, to ``pieces``, writing them out
+    whenever there are ``_WRITE_PIECES``.  Dicts and lists are walked here;
+    a list of strings only is one piece, joined over the C string encoder."""
+    if isinstance(value, str):
+        pieces.append(_encode(value))
+    elif isinstance(value, (list, tuple, dict)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            pieces.append("{}" if is_dict else "[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        if is_dict:
+            opener, closer = "{" + inner, newline + "}"
+            items = zip(map("".join, zip(map(_encode, value), repeat(": "))), value.values())
+        else:
+            opener, closer = "[" + inner, newline + "]"
+            try:
+                text = comma.join(map(_encode, value))
+            except TypeError:  # an item that is not a string
+                items = zip(repeat(""), value)
+            else:
+                pieces.append(opener + text + closer)
+                return
+        for head, item in items:
+            if isinstance(item, str):
+                pieces.append(opener + head + _encode(item))
+            else:
+                pieces.append(opener + head)
+                _json_pieces(item, inner, pieces)
+            if len(pieces) >= _WRITE_PIECES:
+                sys.stdout.write("".join(pieces))
+                pieces.clear()
+            opener = comma
+        pieces.append(closer)
+    elif value is None or value is True or value is False:
+        pieces.append("null" if value is None else "true" if value else "false")
+    else:
+        pieces.append(json.dumps(value))
 
 
 def _form_result(p: Partition, form: str) -> dict:

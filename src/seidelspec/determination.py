@@ -38,11 +38,14 @@ from .multipartite import (
     Partition,
     _sigma_residual,
     charpoly_coefficients,
+    expanded_coefficients,
     residual_weights,
 )
 from .spectra import exact_root_multiplicity, roots_in_open_interval
 
 COSPECTRAL_CAP = 36
+# class polynomials expanded together when a search report is written
+_EXPAND_CHUNK = 256
 
 
 def _parts_from(rest: int, cap: int, slots: int | None) -> Iterator[int]:
@@ -336,20 +339,27 @@ class DeterminationReport:
         return {
             "order": str(self.order),
             "k": None if self.k_filter is None else str(self.k_filter),
-            "classes": [
-                {
-                    "charpoly": [str(c) for c in cls.charpoly.expanded.coeffs],
-                    "partitions": [str(p) for p in cls.partitions],
-                    "degenerate_bipartite": cls.degenerate_bipartite,
-                }
-                for cls in self.classes
-            ],
+            "classes": list(self._class_dicts()),
             "violations": [
                 {"first": str(a), "second": str(b), "shared_size": str(s)}
                 for a, b, s in self.shared_part_violations
             ],
             "verdicts": {str(v.partition): v.status for v in self.verdicts},
         }
+
+    def _class_dicts(self) -> Iterator[dict]:
+        # expanded a chunk of classes at a time, so that only one chunk's
+        # coefficients are held as integers
+        classes = self.classes
+        for start in range(0, len(classes), _EXPAND_CHUNK):
+            chunk = classes[start : start + _EXPAND_CHUNK]
+            polys = expanded_coefficients(cls.charpoly for cls in chunk)
+            for cls, coeffs in zip(chunk, polys):
+                yield {
+                    "charpoly": list(map(str, coeffs)),
+                    "partitions": list(map(str, cls.partitions)),
+                    "degenerate_bipartite": cls.degenerate_bipartite,
+                }
 
 
 def verify_shared_part_property(n: int, k: int | None = None) -> DeterminationReport:
@@ -508,7 +518,8 @@ def exhaustive_switching_survey(n: int) -> SurveyReport:
     levels = two_graphs(n - 1)
     candidates = _augment(n, levels[-1])
     classes = cospectral_classes(n)
-    targets = {cls.charpoly.expanded.coeffs: i for i, cls in enumerate(classes)}
+    polys = expanded_coefficients(cls.charpoly for cls in classes)
+    targets = {coeffs: i for i, coeffs in enumerate(polys)}
     members: list[list[Graph]] = [[] for _ in classes]
     for g, poly in zip(candidates, seidel_charpolys(candidates)):
         idx = targets.get(poly.coeffs)

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import islice, repeat
 from math import comb
-from operator import index, lshift, mul
+from operator import add, index, lshift, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -146,31 +148,59 @@ def _ones_layout(w: int, length: int, e: int) -> tuple[range, int, int]:
     return shifts, sum(1 << (w - 1 + s) for s in shifts), ((1 << w) + 1) ** e
 
 
-def _times_ones_power(p: IntPoly, e: int) -> IntPoly:
-    """p * (x+1)^e by Kronecker substitution: one big-integer product.
+def _times_ones_powers(products: Iterable[tuple[IntPoly, int]]) -> list[tuple[int, ...]]:
+    """The coefficients of p * (x+1)^e for every (p, e), each by Kronecker
+    substitution, one big-integer product, and all read back together.
 
     p's coefficients c_i are packed as signed w-bit lanes, sum c_i 2^(w i),
-    and multiplied by the packed power; then 2^(w-1) is added to every
-    lane and the lanes are read back by shift and mask.  The product's
-    coefficient q_j = sum_i c_i C(e, j - i) has
-    |q_j| <= ||p||_1 C(e, floor(e/2)) = B, so for w = bit_length(B) + 1,
-    |q_j| < 2^(w-1) and every biased lane q_j + 2^(w-1) lies in
-    [0, 2^w): no borrow or carry crosses a lane boundary, and the lanes
-    read back are exactly the q_j.  B is reached by a constant p at
-    j = floor(e/2), so no narrower lane holds every input; since
-    C(e, floor(e/2)) <= 2^e, w is at most bit_length(||p||_1) + e + 1.
-    The bound holds for any p, not only for a correct residual.  w is
-    rounded up to a multiple of 32 bits, so the polynomials of one order
-    share a few ``_ones_layout`` entries.
+    and multiplied by the packed power.  The product's coefficient
+    q_j = sum_i c_i C(e, j - i) has |q_j| <= ||p||_1 C(e, floor(e/2)) = B,
+    so for w > bit_length(B), |q_j| < 2^(w-1): adding 2^(w-1) to every lane
+    leaves each lane in [0, 2^w), no borrow or carry crosses a lane
+    boundary, and XOR with 2^(w-1) then turns each lane into q_j in w-bit
+    two's complement.  B is reached by a constant p at j = floor(e/2), so
+    no narrower lane holds every input; since C(e, floor(e/2)) <= 2^e,
+    bit_length(B) is at most bit_length(||p||_1) + e.  The bound holds for
+    any p, not only for a correct residual.
+
+    Every lane of one call is the same whole number of 64-bit words, the
+    most that any of its products needs (one word for every search class
+    up to order 36).  The products' bytes are joined into one buffer, in
+    native byte order, and read with one memoryview cast: the top word of
+    each lane as a signed 'q', and, when a lane is wider than one word,
+    each lower word as an unsigned 'Q'.
     """
-    cs = p.coeffs
-    if not cs or not e:
-        return p
-    w = -(-((sum(map(abs, cs)) * comb(e, e // 2)).bit_length() + 1) // 32) * 32
-    shifts, bias, power = _ones_layout(w, len(cs), e)
-    half, lane = 1 << (w - 1), (1 << w) - 1
-    packed = sum(map(lshift, cs, shifts)) * power + bias
-    return IntPoly([((packed >> s) & lane) - half for s in shifts])
+    items = [(p.coeffs, e) for p, e in products]
+    words = 1
+    for cs, e in items:
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        if cs and e:
+            bits = (sum(map(abs, cs)) * comb(e, e // 2)).bit_length() + 1
+            words = max(words, -(-bits // 64))
+    w = 64 * words
+    order = sys.byteorder
+    blobs: list[bytes] = []
+    for cs, e in items:
+        if cs and e:
+            shifts, bias, power = _ones_layout(w, len(cs), e)
+            packed = (sum(map(lshift, cs, shifts)) * power + bias) ^ bias
+            blobs.append(packed.to_bytes(len(shifts) * 8 * words, order))
+    # a big-endian product puts its top word first: with the products and
+    # then all words reversed, the words run as on a little-endian host
+    step = 1
+    if order == "big":
+        blobs.reverse()
+        step = -1
+    buf = memoryview(b"".join(blobs))
+    lanes = buf.cast("q")[::step][words - 1 :: words].tolist()
+    if words > 1:
+        # Horner from the top word down, one lower word at a time
+        low = buf.cast("Q")[::step]
+        for i in reversed(range(words - 1)):
+            lanes = list(map(add, map(lshift, lanes, repeat(64)), low[i::words].tolist()))
+    read = iter(lanes)
+    return [tuple(islice(read, len(cs) + e)) if cs and e else cs for cs, e in items]
 
 
 @dataclass(frozen=True)
@@ -207,14 +237,10 @@ class FactoredSeidelPoly:
 
     @property
     def expanded(self) -> IntPoly:
-        """The product, multiplied out on every read: the residual times
-        the linear factors first, while it is short, then (x+1)^ones_exponent
-        in one ``_times_ones_power`` product.  Not cached, so the thousands
-        of classes a search holds keep only their residuals."""
-        full = self.residual
-        for size, exp in self.linear_factors:
-            full = full * _linear(size) ** exp
-        return _times_ones_power(full, self.ones_exponent)
+        """The product, multiplied out on every read by
+        ``expanded_coefficients``.  Not cached, so the thousands of classes
+        a search holds keep only their residuals."""
+        return IntPoly(expanded_coefficients([self])[0])
 
     def factored_str(self) -> str:
         pieces: list[str] = []
@@ -227,6 +253,19 @@ class FactoredSeidelPoly:
         if self.residual != IntPoly([1]) or not pieces:
             pieces.append(f"({self.residual.to_string()})")
         return " * ".join(pieces)
+
+
+def expanded_coefficients(polys: Iterable[FactoredSeidelPoly]) -> list[tuple[int, ...]]:
+    """The coefficients, constant first, of every polynomial multiplied
+    out: each residual times its linear factors first, while it is short,
+    then every (x+1)^ones_exponent in one ``_times_ones_powers`` call."""
+    cofactors = []
+    for f in polys:
+        full = f.residual
+        for size, exp in f.linear_factors:
+            full = full * _linear(size) ** exp
+        cofactors.append((full, f.ones_exponent))
+    return _times_ones_powers(cofactors)
 
 
 def quotient_matrix(p: Partition) -> IntMatrix:

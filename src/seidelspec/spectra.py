@@ -367,6 +367,7 @@ class SpectrumReport:
 
     partition: Partition
     charpoly: FactoredSeidelPoly
+    expanded: IntPoly  # charpoly multiplied out, as the residual check read it
     minus_one_multiplicity: int
     positive_roots: int
     roots_below_minus_one: int
@@ -390,7 +391,7 @@ class SpectrumReport:
             "parts": str(self.partition.k),
             "charpoly": {
                 "factored": self.charpoly.factored_str(),
-                "coefficients": [str(c) for c in self.charpoly.expanded.coeffs],
+                "coefficients": [str(c) for c in self.expanded.coeffs],
             },
             "-1_multiplicity": str(self.minus_one_multiplicity),
             "positive_roots": str(self.positive_roots),
@@ -442,7 +443,8 @@ def spectrum_report(partition) -> SpectrumReport:
     times the residual: -1 has multiplicity n - k plus its multiplicity in
     the residual, the product is real-rooted iff the residual is (the
     other factor is), and (x+1)^(n-k) has no root below -1 and no positive
-    root.  Only the numeric residual check expands the full polynomial.
+    root.  Only the numeric residual check expands the full polynomial, and
+    the report keeps that expansion for its JSON.
     """
     p = partition if isinstance(partition, Partition) else Partition(partition)
     n, k = p.n, p.k
@@ -527,6 +529,7 @@ def spectrum_report(partition) -> SpectrumReport:
     return SpectrumReport(
         partition=p,
         charpoly=factored,
+        expanded=full,
         minus_one_multiplicity=minus_one,
         positive_roots=positives,
         roots_below_minus_one=below,

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import sys
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seidelspec.cli as cli
 import seidelspec.determination as determination
@@ -126,6 +129,24 @@ class TestSpectrumBoundQuotient:
         code, out, _ = run(capsys, "spectrum", "3,2,1", "--json")
         assert code == 0
         assert json.loads(out)["-1_multiplicity"] == "3"
+
+    def test_spectrum_json_expands_once(self, capsys, monkeypatch):
+        # the report's residual check expands the polynomial, and its JSON
+        # reuses that expansion: one kernel call per spectrum --json
+        import seidelspec.multipartite as mp
+
+        calls = []
+        kernel = mp._times_ones_powers
+
+        def counted(products):
+            calls.append(products)
+            return kernel(products)
+
+        monkeypatch.setattr(mp, "_times_ones_powers", counted)
+        code, out, _ = run(capsys, "spectrum", "17,16,10,8,4,4,3,2", "--json")
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["charpoly"]["coefficients"][-1] == "1"
 
     def test_bound_tight(self, capsys):
         code, out, _ = run(capsys, "bound", "2,2,2")
@@ -419,6 +440,111 @@ class TestRepeatedCalls:
         monkeypatch.setattr(cli, "cmd_charpoly", lambda args: seen.append(args.partition) or 0)
         assert run(capsys, "charpoly", "2,1") == (0, "", "")
         assert seen == ["2,1"]
+
+
+def dumped(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=8), children, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("charpoly", "3,2,1", "--form", "all", "--json"),
+            ("charpoly", "64", "--form", "all", "--json"),
+            ("spectrum", "17,16,10,8,4,4,3,2", "--json"),
+            ("bound", "2*3", "--json"),
+            ("quotient", "3,2,1", "--json"),
+            ("search", "--n", "12", "--json"),
+            ("search", "--n", "13", "--k", "3", "--json"),
+            ("search", "--n", "1", "--json"),
+            ("verify", "--suite", "closedform", "--max-n", "6", "--json"),
+            ("verify", "--suite", "switching", "--json"),
+            ("switch-equiv", "--g6", "C]", "--g6", "C?", "--json"),
+            ("switch-equiv", "--g6", "DCO", "--g6", "D??", "--json"),
+            ("switch-equiv", "--g6", "C]", "--g6", "D??", "--json"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_every_command_prints_json_dumps(self, capsys, monkeypatch, argv):
+        # the payload each command hands the writer, dumped by json itself
+        payloads = []
+        write = cli._print_json
+
+        def recorded(payload):
+            payloads.append(payload)
+            write(payload)
+
+        monkeypatch.setattr(cli, "_print_json", recorded)
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        assert len(payloads) == 1
+        assert out == dumped(payloads[0])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            [],
+            {"a": [], "b": {}, "c": [[], {}], "d": {"e": {"f": []}}},
+            [[], [[]], {}, [{}], {"g": [{}]}],
+            ["a", 1, -2, 10**40, 1.5, -0.0, 1e300, True, False, None, {"h": "i"}, ["j"]],
+            {"k": "l", "m": "n"},
+            {"o": "p", "q": 1},
+            ["only", "strings"],
+            ("a", "tuple"),
+            ["a", ("nested", ["tuple"])],
+            {"ünïcødé ☃ 𝄞": ["ünïcødé ☃ 𝄞", "日本語"]},
+            ['"quoted"', "back\\slash", "\\\"", "/"],
+            {"ctl\x00": ["\x00\x01\x1f", "\n\r\t\b\f", "\x7f", "\u2028\u2029"]},
+            "top-level string",
+            12,
+            -3.25,
+            True,
+            None,
+            [float("inf"), float("-inf"), float("nan")],
+        ],
+    )
+    def test_synthetic_payloads(self, capsys, payload):
+        cli._print_json(payload)
+        assert capsys.readouterr().out == dumped(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=json_values)
+    def test_any_json_value(self, payload):
+        out = []
+        stdout = sys.stdout
+        sys.stdout = type("Sink", (), {"write": lambda self, s: out.append(s)})()
+        try:
+            cli._print_json(payload)
+        finally:
+            sys.stdout = stdout
+        assert "".join(out) == dumped(payload)
+
+    def test_search_is_written_in_pieces(self, monkeypatch):
+        # 4.5 MB of JSON, written a few hundred pieces at a time: a writer
+        # that joined the whole text would make one write of all of it
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": lambda self, s: writes.append(s)})())
+        assert main(["search", "--n", "30", "--json"]) == 0
+        text = "".join(writes)
+        assert len(text) > 4_000_000
+        assert max(map(len, writes)) <= 1_000_000
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0fab0be696ab7b8ca6f003c180306c6bebc5a8840db33b6d8332f2229abda065"
+        )
 
 
 class TestUsage:

@@ -210,7 +210,7 @@ class TestRecoverPartitions:
         def refuse(*args, **kwargs):
             raise AssertionError("a candidate's full polynomial was expanded")
 
-        monkeypatch.setattr(multipartite, "_times_ones_power", refuse)
+        monkeypatch.setattr(multipartite, "_times_ones_powers", refuse)
         assert recover_partitions(residual) == [Partition([998, 1, 1])]
 
     def test_zero_forced_product_is_refused_before_enumeration(self, monkeypatch):

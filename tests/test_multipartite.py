@@ -189,7 +189,7 @@ class TestAssemble:
         def refuse(*args):
             raise AssertionError("assemble expanded the polynomial")
 
-        monkeypatch.setattr(multipartite, "_times_ones_power", refuse)
+        monkeypatch.setattr(multipartite, "_times_ones_powers", refuse)
 
     @pytest.mark.parametrize(
         "ones, factors, residual, order",

@@ -33,7 +33,7 @@ from seidelspec.determination import (
     partitions_of,
 )
 from seidelspec.exactalg import elementary_symmetric
-from seidelspec.multipartite import _times_ones_power
+from seidelspec.multipartite import _times_ones_powers
 
 small_ints = st.integers(-6, 6)
 cofactors = st.lists(st.integers(-40, 40), min_size=1, max_size=8).filter(
@@ -120,11 +120,24 @@ def reference_times_ones_power(p: IntPoly, e: int) -> IntPoly:
     return p * IntPoly([1, 1]) ** e
 
 
+def times_ones_power(p: IntPoly, e: int) -> IntPoly:
+    # the batch kernel on a batch of one
+    return IntPoly(_times_ones_powers([(p, e)])[0])
+
+
+def assert_batch_matches_schoolbook(batch) -> None:
+    got = _times_ones_powers(batch)
+    assert len(got) == len(batch)
+    for coeffs, (p, e) in zip(got, batch):
+        # already normalized: no trailing zero to strip
+        assert coeffs == reference_times_ones_power(p, e).coeffs, (p, e)
+
+
 @settings(max_examples=300, deadline=None)
 @given(coeffs=st.lists(wide, max_size=20), e=ones_exponents)
 def test_times_ones_power_matches_schoolbook(coeffs, e):
     p = IntPoly(coeffs)
-    assert _times_ones_power(p, e) == reference_times_ones_power(p, e)
+    assert times_ones_power(p, e) == reference_times_ones_power(p, e)
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,21 +151,24 @@ def test_times_ones_power_at_the_lane_bound(m, length, alternating, e):
     # every coefficient +M, or alternating +-M: the two extreme sign
     # patterns of a one-norm, all of it in coefficients as wide as drawn
     p = IntPoly([-m if alternating and i % 2 else m for i in range(length)])
-    assert _times_ones_power(p, e) == reference_times_ones_power(p, e)
+    assert times_ones_power(p, e) == reference_times_ones_power(p, e)
+
+
+def whole_lane_constant(words: int, e: int) -> tuple[int, int]:
+    # a constant M times (x+1)^e has the middle coefficient M C(e, e // 2),
+    # the kernel's bound; M makes it take a whole number of 64-bit words,
+    # where the lane rounded up from one bit fewer would overflow
+    middle = comb(e, e // 2)
+    bits = 64 * (words + middle.bit_length() // 64)
+    return -(-(1 << (bits - 1)) // middle), bits
 
 
 @pytest.mark.parametrize("words", [1, 2, 10])
 def test_times_ones_power_fills_a_whole_lane(words):
-    # a constant M times (x+1)^e has the middle coefficient M C(e, e // 2),
-    # the kernel's bound; M is chosen so that it takes a whole number of
-    # 32-bit words, where the lane rounded up from one bit fewer would
-    # overflow
     for e in range(71):
-        middle = comb(e, e // 2)
-        bits = 32 * (words + middle.bit_length() // 32)
-        m = -(-(1 << (bits - 1)) // middle)
+        m, bits = whole_lane_constant(words, e)
         for c in (m, -m):
-            got = _times_ones_power(IntPoly([c]), e)
+            got = times_ones_power(IntPoly([c]), e)
             assert got == reference_times_ones_power(IntPoly([c]), e)
             assert abs(got.coeffs[e // 2]).bit_length() == bits
 
@@ -160,7 +176,60 @@ def test_times_ones_power_fills_a_whole_lane(words):
 def test_times_ones_power_rejects_a_negative_exponent():
     # refused before any lane layout is built, not read back as garbage
     with pytest.raises(ValueError):
-        _times_ones_power(IntPoly([1, 1]), -1)
+        _times_ones_powers([(IntPoly([1, 1]), -1)])
+    with pytest.raises(ValueError):
+        _times_ones_powers([(IntPoly([1]), 3), (IntPoly(), -1)])
+
+
+# coefficients whose products take lanes of one, two or three 64-bit words
+# at exponents up to 70, where C(e, e // 2) has up to 67 bits
+lane_coeffs = st.one_of(
+    st.integers(-(2**20), 2**20),
+    st.integers(-(2**62), 2**62),
+    st.integers(-(2**120), 2**120),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    batch=st.lists(
+        st.tuples(st.lists(lane_coeffs, max_size=20).map(IntPoly), ones_exponents),
+        max_size=12,
+    )
+)
+def test_batch_matches_schoolbook(batch):
+    # one lane width, the widest product's, for every product of a batch
+    assert_batch_matches_schoolbook(batch)
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_batch_with_a_whole_lane_product(words):
+    # each whole-lane product sets the batch's width for the short, long,
+    # empty and e = 0 products around it
+    others = [
+        (IntPoly([3, -1, 1]), 5),
+        (IntPoly(), 9),
+        (IntPoly([7, 0, -2]), 0),
+        (IntPoly(list(range(-10, 11))), 70),
+    ]
+    for e in (1, 2, 31, 63, 64, 70):
+        m, _ = whole_lane_constant(words, e)
+        batch = [*others[:2], (IntPoly([m]), e), (IntPoly([-m]), e), *others[2:]]
+        assert_batch_matches_schoolbook(batch)
+
+
+def test_one_part_of_sixty_four_takes_two_word_lanes():
+    # K_64: residual x - 63 times (x+1)^63, whose bound 64 C(63, 31) needs
+    # more than one 64-bit word
+    f = charpoly_coefficients(Partition([64]))
+    assert (f.residual, f.ones_exponent) == (IntPoly([-63, 1]), 63)
+    assert (64 * comb(63, 31)).bit_length() + 1 > 64
+    assert f.expanded == reference_times_ones_power(f.residual, 63)
+    assert_batch_matches_schoolbook([(f.residual, 63)] * 3)
+
+
+def test_empty_batch():
+    assert _times_ones_powers([]) == []
 
 
 @settings(max_examples=300, deadline=None)
