@@ -242,7 +242,9 @@ class ForcedSizeVerdict:
 
     ``rule`` names the structural pattern that forces uniqueness (if any);
     ``evidence`` holds the exact checks backing it; ``mates`` lists other
-    partitions with the same spectrum (same part count).
+    partitions with the same spectrum (same part count).  With two parts,
+    the search lists every other two-part partition of the order, and
+    ``check_forced_part_sizes`` lists none, as it skips recovery there.
     """
 
     partition: Partition
@@ -312,7 +314,9 @@ def _build_verdict(
 
 
 def check_forced_part_sizes(partition) -> ForcedSizeVerdict:
-    """Verdict for one partition, recovering its cospectral family afresh."""
+    """Verdict for one partition, recovering its cospectral family afresh;
+    with at most two parts (one switching class) recovery is skipped and
+    ``mates`` is (), so Partition([5 * 10**8, 5 * 10**8]) returns at once."""
     p = partition if isinstance(partition, Partition) else Partition(partition)
     residual = charpoly_coefficients(p).residual
     if p.k <= 2:

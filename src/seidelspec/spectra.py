@@ -367,7 +367,6 @@ class SpectrumReport:
 
     partition: Partition
     charpoly: FactoredSeidelPoly
-    expanded: IntPoly  # charpoly multiplied out, as the residual check read it
     minus_one_multiplicity: int
     positive_roots: int
     roots_below_minus_one: int
@@ -391,7 +390,7 @@ class SpectrumReport:
             "parts": str(self.partition.k),
             "charpoly": {
                 "factored": self.charpoly.factored_str(),
-                "coefficients": [str(c) for c in self.expanded.coeffs],
+                "coefficients": [str(c) for c in self.charpoly.expanded.coeffs],
             },
             "-1_multiplicity": str(self.minus_one_multiplicity),
             "positive_roots": str(self.positive_roots),
@@ -443,8 +442,8 @@ def spectrum_report(partition) -> SpectrumReport:
     times the residual: -1 has multiplicity n - k plus its multiplicity in
     the residual, the product is real-rooted iff the residual is (the
     other factor is), and (x+1)^(n-k) has no root below -1 and no positive
-    root.  Only the numeric residual check expands the full polynomial, and
-    the report keeps that expansion for its JSON.
+    root.  The numeric residual check evaluates that same product, so only
+    the report's JSON expands the full polynomial.
     """
     p = partition if isinstance(partition, Partition) else Partition(partition)
     n, k = p.n, p.k
@@ -487,9 +486,9 @@ def spectrum_report(partition) -> SpectrumReport:
         raise ConsistencyError(
             f"{p}: eigenvalue square sum off by {square_sum_error:.3e}"
         )
-    full = factored.expanded
     max_scaled_residual = max(
-        abs(full(e)) / (1.0 + abs(e)) ** n for e in eigs
+        abs((e + 1) ** factored.ones_exponent * residual(e)) / (1 + abs(e)) ** n
+        for e in eigs
     )
     if max_scaled_residual > RESIDUAL_TOL:
         raise ConsistencyError(
@@ -516,20 +515,16 @@ def spectrum_report(partition) -> SpectrumReport:
         )
     bound_tight = abs(least - bound.value) <= COMPARISON_TOL
 
-    interval_checks = []
-    interval_ok = True
-    for i, (lo, hi) in enumerate(structure.intervals):
-        e = eigs[i]
-        within = lo - COMPARISON_TOL <= e <= hi + COMPARISON_TOL
-        interval_ok = interval_ok and within
-        interval_checks.append((e, lo, hi, within))
-    if not interval_ok:
+    interval_checks = tuple(
+        (e, lo, hi, lo - COMPARISON_TOL <= e <= hi + COMPARISON_TOL)
+        for e, (lo, hi) in zip(eigs, structure.intervals)
+    )
+    if not all(within for *_, within in interval_checks):
         raise TheoremViolationError(f"{p}: interlacing interval violated")
 
     return SpectrumReport(
         partition=p,
         charpoly=factored,
-        expanded=full,
         minus_one_multiplicity=minus_one,
         positive_roots=positives,
         roots_below_minus_one=below,
@@ -540,7 +535,7 @@ def spectrum_report(partition) -> SpectrumReport:
         bound_satisfied=bound_satisfied,
         bound_tight=bound_tight,
         structure=structure,
-        interval_checks=tuple(interval_checks),
+        interval_checks=interval_checks,
         trace_error=trace_error,
         square_sum_error=square_sum_error,
         max_scaled_residual=max_scaled_residual,

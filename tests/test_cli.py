@@ -10,8 +10,19 @@ from hypothesis import strategies as st
 
 import seidelspec.cli as cli
 import seidelspec.determination as determination
+import seidelspec.multipartite as multipartite
 import seidelspec.verify as verify
-from seidelspec import CapExceededError, InvalidPartitionError, Partition
+from seidelspec import (
+    CapExceededError,
+    ConsistencyError,
+    InvalidPartitionError,
+    Partition,
+    charpoly_coefficients,
+    charpoly_oracle,
+    complete_multipartite,
+    seidel_matrix,
+    spectrum_report,
+)
 from seidelspec.cli import main
 from seidelspec.verify import (
     SWEEP_CAP,
@@ -131,8 +142,8 @@ class TestSpectrumBoundQuotient:
         assert json.loads(out)["-1_multiplicity"] == "3"
 
     def test_spectrum_json_expands_once(self, capsys, monkeypatch):
-        # the report's residual check expands the polynomial, and its JSON
-        # reuses that expansion: one kernel call per spectrum --json
+        # the report checks the eigenvalues on the factored polynomial, and
+        # only its JSON expands it: one kernel call per spectrum --json
         import seidelspec.multipartite as mp
 
         calls = []
@@ -147,6 +158,32 @@ class TestSpectrumBoundQuotient:
         assert code == 0
         assert len(calls) == 1
         assert json.loads(out)["charpoly"]["coefficients"][-1] == "1"
+
+    @pytest.mark.parametrize("text", ["17,16,10,8,4,4,3,2", "64"])
+    def test_reports_never_expand(self, capsys, monkeypatch, text):
+        # the numeric residual check reads the factored form, so a report,
+        # bound, text spectrum and the bounds suite expand nothing
+        def refuse(products):
+            raise AssertionError("the full polynomial was expanded")
+
+        monkeypatch.setattr(multipartite, "_times_ones_powers", refuse)
+        assert spectrum_report(Partition.parse(text)).max_scaled_residual < 1e-11
+        for argv in (("bound", text), ("bound", text, "--json"), ("spectrum", text)):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.startswith(("partition: ", "{")), argv
+        assert bounds_suite(max_n=8).passed
+
+    @pytest.mark.parametrize(
+        "text", ["3,2,1", "17,16,10,8,4,4,3,2", "20,20,12,12", "7*9,1", "32,32", "64"]
+    )
+    def test_spectrum_json_coefficients_match_oracle(self, capsys, text):
+        # no report check reads the expanded coefficients any more, so they
+        # are tied to the graph here, exactly
+        code, out, _ = run(capsys, "spectrum", text, "--json")
+        assert code == 0
+        graph = complete_multipartite(Partition.parse(text))
+        oracle = charpoly_oracle(seidel_matrix(graph))
+        assert json.loads(out)["charpoly"]["coefficients"] == [str(c) for c in oracle.coeffs]
 
     def test_bound_tight(self, capsys):
         code, out, _ = run(capsys, "bound", "2,2,2")
@@ -279,6 +316,49 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "determination", "--max-n", "13")
         assert code == 3
         assert "FAIL determination" in out
+
+    def test_recovery_is_checked_against_the_scan(self, monkeypatch):
+        # split the class of (6,6,1) and (9,2,2) in the scan: recovery of
+        # either one still finds both, which the suite must report
+        real = determination.cospectral_classes
+        pair = {Partition([6, 6, 1]), Partition([9, 2, 2])}
+
+        def split(n, k=None):
+            classes = []
+            for cls in real(n, k):
+                if pair <= set(cls.partitions):
+                    classes.extend(
+                        determination.CospectralClass(cls.charpoly, (p,))
+                        for p in cls.partitions
+                    )
+                else:
+                    classes.append(cls)
+            return classes
+
+        monkeypatch.setattr(determination, "cospectral_classes", split)
+        result = determination_suite(max_n=13)
+        assert not result.passed
+        assert result.failures == (
+            "6,6,1: recovery gives 6,6,1 9,2,2, the scan 6,6,1",
+            "9,2,2: recovery gives 6,6,1 9,2,2, the scan 9,2,2",
+        )
+
+    def test_recovery_error_is_that_partitions_failure(self, monkeypatch):
+        # an error from recovery fails its partition, and the suite goes on
+        # to every other partition and order
+        checks = determination_suite(max_n=8).checks
+        real = verify.recover_partitions
+        broken = charpoly_coefficients(Partition([3, 2, 1])).residual
+
+        def recover(residual):
+            if residual == broken:
+                raise ConsistencyError("recovery broke")
+            return real(residual)
+
+        monkeypatch.setattr(verify, "recover_partitions", recover)
+        result = determination_suite(max_n=8)
+        assert result.failures == ("3,2,1: recovery failed: recovery broke",)
+        assert result.checks == checks
 
     def test_determination_over_cap_is_usage_error(self, capsys):
         # refused before the recovery sweep starts, not reported as a failure

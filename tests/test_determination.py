@@ -389,6 +389,13 @@ class TestForcedPartSizes:
         assert v.rule == "bipartite"
         assert v.status == "s_determined"
 
+    def test_two_part_mates_depend_on_the_route(self):
+        # check_forced_part_sizes skips recovery at two parts and lists no
+        # mates; the search lists the order's other two-part partitions
+        assert check_forced_part_sizes(Partition([3, 1])).mates == ()
+        verdicts = {v.partition: v for v in verify_shared_part_property(4).verdicts}
+        assert verdicts[Partition([3, 1])].mates == (Partition([2, 2]),)
+
     def test_no_rule(self):
         assert forced_rule(Partition([4, 3, 2])) is None
 
