@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import repeat
+from collections.abc import Iterator
+from itertools import chain, repeat
 
 from .determination import verify_shared_part_property
 from .errors import ConsistencyError, SeidelSpecError
@@ -38,6 +39,7 @@ _encode = json.encoder.encode_basestring_ascii
 # entry, so 256 of them make writes of some 40 kB; larger writes raised the
 # peak RSS of a search
 _WRITE_PIECES = 256
+_END = object()  # marks an iterator with no items
 
 
 def _print_json(payload) -> None:
@@ -54,43 +56,55 @@ def _json_pieces(value, newline: str, pieces: list[str]) -> None:
     """Append the text of ``json.dumps(value, indent=2)``, nested at the
     indent that ``newline`` ends in, to ``pieces``, writing them out
     whenever there are ``_WRITE_PIECES``.  Dicts and lists are walked here;
-    a list of strings only is one piece, joined over the C string encoder."""
+    a list of strings only is one piece, joined over the C string encoder.
+    Any other iterator is written as a list, one item at a time, so a
+    generator's items need never be held together."""
     if isinstance(value, str):
         pieces.append(_encode(value))
-    elif isinstance(value, (list, tuple, dict)):
-        is_dict = isinstance(value, dict)
-        if not value:
-            pieces.append("{}" if is_dict else "[]")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        if is_dict:
-            opener, closer = "{" + inner, newline + "}"
-            items = zip(map("".join, zip(map(_encode, value), repeat(": "))), value.values())
-        else:
-            opener, closer = "[" + inner, newline + "]"
-            try:
-                text = comma.join(map(_encode, value))
-            except TypeError:  # an item that is not a string
-                items = zip(repeat(""), value)
-            else:
-                pieces.append(opener + text + closer)
-                return
-        for head, item in items:
-            if isinstance(item, str):
-                pieces.append(opener + head + _encode(item))
-            else:
-                pieces.append(opener + head)
-                _json_pieces(item, inner, pieces)
-            if len(pieces) >= _WRITE_PIECES:
-                sys.stdout.write("".join(pieces))
-                pieces.clear()
-            opener = comma
-        pieces.append(closer)
-    elif value is None or value is True or value is False:
+        return
+    if value is None or value is True or value is False:
         pieces.append("null" if value is None else "true" if value else "false")
+        return
+    inner = newline + "  "
+    comma = "," + inner
+    opener, closer = "[" + inner, newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        opener, closer = "{" + inner, newline + "}"
+        items = zip(map("".join, zip(map(_encode, value), repeat(": "))), value.values())
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        try:
+            text = comma.join(map(_encode, value))
+        except TypeError:  # an item that is not a string
+            items = zip(repeat(""), value)
+        else:
+            pieces.append(opener + text + closer)
+            return
+    elif isinstance(value, Iterator):
+        first = next(value, _END)
+        if first is _END:
+            pieces.append("[]")
+            return
+        items = zip(repeat(""), chain((first,), value))
     else:
         pieces.append(json.dumps(value))
+        return
+    for head, item in items:
+        if isinstance(item, str):
+            pieces.append(opener + head + _encode(item))
+        else:
+            pieces.append(opener + head)
+            _json_pieces(item, inner, pieces)
+        if len(pieces) >= _WRITE_PIECES:
+            sys.stdout.write("".join(pieces))
+            pieces.clear()
+        opener = comma
+    pieces.append(closer)
 
 
 def _form_result(p: Partition, form: str) -> dict:

@@ -218,14 +218,16 @@ def cospectral_classes(n: int, k: int | None = None) -> list[CospectralClass]:
         raise CapExceededError(
             f"cospectral search is capped at order {COSPECTRAL_CAP}, got {n}"
         )
-    groups: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for parts, sig in _partition_walk(n, k):
-        groups.setdefault(tuple(sig[3:]), (sig, []))[1].append(parts)
+        groups.setdefault(tuple(sig[3:]), []).append(parts)
     classes = []
-    # member lists are disjoint, so the sort never compares sigmas
-    for members, sig in sorted((sorted(ps), sig) for sig, ps in groups.values()):
+    for key, members in groups.items():
+        # sigma_2 has weight 0 in every row, so the key and n fix the
+        # residual of the first member walked, whose part count is its degree
+        residual = _sigma_residual((1, n, 0, *key)[: len(members[0]) + 1])
+        members.sort()
         partitions = tuple(map(Partition, members))
-        residual = _sigma_residual(sig)
         if residual.degree >= 3 and not residual(-1):
             raise TheoremViolationError(
                 f"the residual of {partitions[0]} vanishes at -1, so its "
@@ -233,6 +235,9 @@ def cospectral_classes(n: int, k: int | None = None) -> list[CospectralClass]:
             )
         charpoly = FactoredSeidelPoly(n - residual.degree, (), residual)
         classes.append(CospectralClass(charpoly, partitions))
+    # member lists are sorted and disjoint, so their least members order
+    # the classes as the whole lists would
+    classes.sort(key=lambda cls: cls.partitions[0].parts)
     return classes
 
 
@@ -340,10 +345,14 @@ class DeterminationReport:
     elapsed: float
 
     def to_json_dict(self) -> dict:
+        """The ``search --json`` payload.  ``classes`` is a one-shot iterator
+        of class dicts, expanded ``_EXPAND_CHUNK`` classes at a time, so a
+        writer that takes it item by item holds one chunk's coefficients
+        and strings at most; list it to read it more than once."""
         return {
             "order": str(self.order),
             "k": None if self.k_filter is None else str(self.k_filter),
-            "classes": list(self._class_dicts()),
+            "classes": self._class_dicts(),
             "violations": [
                 {"first": str(a), "second": str(b), "shared_size": str(s)}
                 for a, b, s in self.shared_part_violations

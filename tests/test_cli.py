@@ -3,6 +3,7 @@ import json
 import sys
 import time
 import tracemalloc
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -271,14 +272,19 @@ class TestSearch:
                 ("--n", "30", "--json"),
                 "0fab0be696ab7b8ca6f003c180306c6bebc5a8840db33b6d8332f2229abda065",
             ),
+            (
+                # the search at its cap, COSPECTRAL_CAP = 36
+                ("--n", "36", "--json"),
+                "b654c0bf867dbbeb9499ebfdab1be8a5edfbbf52eb9f91f52cb05fa373d65b47",
+            ),
         ],
     )
     def test_search_output_pinned(self, capsys, argv, digest):
         # SHA-256 of stdout recorded from the search that keyed every
         # partition on its expanded coefficient tuple; keying on
         # (sigma_3, ..., sigma_k), expanding each class's residual, the
-        # batched JSON writer and the packed (x+1)^e product must not
-        # change a byte
+        # batched JSON writer, the packed (x+1)^e product and the streamed
+        # class list must not change a byte
         code, out, _ = run(capsys, "search", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -526,6 +532,33 @@ def dumped(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def streamed_and_listed(payload):
+    """Two views of one payload: the first hands on each iterator's items
+    one at a time, as the original iterator does, and records them; the
+    second holds the recorded items in lists, filled as the first is
+    written."""
+    if isinstance(payload, dict):
+        views = {key: streamed_and_listed(value) for key, value in payload.items()}
+        return (
+            {key: streamed for key, (streamed, _) in views.items()},
+            {key: held for key, (_, held) in views.items()},
+        )
+    if isinstance(payload, (list, tuple)):
+        views = [streamed_and_listed(value) for value in payload]
+        return type(payload)(s for s, _ in views), [h for _, h in views]
+    if isinstance(payload, Iterator):
+        held = []
+
+        def stream():
+            for item in payload:
+                streamed, item_held = streamed_and_listed(item)
+                held.append(item_held)
+                yield streamed
+
+        return stream(), held
+    return payload, payload
+
+
 json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -559,19 +592,24 @@ class TestJsonWriter:
         ids=lambda argv: " ".join(argv),
     )
     def test_every_command_prints_json_dumps(self, capsys, monkeypatch, argv):
-        # the payload each command hands the writer, dumped by json itself
+        # the payload each command hands the writer, dumped by json itself;
+        # the writer still takes a search's classes as an iterator, whose
+        # items are recorded as they are written
         payloads = []
         write = cli._print_json
 
         def recorded(payload):
-            payloads.append(payload)
-            write(payload)
+            streamed, held = streamed_and_listed(payload)
+            payloads.append((payload, held))
+            write(streamed)
 
         monkeypatch.setattr(cli, "_print_json", recorded)
         code, out, _ = run(capsys, *argv)
         assert code in (0, 1)
         assert len(payloads) == 1
-        assert out == dumped(payloads[0])
+        payload, held = payloads[0]
+        assert isinstance(payload.get("classes"), Iterator) == (argv[0] == "search")
+        assert out == dumped(held)
 
     @pytest.mark.parametrize(
         "payload",
@@ -601,6 +639,56 @@ class TestJsonWriter:
         cli._print_json(payload)
         assert capsys.readouterr().out == dumped(payload)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: iter(()),
+            lambda: (c for c in ()),
+            lambda: {"empty": (c for c in ()), "after": 1},
+            lambda: (s for s in ["a", "ünï☃", '"q"', ""]),
+            lambda: {"strings": map(str, range(3))},
+            lambda: ({"i": str(i), "sq": [i * i], "odd": bool(i % 2)} for i in range(4)),
+            lambda: {"dicts": ({"n": i, "e": {}} for i in range(3)), "tail": []},
+            lambda: ((str(j) for j in range(i)) for i in range(4)),
+            lambda: [({"x": (y for y in "ab")} for _ in range(2)), (c for c in ())],
+            lambda: (i for i in [None, True, 1.5, -(10**40), "s", ["l"], ("t",)]),
+        ],
+        ids=[
+            "empty-iter",
+            "empty-generator",
+            "empty-generator-in-dict",
+            "generator-of-strings",
+            "map-of-strings",
+            "generator-of-dicts",
+            "generator-of-dicts-in-dict",
+            "nested-generators",
+            "generators-in-list",
+            "generator-of-mixed",
+        ],
+    )
+    def test_iterator_payloads(self, capsys, make):
+        # any iterator is written as a list, one item at a time
+        streamed, held = streamed_and_listed(make())
+        cli._print_json(streamed)
+        assert capsys.readouterr().out == dumped(held)
+
+    def test_iterator_items_are_written_as_taken(self, monkeypatch):
+        # a long generator is taken an item at a time: the pieces of its
+        # first items are written before its last item is made
+        writes, made = [], []
+        monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": lambda self, s: writes.append(s)})())
+        count = 4 * cli._WRITE_PIECES
+
+        def items():
+            for i in range(count):
+                made.append(len(writes))
+                yield str(i)
+
+        cli._print_json({"items": items()})
+        assert made[0] == 0
+        assert made[-1] > 0
+        assert "".join(writes) == dumped({"items": list(map(str, range(count)))})
+
     @settings(max_examples=200, deadline=None)
     @given(payload=json_values)
     def test_any_json_value(self, payload):
@@ -625,6 +713,21 @@ class TestJsonWriter:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "0fab0be696ab7b8ca6f003c180306c6bebc5a8840db33b6d8332f2229abda065"
         )
+
+    def test_search_json_holds_one_chunk(self, monkeypatch):
+        # the classes are expanded and written a chunk at a time, so the
+        # 4.5 MB report is never held whole: the traced peak was 21.4 MiB
+        # when the payload listed every class before the first write, and
+        # is about 8.6 MiB streamed
+        monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": lambda self, s: len(s)})())
+        tracemalloc.start()
+        try:
+            code = main(["search", "--n", "30", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 14 << 20
 
 
 class TestUsage:

@@ -289,6 +289,21 @@ class TestCospectralClasses:
                     for q in cls.partitions:
                         assert cls.charpoly.expanded == charpoly_coefficients(q).expanded, (n, k, q)
 
+    def test_class_residual_is_first_walked_members(self):
+        # a class keeps only its key and members; its residual, rebuilt
+        # from the key with sigma_2 = 0, is that of the member the walk met
+        # first, so the two-part class has degree 1 in an all-k search and
+        # degree 2 under k = 2
+        for n in range(1, 16):
+            for k in (None, 1, 2, 3, 4):
+                walked = list(partitions_of(n, k))
+                for cls in cospectral_classes(n, k):
+                    first = min(cls.partitions, key=walked.index)
+                    assert cls.charpoly.residual == charpoly_coefficients(first).residual
+                    assert cls.charpoly.ones_exponent == n - first.k
+                    if cls.degenerate_bipartite and n >= 2:
+                        assert first.k == (2 if k == 2 else 1)
+
     def test_residual_at_minus_one(self):
         # residual(-1) = (-2)^(k-1) (k-2) sigma_k, nonzero for k != 2, so
         # -1 has multiplicity exactly n - k and the polynomial fixes k
@@ -361,7 +376,11 @@ class TestSharedPartProperty:
         payload = report.to_json_dict()
         assert payload["order"] == "4"
         assert payload["violations"] == []
-        assert payload["classes"][0]["partitions"] == ["2,2", "3,1"]
+        # the classes are a one-shot iterator, expanded as they are taken
+        classes = payload["classes"]
+        assert iter(classes) is classes
+        assert [c["partitions"] for c in classes] == [["2,2", "3,1"]]
+        assert list(classes) == []
         assert payload["verdicts"]["2,2"] == "s_determined"
 
 
