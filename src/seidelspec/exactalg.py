@@ -7,8 +7,10 @@ construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import isqrt
-from operator import index, itemgetter, lshift, mul, ne, sub
+from itertools import repeat
+from operator import getitem, index, itemgetter, lshift, mul, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -285,6 +287,157 @@ def _lane_width(squares: Sequence[int]) -> int:
     return max(elementary_symmetric(norms)).bit_length() + 2
 
 
+def _column_runs(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The column runs [lo, hi) of a square matrix, in order.
+
+    A run is a maximal stretch of consecutive columns in which each column
+    agrees with the one before it in every row except those two columns'
+    own rows.  In the Seidel matrix of K_P the runs are the parts, with
+    adjacent parts of size 1 merged into one run.
+    """
+    n = len(rows)
+    cols = list(zip(*rows))
+    bounds = [0]
+    for j in range(1, n):
+        a, b = cols[j - 1], cols[j]
+        if a[: j - 1] != b[: j - 1] or a[j + 1 :] != b[j + 1 :]:
+            bounds.append(j)
+    bounds.append(n)
+    return list(zip(bounds, bounds[1:]))
+
+
+# entries of the matrix that column runs must fold, n - 2 for each column
+# that continues a run, before the plan sums them.  Below it planning costs
+# more than the additions save: on a 2-vCPU x86 guest with Python 3.11,
+# K_P below order 24 ran no faster with runs and K_P of order 64 in about
+# 0.7 of the time.
+_FOLD_MIN = 400
+
+# the coefficient of an (index, coefficient) term, to filter out zeros
+_nonzero = itemgetter(1)
+
+
+def _not_one(term: tuple[int, int]) -> bool:
+    return term[1] != 1
+
+
+def _weight(coefficients: Sequence[int]) -> int:
+    """Additions that add up rows times these coefficients: one for each
+    +-1, two for any other nonzero, which also costs a multiple."""
+    nonzero = len(coefficients) - coefficients.count(0)
+    return 2 * nonzero - coefficients.count(1) - coefficients.count(-1)
+
+
+def _instruction(
+    terms: list[tuple[int, int]], zero: int
+) -> tuple[bool, int, tuple[tuple[int, int], ...]]:
+    # start from the first term if it is +1, else from the zero register
+    if terms and terms[0][1] == 1:
+        return False, terms[0][0], tuple(terms[1:])
+    return False, zero, tuple(terms)
+
+
+def _oracle_plan(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]] | None, list]:
+    """(runs, program): how ``charpoly_oracle`` builds the rows of A*M from
+    those of M.
+
+    ``program`` is a list of instructions over registers: registers
+    0..n-1 hold the rows M_j and register n holds 0.  Each instruction
+    (chained, j, terms) appends one register: register j, or the register
+    appended just before it when ``chained``, plus b * register i over its
+    terms (i, b).  The last n registers are the rows of A*M.
+
+    Row i of A is split by the column runs ``runs``: one coefficient v_ir
+    per run r, the row's entry in that run, and corrections (j, a_ij - v_ir)
+    where an entry differs from it.  Only row i's own run can hold
+    corrections: its entries below the diagonal are equal, and so are those
+    above it, and v_ir is whichever of the two leaves fewer.  A Seidel row
+    of K_P has one correction, on its diagonal.  The program first adds up
+    the rows of each run, then combines each key (v_ir)_r that two or more
+    rows share, sum_r(v_ir * run sum r) or from the key combined before it
+    where that is cheaper; row i of A*M is its key's combination plus its
+    corrections.  A row is built instead from row i-1 of A*M plus
+    (a_ij - a_(i-1)j) * M_j where the two rows of A differ, when that
+    costs fewer additions (``_weight``, counting two per difference) than
+    its corrections and its share of its key's combination.
+
+    Run sums cost planning time, which only big-integer work saved over
+    the call repays, so runs that fold fewer than ``_FOLD_MIN`` entries
+    of the matrix, n - 2 for each column that continues a run, are not
+    summed: ``runs`` is then None, and each row is built from its own
+    nonzero entries or from the previous row.
+    """
+    n = len(rows)
+    program: list[tuple[bool, int, tuple[tuple[int, int], ...]]] = []
+    # (n - 2) * (n - 1) is the most that runs can fold, so orders below 22
+    # are never searched for runs
+    runs = _column_runs(rows) if (n - 2) * (n - 1) >= _FOLD_MIN else None
+    if runs is None or (n - 2) * (n - len(runs)) < _FOLD_MIN:
+        prev = None
+        for row in rows:
+            if prev is not None and 2 * sum(map(ne, row, prev)) < n - row.count(0):
+                program.append((True, 0, tuple(filter(_nonzero, enumerate(map(sub, row, prev))))))
+            else:
+                program.append((False, n, tuple(filter(_nonzero, enumerate(row)))))
+            prev = row
+        return None, program
+    starts = [lo for lo, _ in runs]
+    keys = [list(map(row.__getitem__, starts)) for row in rows]
+    corrections = [[]] * n
+    for r, (lo, hi) in enumerate(runs):
+        if hi == lo + 1:
+            # the row's own entry is its coefficient
+            continue
+        for i in range(lo, hi):
+            span = rows[i][lo:hi]
+            below = span[i - lo - 1] if i > lo else span[-1]
+            above = span[i - lo + 1] if i < hi - 1 else span[0]
+            v = below if span.count(below) >= span.count(above) else above
+            keys[i][r] = v
+            corrections[i] = [(j, x - v) for j, x in enumerate(span, lo) if x != v]
+    keys = list(map(tuple, keys))
+    # a run of one column is that row of M; a longer one is summed
+    # unless no key reads it
+    sums = []
+    for r, (lo, hi) in enumerate(runs):
+        if hi == lo + 1:
+            sums.append(lo)
+        elif not any(map(itemgetter(r), keys)):
+            sums.append(None)
+        else:
+            program.append((False, lo, tuple(zip(range(lo + 1, hi), repeat(1)))))
+            sums.append(n + len(program))
+    shares = Counter(keys)
+    combos: dict[tuple[int, ...], int] = {}
+    last = None
+    row_terms = []
+    for i, (key, fixes) in enumerate(zip(keys, corrections)):
+        share = shares[key]
+        if i:
+            row, prev = rows[i], rows[i - 1]
+            own = _weight([a for _, a in fixes]) if fixes else 0
+            if 2 * sum(map(ne, row, prev)) * share < _weight(key) + own * share:
+                row_terms.append((True, tuple(filter(_nonzero, enumerate(map(sub, row, prev))))))
+                continue
+        if share == 1:
+            terms = sorted(filter(_nonzero, zip(sums, key)), key=_not_one)
+            row_terms.append((False, terms + fixes))
+            continue
+        if key not in combos:
+            terms = sorted(filter(_nonzero, zip(sums, key)), key=_not_one)
+            if last is not None:
+                step = list(map(sub, key, last))
+                if _weight(step) < _weight(key):
+                    terms = [(combos[last], 1)] + list(filter(_nonzero, zip(sums, step)))
+            program.append(_instruction(terms, n))
+            combos[key] = n + len(program)
+            last = key
+        row_terms.append((False, [(combos[key], 1)] + fixes))
+    # a row from the previous row continues from the register just before
+    program += [(True, 0, t) if chained else _instruction(t, n) for chained, t in row_terms]
+    return runs, program
+
+
 def charpoly_oracle(matrix) -> IntPoly:
     """Exact monic characteristic polynomial det(xI - M).
 
@@ -292,22 +445,30 @@ def charpoly_oracle(matrix) -> IntPoly:
     the step index is exact over the integers, which is checked; the result
     is independent of any closed form elsewhere in this package.
 
-    Each row of the work matrix is packed into one Python int of n signed
-    lanes, lane j holding entry j at bit offset w*j, so row i of the product
-    A*W is a sum of whole rows W_j, adding c*I adds ``c << (w*i)`` to row i,
-    and the trace is read back by biased lane extraction.  Row i of A*W is
-    built from zero as sum(a_ij * W_j) over the nonzeros of row i, or from
-    row i-1 of A*W plus sum((a_ij - a_(i-1)j) * W_j) over the positions where
-    rows i and i-1 of A differ.  The plan, fixed once per call, takes the
-    second route when twice the number of differences is below the number
-    of nonzeros, since a difference can cost a scalar multiple of W_j where
-    the entry itself is +-1 and costs one addition.  Rows that repeat up to
-    a few entries, as twins' rows do, then cost a few additions.  Packing
-    is linear, so both routes give the same integers.
+    Each row of the work matrix M is packed into one Python int of n signed
+    lanes, lane j holding entry j at bit offset s_j = w*j + 1, so row i of
+    the product A*M is a sum of multiples of whole rows M_j, and adding c*I
+    adds ``c << s_i`` to row i.  Packing is linear, so every way of adding
+    up the same multiples of rows gives the same integers; only the readout
+    needs every entry to fit its lane, and w = ``_lane_width`` of the
+    squared row norms, by Hadamard's inequality, is fixed before any
+    arithmetic.  The plan, ``_oracle_plan``, is built once per call from
+    the matrix's column runs: each step adds up each run's rows once, and
+    row i of A*M is a combination of those run sums plus a few corrections
+    (one for a Seidel row of K_P), or row i-1 of A*M plus a few multiples
+    of rows where that is cheaper.  Rows with the same run coefficients
+    share one combination, computed once per step.
 
-    Packed arithmetic is exact; only the extraction needs every entry to
-    fit its lane, and w = ``_lane_width`` of the squared row norms, by
-    Hadamard's inequality, is fixed before any arithmetic.
+    Readout of lane i of row i, x = sum_j e_j 2^(s_j), needs no bias on the
+    whole row.  Every e_j is a work-matrix entry, so |e_j| < 2^(w-1) =
+    half (``_lane_width``), and the lanes below lane i sum to L with |L| <=
+    2 (half - 1) (2^(wi) - 1) / (2^w - 1) < 2^(wi) = 2^(s_i - 1).  So x =
+    H 2^(s_i) + L with H = e_i mod 2^w, and H = round(x / 2^(s_i)).  With
+    y the w + 1 bits of x from bit s_i - 1, that is floor(x / 2^(s_i - 1))
+    mod 2^(w+1), the rounded quotient is floor((y + 1) / 2) mod 2^w.  As
+    e_i + half lies in [0, 2^w), e_i + half = ((y + 1 + 2^w) >> 1) mod 2^w,
+    and the trace is the sum of these less n * half, taken as the rows of
+    A*M are built.  The first trace, that of A, is read off its diagonal.
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     n = m.n
@@ -315,27 +476,20 @@ def charpoly_oracle(matrix) -> IntPoly:
         return IntPoly([1])
     rows = m.rows
     w = _lane_width([sum(map(mul, row, row)) for row in rows])
-    shifts = range(0, n * w, w)
-    half = 1 << (w - 1)
+    shifts = range(1, n * w + 1, w)
+    lows = range(0, n * w, w)
     lane = (1 << w) - 1
-    # adding half to every lane makes each lane nonnegative, so no borrow
-    # crosses a lane boundary when one is shifted down and masked off
-    bias = sum(half << s for s in shifts)
-    # plan[i] = (from_previous, the (j, coefficient of W_j) pairs with a
-    # nonzero coefficient)
-    value = itemgetter(1)
-    plan = []
-    prev = None
-    for row in rows:
-        if prev is not None and 2 * sum(map(ne, row, prev)) < n - row.count(0):
-            plan.append((True, list(filter(value, enumerate(map(sub, row, prev))))))
-        else:
-            plan.append((False, list(filter(value, enumerate(row)))))
-        prev = row
+    window = (1 << (w + 1)) - 1
+    rounding = (1 << w) + 1
+    bias = n << (w - 1)
+    program = _oracle_plan(rows)[1]
+    # each instruction with the bit its register's lane is read from: the
+    # last n registers, row i of A*M read at lane i, and no other
+    steps = [(*step, s) for step, s in zip(program, [None] * (len(program) - n) + [*lows])]
     work = [sum(map(lshift, row, shifts)) for row in rows]
     coeffs = [1]
+    t = sum(map(getitem, rows, range(n)))
     for k in range(1, n + 1):
-        t = sum((((row + bias) >> s) & lane) - half for row, s in zip(work, shifts))
         q, r = divmod(-t, k)
         if r:
             raise ConsistencyError("trace recurrence produced a non-integer coefficient")
@@ -344,20 +498,24 @@ def charpoly_oracle(matrix) -> IntPoly:
             break
         if q:
             work = [row + (q << s) for row, s in zip(work, shifts)]
-        product = []
-        acc = 0
-        for from_previous, row_terms in plan:
-            if not from_previous:
-                acc = 0
-            for j, a in row_terms:
+        # the registers: M's rows, 0, then one per instruction, the last n
+        # of them the rows of A*M, which become the next work matrix
+        work.append(0)
+        t = -bias
+        for chained, i, terms, s in steps:
+            if not chained:
+                acc = work[i]
+            for j, a in terms:
                 if a == 1:
                     acc += work[j]
                 elif a == -1:
                     acc -= work[j]
                 else:
                     acc += a * work[j]
-            product.append(acc)
-        work = product
+            work.append(acc)
+            if s is not None:
+                t += ((((acc >> s) & window) + rounding) >> 1) & lane
+        del work[:-n]
     return IntPoly(reversed(coeffs))
 
 

@@ -151,18 +151,30 @@ class Graph:
         return f"Graph({self.n}, {sorted(self.edges())!r})"
 
 
+# a pair's bit of the edge mask, as a character, to its Seidel entry as a
+# signed byte: 1 off an edge, -1 on one
+_SIGN_BYTES = bytes.maketrans(b"01", b"\x01\xff")
+
+
 def seidel_matrix(g: Graph) -> IntMatrix:
     """S(G): zero diagonal, -1 on edges, +1 on non-adjacent distinct pairs.
 
     Equivalently the adjacency matrix of the signed complete graph whose
-    negative edges are exactly the edges of G.
+    negative edges are exactly the edges of G.  The mask's bits, lowest
+    first, are the entries above the diagonal column by column: the v bits
+    from bit C(v, 2) are vertex v's pairs with the vertices below it, so
+    they fill row v left of the diagonal and column v above it.
     """
     n = g.n
-    mask = g.mask
-    rows = [[0] * n for _ in range(n)]
-    for p, (i, j) in enumerate(_PAIR_ENDS[: comb(n, 2)]):
-        rows[i][j] = rows[j][i] = -1 if (mask >> p) & 1 else 1
-    return IntMatrix(rows)
+    signs = bin(g.mask | (1 << comb(n, 2)))[:2:-1].encode().translate(_SIGN_BYTES)
+    square = bytearray(n * n)
+    start = 0
+    for v in range(1, n):
+        pairs = signs[start : start + v]
+        square[v * n : v * n + v] = pairs
+        square[v : v * n : n] = pairs
+        start += v
+    return IntMatrix(zip(*[iter(memoryview(square).cast("b").tolist())] * n))
 
 
 # bits of one chunk's packed row; a chunk holds about C(n,2) + 3n of them

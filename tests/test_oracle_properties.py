@@ -6,6 +6,7 @@ step; it shares the recurrence with the oracle but none of its packing, so
 a lane that overflows or is read back wrongly shows up as a difference.
 """
 
+import random
 from math import comb
 
 import pytest
@@ -22,8 +23,9 @@ from seidelspec import (
     seidel_matrix,
     switch,
 )
-from seidelspec.exactalg import _lane_width
-from seidelspec.multipartite import CLOSED_FORMS
+from seidelspec import exactalg
+from seidelspec.exactalg import _column_runs, _lane_width, _oracle_plan
+from seidelspec.multipartite import CLOSED_FORMS, quotient_matrix
 
 ENTRY_BOUND = 10**6
 # the reference costs O(n^4) big-integer work; above this order the
@@ -167,6 +169,133 @@ def test_repeating_rows_match_reference(rows):
     assert charpoly_oracle(rows) == reference_charpoly(rows)
 
 
+@st.composite
+def column_run_matrices(draw, max_n: int = 12) -> tuple[list[int], list[list[int]]]:
+    """A matrix built run by run, with the bounds of the runs it was built
+    from.
+
+    In the columns lo..hi-1 of a run, a row outside the run holds one value
+    throughout; a row inside it holds one value below its diagonal, its own
+    diagonal entry and one value above it, each drawn on its own, so the
+    matrix is not symmetric.  Values are 0, +-1 or anything in the full
+    entry range.  Adjacent runs merge where the draws happen to agree.
+    """
+    n = draw(st.integers(1, max_n))
+    cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    rows = [[0] * n for _ in range(n)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        for i, row in enumerate(rows):
+            if lo <= i < hi:
+                below, diagonal, above = draw(entries), draw(entries), draw(entries)
+                row[lo:hi] = [below] * (i - lo) + [diagonal] + [above] * (hi - i - 1)
+            else:
+                row[lo:hi] = [draw(entries)] * (hi - lo)
+    return bounds, rows
+
+
+# a run of all n columns: the diagonal varies, and row 2 holds -1 below
+# it and 4 above it
+WHOLE_RUN = [
+    [7, 0, 0, 0],
+    [3, 1, 0, 0],
+    [-1, -1, 0, 4],
+    [1, 1, 1, -2],
+]
+# runs of 2 at column 0 and at column n - 1 around a run of 1
+EDGE_RUNS = [
+    [0, 1, 5, -1, -1],
+    [1, 0, 5, -1, -1],
+    [2, 2, 0, 0, 0],
+    [-3, -3, 1, 0, 1],
+    [-3, -3, 1, -1, 1],
+]
+
+
+@st.composite
+def partitions_up_to(draw, max_n: int) -> Partition:
+    n = draw(st.integers(1, max_n))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=9))) if n > 1 else []
+    return Partition([b - a for a, b in zip([0] + cuts, cuts + [n])])
+
+
+@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
+@settings(max_examples=150, deadline=None)
+@given(column_run_matrices())
+@example(([0, 1], [[5]]))
+@example(([0, 2], [[0, 1], [-1, 0]]))
+@example(([0, 2], [[2, -1], [0, 10**6]]))
+@example(([0, 4], WHOLE_RUN))
+@example(([0, 2, 3, 5], EDGE_RUNS))
+def test_column_run_matrices_match_reference(fold, case):
+    # fold 0 sums the runs of any matrix, the default only where they fold
+    # enough entries to repay planning, so never below order 22
+    bounds, rows = case
+    runs = _column_runs(rows)
+    # a run found never starts inside a run built
+    assert {lo for lo, _ in runs} <= set(bounds)
+    with pytest.MonkeyPatch.context() as mp:
+        if fold is not None:
+            mp.setattr(exactalg, "_FOLD_MIN", fold)
+            assert _oracle_plan(rows)[0] == runs
+        assert charpoly_oracle(rows) == reference_charpoly(rows)
+
+
+def test_column_runs_above_the_fold_match_reference():
+    # three runs of 8 at order 24, summed by the default plan
+    bounds = [0, 8, 16, 24]
+    rng = random.Random(28)
+    matrix = [[0] * 24 for _ in range(24)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        for i, row in enumerate(matrix):
+            if lo <= i < hi:
+                below, diagonal, above = (rng.choice([0, 1, -1, 2, -5]) for _ in range(3))
+                row[lo:hi] = [below] * (i - lo) + [diagonal] + [above] * (hi - i - 1)
+            else:
+                row[lo:hi] = [rng.choice([1, -1, 3])] * (hi - lo)
+    assert _oracle_plan(matrix)[0] == _column_runs(matrix) == [(0, 8), (8, 16), (16, 24)]
+    assert charpoly_oracle(matrix) == reference_charpoly(matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(partitions_up_to(12))
+def test_multipartite_and_quotient_through_runs(p):
+    # below the fold, with every run summed: K_P's rows take the runs, and
+    # the quotient's rows, which differ in two entries, the previous row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_FOLD_MIN", 0)
+        forms = CLOSED_FORMS["product"](p)
+        assert charpoly_oracle(seidel_matrix(complete_multipartite(p))) == forms.expanded
+        assert charpoly_oracle(quotient_matrix(p)) == forms.residual
+
+
+def test_runs_of_complete_multipartite_seidel_matrices():
+    # a part is a run, and adjacent parts of size 1 merge into one
+    rows = seidel_matrix(complete_multipartite(Partition([3, 2, 1, 1]))).rows
+    assert _column_runs(rows) == [(0, 3), (3, 5), (5, 7)]
+
+
+def test_plan_corrects_each_row_once():
+    # equal adjacent sizes stay apart, the three singletons merge; each
+    # row of A*M is its run's combination plus one correction on its own
+    # diagonal, none built from scratch
+    rows = seidel_matrix(complete_multipartite(Partition([19, 15, 4, 4, 3, 1, 1, 1]))).rows
+    n = len(rows)
+    runs, program = _oracle_plan(rows)
+    assert runs == [(0, 19), (19, 34), (34, 38), (38, 42), (42, 45), (45, 48)]
+    # one sum and one combination per run, then the rows
+    assert len(program) == 12 + n
+    steps = program[-n:]
+    combinations = {steps[lo][1] for lo, _ in runs}
+    # registers past M's rows and the zero register n
+    assert len(combinations) == 6 and min(combinations) > n
+    for lo, hi in runs:
+        for i in range(lo, hi):
+            chained, start, terms = steps[i]
+            assert (chained, start) == (False, steps[lo][1])
+            assert len(terms) == 1 and terms[0][0] == i and terms[0][1] in (1, -1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(integer_matrices(), repeating_row_matrices()).filter(len))
 def test_work_matrices_fit_the_hadamard_lane(rows):
@@ -222,15 +351,8 @@ def test_paley_conference_matrices(q):
     assert seidel_charpolys([g]) == [expected]
 
 
-@st.composite
-def partitions_up_to_64(draw) -> Partition:
-    n = draw(st.integers(1, 64))
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=9))) if n > 1 else []
-    return Partition([b - a for a, b in zip([0] + cuts, cuts + [n])])
-
-
 @settings(max_examples=8, deadline=None)
-@given(partitions_up_to_64())
+@given(partitions_up_to(64))
 @example(Partition([1] * 64))
 def test_order_64_complete_multipartite_matches_closed_form(p):
     oracle = charpoly_oracle(seidel_matrix(complete_multipartite(p)))
