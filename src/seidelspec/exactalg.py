@@ -8,9 +8,9 @@ construction.
 from __future__ import annotations
 
 from collections import Counter
-from math import isqrt
+from math import comb, isqrt
 from itertools import repeat
-from operator import getitem, index, itemgetter, lshift, mul, ne, sub
+from operator import index, itemgetter, mul, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -248,8 +248,17 @@ class IntMatrix:
         self.rows = rs
 
     @classmethod
+    def _of_ints(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """The matrix of square ``rows`` that package code built as tuples
+        of exact ints, taken without checking each entry."""
+        m = cls.__new__(cls)
+        m.n = len(rows)
+        m.rows = rows
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._of_ints(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self.rows[i]
@@ -277,14 +286,25 @@ def _lane_width(squares: Sequence[int]) -> int:
     |c_m| <= e_m(h), c_m being a signed sum of the principal m-minors.
     The work matrix M_k is the coefficient of x^(n-k) in adj(xI - A);
     each of its entries is a signed sum of (k-1)-minors of A with
-    pairwise distinct row sets, so it is at most e_(k-1)(h).  The packed
-    rows hold M_k or A M_k = M_(k+1) - c_k I, so every held value is at
-    most 2E < 2^(w-1) for w = bit_length(E) + 2.
+    pairwise distinct row sets, so it is at most e_(k-1)(h).  Every entry
+    of M_k or of A M_k = M_(k+1) - c_k I is then at most 2E < 2^(w-1) for
+    w = bit_length(E) + 2.
     Since h_i <= sum_j |a_ij| <= rho, the infinity norm, e_m(h) <=
     C(n,m) rho^m and w never exceeds n * bit_length(rho) + n + 2 for n >= 1.
+    The e_m(h) are the coefficients of prod_i (1 + h_i t), multiplied out
+    as one binomial row (1 + h t)^c per squared norm that c rows share.
     """
-    norms = [isqrt(s - 1) + 1 if s else 0 for s in squares]
-    return max(elementary_symmetric(norms)).bit_length() + 2
+    e = [1]
+    for s, c in Counter(squares).items():
+        # e times (1 + h t)^c, whose t^j coefficient is C(c, j) h^j
+        h = isqrt(s - 1) + 1 if s else 0
+        power = [comb(c, j) * h**j for j in range(c + 1)]
+        product = [0] * (len(e) + c)
+        for j, y in enumerate(power):
+            for i, x in enumerate(e, j):
+                product[i] += x * y
+        e = product
+    return max(e).bit_length() + 2
 
 
 def _column_runs(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -337,12 +357,15 @@ def _instruction(
     return False, zero, tuple(terms)
 
 
-def _oracle_plan(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]] | None, list]:
-    """(runs, program): how ``charpoly_oracle`` builds the rows of A*M from
-    those of M.
+def _oracle_plan(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[tuple[int, int]] | None, list, list[tuple[int, int, int]]]:
+    """(runs, program, carried): how ``charpoly_oracle`` builds the rows of
+    A*M from those of M.
 
     ``program`` is a list of instructions over registers: registers
-    0..n-1 hold the rows M_j and register n holds 0.  Each instruction
+    0..n-1 hold the rows M_j, register n holds 0 and register n + o holds
+    the o-th carried run's diagonal term.  Each instruction
     (chained, j, terms) appends one register: register j, or the register
     appended just before it when ``chained``, plus b * register i over its
     terms (i, b).  The last n registers are the rows of A*M.
@@ -361,11 +384,21 @@ def _oracle_plan(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]] |
     costs fewer additions (``_weight``, counting two per difference) than
     its corrections and its share of its key's combination.
 
+    A run (lo, hi) of two or more columns is carried, (lo, hi, b) in
+    ``carried``, where its rows of M are read only by its sum and each by
+    its own row's correction b on the diagonal: its rows all have that one
+    correction with one b, some key reads its sum, and no row built from
+    the previous row reads its columns.  Its sum then also adds its
+    diagonal term register (``charpoly_oracle``).  A row built from the
+    previous row repeats that row's shortfall, b g on its diagonal for a
+    row of a carried run; unless b = 0 the two rows of A differ in the
+    run's columns, so the row reads them and the run is not carried.
+
     Run sums cost planning time, which only big-integer work saved over
     the call repays, so runs that fold fewer than ``_FOLD_MIN`` entries
     of the matrix, n - 2 for each column that continues a run, are not
-    summed: ``runs`` is then None, and each row is built from its own
-    nonzero entries or from the previous row.
+    summed: ``runs`` is then None, nothing is carried, and each row is
+    built from its own nonzero entries or from the previous row.
     """
     n = len(rows)
     program: list[tuple[bool, int, tuple[tuple[int, int], ...]]] = []
@@ -380,7 +413,7 @@ def _oracle_plan(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]] |
             else:
                 program.append((False, n, tuple(filter(_nonzero, enumerate(row)))))
             prev = row
-        return None, program
+        return None, program, []
     starts = [lo for lo, _ in runs]
     keys = [list(map(row.__getitem__, starts)) for row in rows]
     corrections = [[]] * n
@@ -396,30 +429,53 @@ def _oracle_plan(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]] |
             keys[i][r] = v
             corrections[i] = [(j, x - v) for j, x in enumerate(span, lo) if x != v]
     keys = list(map(tuple, keys))
+    shares = Counter(keys)
+    # the terms of each row of A*M built from the previous row, None for
+    # the others, and the rows of M those terms read
+    chained: list[tuple[tuple[int, int], ...] | None] = [None] * n
+    read = set()
+    for i in range(1, n):
+        row, prev, key, fixes = rows[i], rows[i - 1], keys[i], corrections[i]
+        share = shares[key]
+        own = _weight([a for _, a in fixes]) if fixes else 0
+        if 2 * sum(map(ne, row, prev)) * share < _weight(key) + own * share:
+            chained[i] = tuple(filter(_nonzero, enumerate(map(sub, row, prev))))
+            read.update(map(itemgetter(0), chained[i]))
+    summed = [hi > lo + 1 and any(map(itemgetter(r), keys)) for r, (lo, hi) in enumerate(runs)]
+    carried = []
+    for (lo, hi), is_summed in zip(runs, summed):
+        first = corrections[lo]
+        b = first[0][1] if first else 0
+        if (
+            is_summed
+            and read.isdisjoint(range(lo, hi))
+            and all(fixes == [(i, b)] if b else not fixes for i, fixes in enumerate(corrections[lo:hi], lo))
+        ):
+            carried.append((lo, hi, b))
+    offsets = {lo: n + o for o, (lo, _, _) in enumerate(carried, 1)}
+    base = n + len(carried)
     # a run of one column is that row of M; a longer one is summed
     # unless no key reads it
     sums = []
-    for r, (lo, hi) in enumerate(runs):
+    for (lo, hi), is_summed in zip(runs, summed):
         if hi == lo + 1:
             sums.append(lo)
-        elif not any(map(itemgetter(r), keys)):
+        elif not is_summed:
             sums.append(None)
         else:
-            program.append((False, lo, tuple(zip(range(lo + 1, hi), repeat(1)))))
-            sums.append(n + len(program))
-    shares = Counter(keys)
+            terms = tuple(zip(range(lo + 1, hi), repeat(1)))
+            if lo in offsets:
+                terms += ((offsets[lo], 1),)
+            program.append((False, lo, terms))
+            sums.append(base + len(program))
     combos: dict[tuple[int, ...], int] = {}
     last = None
     row_terms = []
     for i, (key, fixes) in enumerate(zip(keys, corrections)):
-        share = shares[key]
-        if i:
-            row, prev = rows[i], rows[i - 1]
-            own = _weight([a for _, a in fixes]) if fixes else 0
-            if 2 * sum(map(ne, row, prev)) * share < _weight(key) + own * share:
-                row_terms.append((True, tuple(filter(_nonzero, enumerate(map(sub, row, prev))))))
-                continue
-        if share == 1:
+        if chained[i] is not None:
+            row_terms.append((True, chained[i]))
+            continue
+        if shares[key] == 1:
             terms = sorted(filter(_nonzero, zip(sums, key)), key=_not_one)
             row_terms.append((False, terms + fixes))
             continue
@@ -430,45 +486,61 @@ def _oracle_plan(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]] |
                 if _weight(step) < _weight(key):
                     terms = [(combos[last], 1)] + list(filter(_nonzero, zip(sums, step)))
             program.append(_instruction(terms, n))
-            combos[key] = n + len(program)
+            combos[key] = base + len(program)
             last = key
         row_terms.append((False, [(combos[key], 1)] + fixes))
     # a row from the previous row continues from the register just before
     program += [(True, 0, t) if chained else _instruction(t, n) for chained, t in row_terms]
-    return runs, program
+    return runs, program, carried
 
 
 def charpoly_oracle(matrix) -> IntPoly:
     """Exact monic characteristic polynomial det(xI - M).
 
-    Faddeev-LeVerrier recurrence.  For an integer matrix every division by
-    the step index is exact over the integers, which is checked; the result
-    is independent of any closed form elsewhere in this package.
+    Faddeev-LeVerrier recurrence: M_1 = I and, for k = 1..n, the
+    coefficient c = -tr(A M_k) / k of x^(n-k) and M_(k+1) = A M_k + c I.
+    For an integer matrix every division by k is exact over the integers,
+    which is checked; the result is independent of any closed form
+    elsewhere in this package.
 
     Each row of the work matrix M is packed into one Python int of n signed
     lanes, lane j holding entry j at bit offset s_j = w*j + 1, so row i of
-    the product A*M is a sum of multiples of whole rows M_j, and adding c*I
-    adds ``c << s_i`` to row i.  Packing is linear, so every way of adding
-    up the same multiples of rows gives the same integers; only the readout
-    needs every entry to fit its lane, and w = ``_lane_width`` of the
-    squared row norms, by Hadamard's inequality, is fixed before any
-    arithmetic.  The plan, ``_oracle_plan``, is built once per call from
-    the matrix's column runs: each step adds up each run's rows once, and
-    row i of A*M is a combination of those run sums plus a few corrections
-    (one for a Seidel row of K_P), or row i-1 of A*M plus a few multiples
-    of rows where that is cheaper.  Rows with the same run coefficients
-    share one combination, computed once per step.
+    the product A*M is a sum of multiples of whole rows M_j.  Packing is
+    linear, so every way of adding up the same multiples of rows gives the
+    same integers; only the readout needs every entry to fit its lane, and
+    w = ``_lane_width`` of the squared row norms, by Hadamard's inequality,
+    is fixed before any arithmetic.  The plan, ``_oracle_plan``, is built
+    once per call from the matrix's column runs: each step adds up each
+    run's rows once, and row i of A*M is a combination of those run sums
+    plus a few corrections (one for a Seidel row of K_P), or row i-1 of A*M
+    plus a few multiples of rows where that is cheaper.  Rows with the same
+    run coefficients share one combination, computed once per step.
 
-    Readout of lane i of row i, x = sum_j e_j 2^(s_j), needs no bias on the
-    whole row.  Every e_j is a work-matrix entry, so |e_j| < 2^(w-1) =
-    half (``_lane_width``), and the lanes below lane i sum to L with |L| <=
-    2 (half - 1) (2^(wi) - 1) / (2^w - 1) < 2^(wi) = 2^(s_i - 1).  So x =
-    H 2^(s_i) + L with H = e_i mod 2^w, and H = round(x / 2^(s_i)).  With
-    y the w + 1 bits of x from bit s_i - 1, that is floor(x / 2^(s_i - 1))
-    mod 2^(w+1), the rounded quotient is floor((y + 1) / 2) mod 2^w.  As
-    e_i + half lies in [0, 2^w), e_i + half = ((y + 1 + 2^w) >> 1) mod 2^w,
-    and the trace is the sum of these less n * half, taken as the rows of
-    A*M are built.  The first trace, that of A, is read off its diagonal.
+    The identity term is carried rather than written into every row.  Row
+    j is held as W_j with M_j = W_j + g_j 2^(s_j).  A row outside every
+    carried run has g_j 2^(s_j) added at the start of the step, g_j being
+    the coefficient c found last.  The rows
+    of a carried run r share one g_r, and its sum adds g_r I_r, I_r the
+    sum of 2^(s_j) over its rows, built once per call; the sum is exact.
+    The run's row W_i is read elsewhere only by its own correction b on
+    the diagonal, so row i of A*M is built short by d 2^(s_i), d = b g_r,
+    and nothing else: it is the next W_i, with g_i = b g_r + c.  The
+    recurrence starts from W = 0 and g = 1, which is M_1 = I, so the first
+    pass of the plan builds A.
+
+    Readout of lane i of row i, x = sum_j e_j 2^(s_j) - d 2^(s_i) (d = 0
+    outside a carried run), needs no bias on the whole row.  Every e_j is a
+    work-matrix entry, so |e_j| < 2^(w-1) = half (``_lane_width``); the
+    lanes below lane i are exact, d touches only lane i and up, and they
+    sum to L with |L| <= 2 (half - 1) (2^(wi) - 1) / (2^w - 1) < 2^(wi) =
+    2^(s_i - 1).  So x = H 2^(s_i) + L with H = e_i - d mod 2^w, and H =
+    round(x / 2^(s_i)).  With y the w + 1 bits of x from bit s_i - 1, that
+    is floor(x / 2^(s_i - 1)) mod 2^(w+1), the rounded quotient is
+    floor((y + 1) / 2) mod 2^w.  Working mod 2^w from here, e_i + half =
+    H + d + half = ((y + 1 + 2^w + 2d) >> 1) mod 2^w, 2d being even, and as
+    e_i + half lies in [0, 2^w) the mask by 2^w - 1 gives it exactly, for
+    any d.  The trace is the sum of these less n * half, taken as the rows
+    of A*M are built.
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     n = m.n
@@ -482,27 +554,45 @@ def charpoly_oracle(matrix) -> IntPoly:
     window = (1 << (w + 1)) - 1
     rounding = (1 << w) + 1
     bias = n << (w - 1)
-    program = _oracle_plan(rows)[1]
+    _, program, carried = _oracle_plan(rows)
+    # the shift at which c*I is added to each row, None in a carried run;
+    # which run's offset d each row of A*M is read with, 0 for none
+    diagonal = list(shifts)
+    offset = [0] * n
+    indicators = []
+    for o, (lo, hi, _) in enumerate(carried, 1):
+        diagonal[lo:hi] = [None] * (hi - lo)
+        offset[lo:hi] = [o] * (hi - lo)
+        indicators.append(sum(1 << s for s in shifts[lo:hi]))
+    corrections = [b for _, _, b in carried]
     # each instruction with the bit its register's lane is read from: the
     # last n registers, row i of A*M read at lane i, and no other
-    steps = [(*step, s) for step, s in zip(program, [None] * (len(program) - n) + [*lows])]
-    work = [sum(map(lshift, row, shifts)) for row in rows]
+    inner = len(program) - n
+    steps = [
+        (*step, s, o)
+        for step, s, o in zip(program, [None] * inner + [*lows], [0] * inner + offset)
+    ]
+    # W = 0 with every offset 1 is M_1 = I: c, the coefficient found last,
+    # starts at 1, and a carried run's offset g, from 0, becomes b g + c
+    # at the start of each step
+    work = [0] * n
+    c = 1
+    gs = [0] * len(carried)
+    roundings = [rounding] * (len(carried) + 1)
     coeffs = [1]
-    t = sum(map(getitem, rows, range(n)))
     for k in range(1, n + 1):
-        q, r = divmod(-t, k)
-        if r:
-            raise ConsistencyError("trace recurrence produced a non-integer coefficient")
-        coeffs.append(q)
-        if k == n:
-            break
-        if q:
-            work = [row + (q << s) for row, s in zip(work, shifts)]
-        # the registers: M's rows, 0, then one per instruction, the last n
-        # of them the rows of A*M, which become the next work matrix
+        if c:
+            work = [row if s is None else row + (c << s) for row, s in zip(work, diagonal)]
+        # the registers: W's rows, 0, the carried runs' g I, then one per
+        # instruction, the last n of them the rows of A*M, the next W
         work.append(0)
+        for o, b in enumerate(corrections):
+            g = gs[o] = b * gs[o] + c
+            work.append(g * indicators[o])
+            # the run's rows of A*M lack b g on their own lanes
+            roundings[o + 1] = rounding + 2 * b * g
         t = -bias
-        for chained, i, terms, s in steps:
+        for chained, i, terms, s, o in steps:
             if not chained:
                 acc = work[i]
             for j, a in terms:
@@ -514,8 +604,12 @@ def charpoly_oracle(matrix) -> IntPoly:
                     acc += a * work[j]
             work.append(acc)
             if s is not None:
-                t += ((((acc >> s) & window) + rounding) >> 1) & lane
+                t += ((((acc >> s) & window) + roundings[o]) >> 1) & lane
         del work[:-n]
+        c, r = divmod(-t, k)
+        if r:
+            raise ConsistencyError("trace recurrence produced a non-integer coefficient")
+        coeffs.append(c)
     return IntPoly(reversed(coeffs))
 
 

@@ -174,7 +174,7 @@ def seidel_matrix(g: Graph) -> IntMatrix:
         square[v * n : v * n + v] = pairs
         square[v : v * n : n] = pairs
         start += v
-    return IntMatrix(zip(*[iter(memoryview(square).cast("b").tolist())] * n))
+    return IntMatrix._of_ints(tuple(zip(*[iter(memoryview(square).cast("b").tolist())] * n)))
 
 
 # bits of one chunk's packed row; a chunk holds about C(n,2) + 3n of them

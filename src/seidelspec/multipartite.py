@@ -278,8 +278,8 @@ def quotient_matrix(p: Partition) -> IntMatrix:
     """
     ns = p.parts
     k = p.k
-    return IntMatrix(
-        [[ns[i] - 1 if i == j else -ns[j] for j in range(k)] for i in range(k)]
+    return IntMatrix._of_ints(
+        tuple(tuple(ns[i] - 1 if i == j else -ns[j] for j in range(k)) for i in range(k))
     )
 
 

@@ -281,7 +281,7 @@ def test_plan_corrects_each_row_once():
     # diagonal, none built from scratch
     rows = seidel_matrix(complete_multipartite(Partition([19, 15, 4, 4, 3, 1, 1, 1]))).rows
     n = len(rows)
-    runs, program = _oracle_plan(rows)
+    runs, program, _ = _oracle_plan(rows)
     assert runs == [(0, 19), (19, 34), (34, 38), (38, 42), (42, 45), (45, 48)]
     # one sum and one combination per run, then the rows
     assert len(program) == 12 + n
@@ -294,6 +294,150 @@ def test_plan_corrects_each_row_once():
             chained, start, terms = steps[i]
             assert (chained, start) == (False, steps[lo][1])
             assert len(terms) == 1 and terms[0][0] == i and terms[0][1] in (1, -1)
+
+
+# K_P whose multi-column runs are all carried, its merged singletons with
+# diagonal correction +1; below the default fold only with _FOLD_MIN = 0
+CARRY_PARTS = {0: [4, 3, 2, 1, 1], None: [9, 8, 5, 1, 1]}
+# the carried runs after each edit in _edit_runs
+CARRIED_AFTER = {
+    (0, "chained"): [(0, 4, -3)],
+    (0, "off-diagonal"): [(4, 7, -1), (7, 9, -1), (9, 11, 1)],
+    (0, "mixed-diagonal"): [(0, 4, -1), (4, 7, -1), (9, 11, 1)],
+    (0, "equal-rows"): [(0, 4, -1), (4, 7, 0), (7, 9, -1), (9, 11, 1)],
+    (None, "chained"): [(0, 9, -3), (9, 17, -3), (17, 22, -3)],
+    (None, "off-diagonal"): [(9, 17, -1), (17, 22, -1), (22, 24, 1)],
+    (None, "mixed-diagonal"): [(0, 9, -1), (9, 17, -1), (22, 24, 1)],
+    (None, "equal-rows"): [(0, 9, -1), (9, 17, 0), (17, 22, -1), (22, 24, 1)],
+}
+
+
+def _edit_runs(kind: str, rows: list[list[int]], runs: list[tuple[int, int]]) -> list[list[int]]:
+    """A K_P Seidel matrix edited, keeping its runs, so that some are
+    refused the carry, or in "equal-rows" kept with b = 0."""
+    if kind == "chained":
+        # times 3, every coefficient costs two additions, so rows of the
+        # smaller runs are built from the row before, reading their two
+        # diagonal columns
+        return [[3 * x for x in row] for row in rows]
+    if kind == "off-diagonal":
+        # row 2 holds 1 below its diagonal and 2 above it in the first part
+        # (two 1s and one 2 at fold 0), so a correction lies off the diagonal
+        lo, hi = runs[0]
+        rows[2][3:hi] = [2] * (hi - 3)
+    elif kind == "mixed-diagonal":
+        # one row of the third part has diagonal correction 4, the others -1
+        lo, hi = runs[2]
+        rows[lo + 1][lo + 1] = 5
+    else:
+        # +1 on the second part's diagonal makes its rows equal, each built
+        # from the row before it and reading no row of M
+        lo, hi = runs[1]
+        for i in range(lo, hi):
+            rows[i][i] = 1
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["chained", "off-diagonal", "mixed-diagonal", "equal-rows"])
+@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
+def test_runs_refused_the_carry_match_reference(fold, kind):
+    rows = [list(r) for r in seidel_matrix(complete_multipartite(Partition(CARRY_PARTS[fold]))).rows]
+    runs = _column_runs(rows)
+    rows = _edit_runs(kind, rows, runs)
+    assert _column_runs(rows) == runs
+    with pytest.MonkeyPatch.context() as mp:
+        if fold is not None:
+            mp.setattr(exactalg, "_FOLD_MIN", fold)
+        assert _oracle_plan(rows)[2] == CARRIED_AFTER[fold, kind]
+        assert charpoly_oracle(rows) == reference_charpoly(rows)
+
+
+def _read_by_chained_rows(n1: int, n2: int) -> list[list[int]]:
+    """Runs (0, 2), (2, 2 + n1) and (2 + n1, 2 + n1 + n2).  The rows of the
+    middle run hold 2 throughout it, diagonal included, and differ only in
+    the value they hold in the first run's columns, so each after its
+    first is built from the row before it and reads the first run's rows
+    of M; the last run is a Seidel block with diagonal correction -1."""
+    n = 2 + n1 + n2
+    rows = [[0, 1] + [5] * n1 + [-3] * n2, [1, 0] + [5] * n1 + [-3] * n2]
+    rows += [[i + 2] * 2 + [2] * n1 + [7] * n2 for i in range(2, 2 + n1)]
+    rows += [[-4] * 2 + [6] * n1 + [int(i != j) for j in range(2 + n1, n)] for i in range(2 + n1, n)]
+    return rows
+
+
+@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
+def test_run_read_by_chained_rows_is_refused(fold):
+    # the first run's rows would be read short of their diagonal by rows
+    # that are not its own; the middle run, read by nothing but its sum,
+    # is carried with b = 0
+    n1, n2 = (3, 3) if fold == 0 else (11, 11)
+    rows = _read_by_chained_rows(n1, n2)
+    n = len(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        if fold is not None:
+            mp.setattr(exactalg, "_FOLD_MIN", fold)
+        runs, program, carried = _oracle_plan(rows)
+        assert runs == [(0, 2), (2, 2 + n1), (2 + n1, n)]
+        assert [i for i, step in enumerate(program[-n:]) if step[0]] == list(range(3, 2 + n1))
+        assert carried == [(2, 2 + n1, 0), (2 + n1, n, -1)]
+        assert charpoly_oracle(rows) == reference_charpoly(rows)
+
+
+@pytest.mark.parametrize(
+    "parts", [[24, 23, 1], [1] * 40, [6, 5, 1], [1] * 10], ids=["24,23,1", "1*40", "6,5,1", "1*10"]
+)
+def test_carried_runs_beside_one_column_runs_match_reference(parts):
+    # a carried run next to a one-column run, whose row takes c*I itself,
+    # and one carried run with diagonal correction +1, at both folds
+    rows = seidel_matrix(complete_multipartite(Partition(parts))).rows
+    expected = reference_charpoly(rows)
+    for fold in (0, None):
+        with pytest.MonkeyPatch.context() as mp:
+            if fold is not None:
+                mp.setattr(exactalg, "_FOLD_MIN", fold)
+            assert charpoly_oracle(rows) == expected
+
+
+@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
+@pytest.mark.parametrize(
+    "rows", [[], [[0]], [[1]], [[-7]], [[ENTRY_BOUND]]], ids=["empty", "0", "1", "-7", "bound"]
+)
+def test_orders_zero_and_one(fold, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        if fold is not None:
+            mp.setattr(exactalg, "_FOLD_MIN", fold)
+        assert charpoly_oracle(rows) == reference_charpoly(rows)
+
+
+def test_plan_carries_each_summed_run():
+    # every part of two or more vertices is carried with diagonal
+    # correction -1, and the run of merged singletons, -1 off the diagonal,
+    # with +1; the lone singleton of (24,23,1) is a one-column run, read as
+    # its row of M.  A carried run's sum adds its register n + o after its
+    # rows, and its rows of M are read by that sum and, each, by its own
+    # row of A*M on the diagonal, and by nothing else.
+    for parts, carried, single in [
+        (
+            [19, 15, 4, 4, 3, 1, 1, 1],
+            [(0, 19, -1), (19, 34, -1), (34, 38, -1), (38, 42, -1), (42, 45, -1), (45, 48, 1)],
+            [],
+        ),
+        ([24, 23, 1], [(0, 24, -1), (24, 47, -1)], [(47, 48)]),
+    ]:
+        rows = seidel_matrix(complete_multipartite(Partition(parts))).rows
+        n = len(rows)
+        runs, program, got = _oracle_plan(rows)
+        assert got == carried
+        assert [(lo, hi) for lo, hi in runs if hi == lo + 1] == single
+        readers: dict[int, list[int]] = {}
+        for step, (chained, start, terms) in enumerate(program):
+            for j in ([] if chained else [start]) + [j for j, _ in terms]:
+                readers.setdefault(j, []).append(step)
+        for o, (lo, hi, b) in enumerate(carried, 1):
+            assert program[o - 1] == (False, lo, tuple((j, 1) for j in range(lo + 1, hi)) + ((n + o, 1),))
+            for i in range(lo, hi):
+                assert program[i - n][2] == ((i, b),)
+                assert readers[i] == [o - 1, len(program) - n + i]
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,6 +493,35 @@ def test_paley_conference_matrices(q):
     g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] == -1])
     assert seidel_matrix(g).rows == tuple(map(tuple, rows))
     assert seidel_charpolys([g]) == [expected]
+
+
+@pytest.mark.parametrize(
+    "rows, expected, carried",
+    [
+        pytest.param(
+            sylvester_hadamard(n),
+            IntPoly([-1, 1]) if n == 1 else IntPoly([-n, 0, 1]) ** (n // 2),
+            [(1, 3, -2)] if n == 4 else [],
+            id=f"H{n}",
+        )
+        for n in (1, 2, 4, 8, 16, 32, 64)
+    ]
+    + [
+        pytest.param(paley_conference(q), IntPoly([-q, 0, 1]) ** ((q + 1) // 2), [], id=f"paley{q + 1}")
+        for q in (5, 13, 17, 29, 61)
+    ],
+)
+def test_lane_bound_matrices_through_runs(rows, expected, carried):
+    # Hadamard's inequality holds with equality, so the work matrices fill
+    # their lanes; with every run summed, H_4 carries its run of columns
+    # 1-2 (diagonal correction -2) and every other row takes c*I itself
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_FOLD_MIN", 0)
+        assert _oracle_plan(rows)[2] == carried
+        got = charpoly_oracle(rows)
+    assert got == expected
+    if len(rows) <= REFERENCE_MAX_N:
+        assert got == reference_charpoly(rows)
 
 
 @settings(max_examples=8, deadline=None)
