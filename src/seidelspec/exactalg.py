@@ -357,47 +357,68 @@ def _instruction(
     return False, zero, tuple(terms)
 
 
+def _exchange_offset(rows: Sequence[Sequence[int]], lo: int, hi: int) -> int | None:
+    """b where the column run lo..hi-1, of two or more columns, is
+    exchangeable, else None.
+
+    The run is exchangeable when its rows agree outside its own block and
+    each holds one value v in the block off the diagonal and v + b on it,
+    checked entry by entry.  Swapping any two of its columns together with
+    their rows then fixes the matrix: the rows agree outside the block,
+    the columns agree outside the block's rows (a column run), and inside
+    the block the swap maps v to v and v + b to v + b.
+    """
+    top = rows[lo]
+    v, d = top[lo + 1], top[lo]
+    left, right = top[:lo], top[hi:]
+    # a block row holds v in each lane but its diagonal, there too if b = 0
+    count = hi - lo - (d != v)
+    for i in range(lo, hi):
+        row = rows[i]
+        span = row[lo:hi]
+        if span[i - lo] != d or span.count(v) != count or row[:lo] != left or row[hi:] != right:
+            return None
+    return d - v
+
+
 def _oracle_plan(
     rows: Sequence[Sequence[int]],
 ) -> tuple[list[tuple[int, int]] | None, list, list[tuple[int, int, int]]]:
-    """(runs, program, carried): how ``charpoly_oracle`` builds the rows of
+    """(runs, program, packed): how ``charpoly_oracle`` builds the rows of
     A*M from those of M.
 
-    ``program`` is a list of instructions over registers: registers
-    0..n-1 hold the rows M_j, register n holds 0 and register n + o holds
-    the o-th carried run's diagonal term.  Each instruction
-    (chained, j, terms) appends one register: register j, or the register
-    appended just before it when ``chained``, plus b * register i over its
-    terms (i, b).  The last n registers are the rows of A*M.
+    ``packed`` lists the exchangeable column runs (lo, hi, b)
+    (``_exchange_offset``), each held as one row W_r; every other row of M
+    is held in full.  With f rows held in full, in order, and p runs
+    packed, ``program`` is a list of instructions over registers:
+    registers 0..f-1 hold the full rows, f + o the o-th packed run's W,
+    register f + p holds 0 and f + p + 1 + o the o-th packed run's
+    diagonal term.  Each instruction (chained, j, terms) appends one
+    register: register j, or the register appended just before it when
+    ``chained``, plus a * register i over its terms (i, a).  The last
+    f + p registers are the next full rows and W's, in register order:
+    one instruction per full row and one per packed run.
 
     Row i of A is split by the column runs ``runs``: one coefficient v_ir
     per run r, the row's entry in that run, and corrections (j, a_ij - v_ir)
     where an entry differs from it.  Only row i's own run can hold
     corrections: its entries below the diagonal are equal, and so are those
-    above it, and v_ir is whichever of the two leaves fewer.  A Seidel row
-    of K_P has one correction, on its diagonal.  The program first adds up
-    the rows of each run, then combines each key (v_ir)_r that two or more
-    rows share, sum_r(v_ir * run sum r) or from the key combined before it
-    where that is cheaper; row i of A*M is its key's combination plus its
-    corrections.  A row is built instead from row i-1 of A*M plus
-    (a_ij - a_(i-1)j) * M_j where the two rows of A differ, when that
-    costs fewer additions (``_weight``, counting two per difference) than
-    its corrections and its share of its key's combination.
-
-    A run (lo, hi) of two or more columns is carried, (lo, hi, b) in
-    ``carried``, where its rows of M are read only by its sum and each by
-    its own row's correction b on the diagonal: its rows all have that one
-    correction with one b, some key reads its sum, and no row built from
-    the previous row reads its columns.  Its sum then also adds its
-    diagonal term register (``charpoly_oracle``).  A row built from the
-    previous row repeats that row's shortfall, b g on its diagonal for a
-    row of a carried run; unless b = 0 the two rows of A differ in the
-    run's columns, so the row reads them and the run is not carried.
+    above it, and v_ir is whichever of the two leaves fewer.  The program
+    first adds up each run's rows, n_r W_r + g_r I_r for a packed run
+    (``charpoly_oracle``), then combines each distinct key (v_ir)_r once,
+    sum_r(v_ir * run sum r) or from the key combined before it where that
+    is cheaper.  A packed run's row of A*M is its key's combination plus
+    b W_r.  A full row is its key's combination plus its corrections, or
+    is built instead from row i-1 of A*M plus (a_ij - a_(i-1)j) * M_j
+    where the two rows of A differ, when both rows are held in full, no
+    such j lies in a packed run, and that costs fewer additions
+    (``_weight``, counting two per difference) than its corrections and
+    its share of its key's combination.
 
     Run sums cost planning time, which only big-integer work saved over
     the call repays, so runs that fold fewer than ``_FOLD_MIN`` entries
     of the matrix, n - 2 for each column that continues a run, are not
-    summed: ``runs`` is then None, nothing is carried, and each row is
+    summed: ``runs`` is then None, nothing is packed, and each row is
     built from its own nonzero entries or from the previous row.
     """
     n = len(rows)
@@ -417,9 +438,16 @@ def _oracle_plan(
     starts = [lo for lo, _ in runs]
     keys = [list(map(row.__getitem__, starts)) for row in rows]
     corrections = [[]] * n
+    packed = []
     for r, (lo, hi) in enumerate(runs):
         if hi == lo + 1:
             # the row's own entry is its coefficient
+            continue
+        b = _exchange_offset(rows, lo, hi)
+        if b is not None:
+            packed.append((lo, hi, b))
+            for i in range(lo, hi):
+                keys[i][r] = rows[lo][lo + 1]
             continue
         for i in range(lo, hi):
             span = rows[i][lo:hi]
@@ -429,55 +457,62 @@ def _oracle_plan(
             keys[i][r] = v
             corrections[i] = [(j, x - v) for j, x in enumerate(span, lo) if x != v]
     keys = list(map(tuple, keys))
-    shares = Counter(keys)
-    # the terms of each row of A*M built from the previous row, None for
-    # the others, and the rows of M those terms read
-    chained: list[tuple[tuple[int, int], ...] | None] = [None] * n
-    read = set()
-    for i in range(1, n):
-        row, prev, key, fixes = rows[i], rows[i - 1], keys[i], corrections[i]
-        share = shares[key]
+    packed_at = {lo: o for o, (lo, _, _) in enumerate(packed)}
+    # the register of each row held in full, in row order, None in a
+    # packed run; the o-th packed run's W follows them, at f + o
+    held: list[int | None] = [None] * n
+    full = [i for lo, hi in runs if lo not in packed_at for i in range(lo, hi)]
+    for x, i in enumerate(full):
+        held[i] = x
+    f = len(full)
+    width = f + len(packed)
+    base = width + len(packed)
+    # (register, key, corrections, row) for each full row and each packed
+    # run, in row order; a packed run has row None
+    units = []
+    for lo, hi in runs:
+        o = packed_at.get(lo)
+        if o is None:
+            for i in range(lo, hi):
+                units.append((held[i], keys[i], [(held[j], a) for j, a in corrections[i]], i))
+        else:
+            b = packed[o][2]
+            units.append((f + o, keys[lo], [(f + o, b)] if b else [], None))
+    shares = Counter(key for _, key, _, _ in units)
+    # the terms of each full row of A*M built from the previous full row
+    chained: dict[int, tuple[tuple[int, int], ...]] = {}
+    for _, key, fixes, i in units:
+        if i is None or i == 0 or held[i - 1] is None:
+            continue
+        row, prev, share = rows[i], rows[i - 1], shares[key]
         own = _weight([a for _, a in fixes]) if fixes else 0
         if 2 * sum(map(ne, row, prev)) * share < _weight(key) + own * share:
-            chained[i] = tuple(filter(_nonzero, enumerate(map(sub, row, prev))))
-            read.update(map(itemgetter(0), chained[i]))
-    summed = [hi > lo + 1 and any(map(itemgetter(r), keys)) for r, (lo, hi) in enumerate(runs)]
-    carried = []
-    for (lo, hi), is_summed in zip(runs, summed):
-        first = corrections[lo]
-        b = first[0][1] if first else 0
-        if (
-            is_summed
-            and read.isdisjoint(range(lo, hi))
-            and all(fixes == [(i, b)] if b else not fixes for i, fixes in enumerate(corrections[lo:hi], lo))
-        ):
-            carried.append((lo, hi, b))
-    offsets = {lo: n + o for o, (lo, _, _) in enumerate(carried, 1)}
-    base = n + len(carried)
+            terms = tuple(filter(_nonzero, enumerate(map(sub, row, prev))))
+            if all(held[j] is not None for j, _ in terms):
+                chained[i] = tuple((held[j], a) for j, a in terms)
     # a run of one column is that row of M; a longer one is summed
     # unless no key reads it
     sums = []
-    for (lo, hi), is_summed in zip(runs, summed):
+    for r, (lo, hi) in enumerate(runs):
         if hi == lo + 1:
-            sums.append(lo)
-        elif not is_summed:
+            sums.append(held[lo])
+        elif not any(map(itemgetter(r), keys)):
             sums.append(None)
         else:
-            terms = tuple(zip(range(lo + 1, hi), repeat(1)))
-            if lo in offsets:
-                terms += ((offsets[lo], 1),)
-            program.append((False, lo, terms))
+            o = packed_at.get(lo)
+            if o is None:
+                start = held[lo]
+                program.append((False, start, tuple(zip(range(start + 1, start + hi - lo), repeat(1)))))
+            else:
+                program.append((False, width + 1 + o, ((f + o, hi - lo),)))
             sums.append(base + len(program))
     combos: dict[tuple[int, ...], int] = {}
     last = None
-    row_terms = []
-    for i, (key, fixes) in enumerate(zip(keys, corrections)):
-        if chained[i] is not None:
-            row_terms.append((True, chained[i]))
-            continue
-        if shares[key] == 1:
-            terms = sorted(filter(_nonzero, zip(sums, key)), key=_not_one)
-            row_terms.append((False, terms + fixes))
+    rows_out = [None] * width
+    for x, key, fixes, i in units:
+        if i in chained:
+            # a row from the previous row continues from the register just before
+            rows_out[x] = (True, 0, chained[i])
             continue
         if key not in combos:
             terms = sorted(filter(_nonzero, zip(sums, key)), key=_not_one)
@@ -485,13 +520,12 @@ def _oracle_plan(
                 step = list(map(sub, key, last))
                 if _weight(step) < _weight(key):
                     terms = [(combos[last], 1)] + list(filter(_nonzero, zip(sums, step)))
-            program.append(_instruction(terms, n))
+            program.append(_instruction(terms, width))
             combos[key] = base + len(program)
             last = key
-        row_terms.append((False, [(combos[key], 1)] + fixes))
-    # a row from the previous row continues from the register just before
-    program += [(True, 0, t) if chained else _instruction(t, n) for chained, t in row_terms]
-    return runs, program, carried
+        rows_out[x] = _instruction([(combos[key], 1)] + fixes, width)
+    program += rows_out
+    return runs, program, packed
 
 
 def charpoly_oracle(matrix) -> IntPoly:
@@ -512,35 +546,58 @@ def charpoly_oracle(matrix) -> IntPoly:
     is fixed before any arithmetic.  The plan, ``_oracle_plan``, is built
     once per call from the matrix's column runs: each step adds up each
     run's rows once, and row i of A*M is a combination of those run sums
-    plus a few corrections (one for a Seidel row of K_P), or row i-1 of A*M
-    plus a few multiples of rows where that is cheaper.  Rows with the same
-    run coefficients share one combination, computed once per step.
+    plus a few corrections, or row i-1 of A*M plus a few multiples of rows
+    where that is cheaper.  Rows with the same run coefficients share one
+    combination, computed once per step.
 
-    The identity term is carried rather than written into every row.  Row
-    j is held as W_j with M_j = W_j + g_j 2^(s_j).  A row outside every
-    carried run has g_j 2^(s_j) added at the start of the step, g_j being
-    the coefficient c found last.  The rows
-    of a carried run r share one g_r, and its sum adds g_r I_r, I_r the
-    sum of 2^(s_j) over its rows, built once per call; the sum is exact.
-    The run's row W_i is read elsewhere only by its own correction b on
-    the diagonal, so row i of A*M is built short by d 2^(s_i), d = b g_r,
-    and nothing else: it is the next W_i, with g_i = b g_r + c.  The
-    recurrence starts from W = 0 and g = 1, which is M_1 = I, so the first
-    pass of the plan builds A.
+    A row held in full has c 2^(s_j) added at the start of each step, c
+    being the coefficient found last, and its row of A*M is read at its own
+    lane.  An exchangeable run r (``_exchange_offset``), of n_r = hi - lo
+    >= 2 columns, is held as one row W_r and one offset g_r: row i of M is
+    W_r + g_r 2^(s_i) for each i in the run.  The recurrence starts from
+    W = 0 and c = 1, g_r taking the value 1 in the first step, which is
+    M_1 = I, so the first pass of the plan builds A.
 
-    Readout of lane i of row i, x = sum_j e_j 2^(s_j) - d 2^(s_i) (d = 0
-    outside a carried run), needs no bias on the whole row.  Every e_j is a
+    (1) The rows W_i of the run stay equal.  Swapping two columns i, j of
+    the run together with their rows, by a permutation matrix P, fixes A;
+    P then commutes with A and with every M_k, a polynomial in A, so
+    P M_k P = M_k and rows i and j of M_k agree outside lanes i and j.
+    The recurrence keeps the W_i equal step by step: each starts at 0, and
+    row i of A M_k is sum_r'(v_ir' S_r') + b M_k[i], S_r' the run sums,
+    whose first term, the run's key combination, is the same for every i
+    of the run, as its rows agree outside the block and hold v in it.
+    With M_k[i] = W_r + g_r 2^(s_i), row i of A M_k is
+    W'_r + b g_r 2^(s_i), W'_r being the key combination plus b W_r, built
+    once for the run, and row i of M_(k+1) is W'_r + (b g_r + c) 2^(s_i).
+    The run's sum is n_r W_r + g_r I_r, I_r the sum of 2^(s_i) over the
+    run, built once per call.
+
+    (2) Every lane of W'_r in the run's block holds one value.  For i != j
+    in the run, lane j of W'_r is M_(k+1)[i][j], the identity term sitting
+    on lane i alone.  Swaps of the run's indices fix M_(k+1) and carry any
+    ordered pair of distinct indices to any other, so these entries are
+    one value e; lane i of W'_r, lane i of the same row seen from another
+    row of the run, is e too.
+
+    (3) The run adds n_r times one rounded read to the trace.  The
+    diagonal entry of row i of A M_k is lane i of W'_r plus b g_r, that is
+    e + b g_r for every i of the run, so the run adds n_r (e + b g_r) to
+    tr(A M_k).  W'_r holds no pending identity term: each of its lanes is
+    an entry of M_(k+1) off the diagonal, so the readout below reads e at
+    lane lo exactly, and the run adds n_r times that read and n_r b g_r.
+
+    Readout of lane i of a row x = sum_j e_j 2^(s_j), held in full or a
+    packed W'_r, needs no bias on the whole row.  Every e_j is a
     work-matrix entry, so |e_j| < 2^(w-1) = half (``_lane_width``); the
-    lanes below lane i are exact, d touches only lane i and up, and they
-    sum to L with |L| <= 2 (half - 1) (2^(wi) - 1) / (2^w - 1) < 2^(wi) =
-    2^(s_i - 1).  So x = H 2^(s_i) + L with H = e_i - d mod 2^w, and H =
-    round(x / 2^(s_i)).  With y the w + 1 bits of x from bit s_i - 1, that
-    is floor(x / 2^(s_i - 1)) mod 2^(w+1), the rounded quotient is
-    floor((y + 1) / 2) mod 2^w.  Working mod 2^w from here, e_i + half =
-    H + d + half = ((y + 1 + 2^w + 2d) >> 1) mod 2^w, 2d being even, and as
-    e_i + half lies in [0, 2^w) the mask by 2^w - 1 gives it exactly, for
-    any d.  The trace is the sum of these less n * half, taken as the rows
-    of A*M are built.
+    lanes below lane i sum to L with |L| <= 2 (half - 1) (2^(wi) - 1) /
+    (2^w - 1) < 2^(wi) = 2^(s_i - 1).  So x = H 2^(s_i) + L with H = e_i
+    mod 2^w, and H = round(x / 2^(s_i)).  With y the w + 1 bits of x from
+    bit s_i - 1, that is floor(x / 2^(s_i - 1)) mod 2^(w+1), the rounded
+    quotient is floor((y + 1) / 2) mod 2^w.  Working mod 2^w, e_i + half =
+    ((y + 1 + 2^w) >> 1) mod 2^w, and as e_i + half lies in [0, 2^w) the
+    mask by 2^w - 1 gives it exactly.  The trace is the sum of these
+    reads, each packed run's taken n_r times, plus sum_r n_r b g_r, less
+    n * half.
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
     n = m.n
@@ -554,45 +611,39 @@ def charpoly_oracle(matrix) -> IntPoly:
     window = (1 << (w + 1)) - 1
     rounding = (1 << w) + 1
     bias = n << (w - 1)
-    _, program, carried = _oracle_plan(rows)
-    # the shift at which c*I is added to each row, None in a carried run;
-    # which run's offset d each row of A*M is read with, 0 for none
-    diagonal = list(shifts)
-    offset = [0] * n
-    indicators = []
-    for o, (lo, hi, _) in enumerate(carried, 1):
-        diagonal[lo:hi] = [None] * (hi - lo)
-        offset[lo:hi] = [o] * (hi - lo)
-        indicators.append(sum(1 << s for s in shifts[lo:hi]))
-    corrections = [b for _, _, b in carried]
+    _, program, packed = _oracle_plan(rows)
+    # the lanes of the rows held in full, in register order: where each
+    # takes c*I and where its row of A*M is read
+    diagonal, readout = [*shifts], [*lows]
+    for lo, hi, _ in reversed(packed):
+        del diagonal[lo:hi], readout[lo:hi]
+    f = len(diagonal)
+    width = f + len(packed)
+    # each packed run's b, n_r b and indicator I_r, and where its W is read
+    runs = [(b, (hi - lo) * b, sum(1 << s for s in shifts[lo:hi])) for lo, hi, b in packed]
+    reads = [(f + o, lows[lo], hi - lo) for o, (lo, hi, _) in enumerate(packed)]
     # each instruction with the bit its register's lane is read from: the
-    # last n registers, row i of A*M read at lane i, and no other
-    inner = len(program) - n
-    steps = [
-        (*step, s, o)
-        for step, s, o in zip(program, [None] * inner + [*lows], [0] * inner + offset)
-    ]
-    # W = 0 with every offset 1 is M_1 = I: c, the coefficient found last,
-    # starts at 1, and a carried run's offset g, from 0, becomes b g + c
-    # at the start of each step
-    work = [0] * n
+    # full rows of A*M, row i read at lane i, and no other
+    inner = len(program) - width
+    steps = [(*step, s) for step, s in zip(program, [None] * inner + readout + [None] * len(packed))]
+    work = [0] * width
     c = 1
-    gs = [0] * len(carried)
-    roundings = [rounding] * (len(carried) + 1)
+    gs = [0] * len(packed)
     coeffs = [1]
     for k in range(1, n + 1):
         if c:
-            work = [row if s is None else row + (c << s) for row, s in zip(work, diagonal)]
-        # the registers: W's rows, 0, the carried runs' g I, then one per
-        # instruction, the last n of them the rows of A*M, the next W
-        work.append(0)
-        for o, b in enumerate(corrections):
-            g = gs[o] = b * gs[o] + c
-            work.append(g * indicators[o])
-            # the run's rows of A*M lack b g on their own lanes
-            roundings[o + 1] = rounding + 2 * b * g
+            work[:f] = [row + (c << s) for row, s in zip(work, diagonal)]
+        # the registers: the full rows and W's, 0, the packed runs' g I,
+        # then one per instruction, the last width of them the next full
+        # rows and W's; g becomes b g + c, and the run's trace takes n_r b g
         t = -bias
-        for chained, i, terms, s, o in steps:
+        work.append(0)
+        if runs:
+            for o, (b, nb, indicator) in enumerate(runs):
+                g = gs[o] = b * gs[o] + c
+                work.append(g * indicator)
+                t += nb * g
+        for chained, i, terms, s in steps:
             if not chained:
                 acc = work[i]
             for j, a in terms:
@@ -604,8 +655,10 @@ def charpoly_oracle(matrix) -> IntPoly:
                     acc += a * work[j]
             work.append(acc)
             if s is not None:
-                t += ((((acc >> s) & window) + roundings[o]) >> 1) & lane
-        del work[:-n]
+                t += ((((acc >> s) & window) + rounding) >> 1) & lane
+        del work[:-width]
+        for x, s, count in reads:
+            t += count * (((((work[x] >> s) & window) + rounding) >> 1) & lane)
         c, r = divmod(-t, k)
         if r:
             raise ConsistencyError("trace recurrence produced a non-integer coefficient")

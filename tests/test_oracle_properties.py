@@ -276,88 +276,96 @@ def test_runs_of_complete_multipartite_seidel_matrices():
 
 
 def test_plan_corrects_each_row_once():
-    # equal adjacent sizes stay apart, the three singletons merge; each
-    # row of A*M is its run's combination plus one correction on its own
-    # diagonal, none built from scratch
+    # equal adjacent sizes stay apart, the three singletons merge; every
+    # run is held as one register, and its one row of A*M is its key's
+    # combination plus b times that register, none built from scratch
     rows = seidel_matrix(complete_multipartite(Partition([19, 15, 4, 4, 3, 1, 1, 1]))).rows
-    n = len(rows)
-    runs, program, _ = _oracle_plan(rows)
+    runs, program, packed = _oracle_plan(rows)
     assert runs == [(0, 19), (19, 34), (34, 38), (38, 42), (42, 45), (45, 48)]
-    # one sum and one combination per run, then the rows
-    assert len(program) == 12 + n
-    steps = program[-n:]
-    combinations = {steps[lo][1] for lo, _ in runs}
-    # registers past M's rows and the zero register n
-    assert len(combinations) == 6 and min(combinations) > n
-    for lo, hi in runs:
-        for i in range(lo, hi):
-            chained, start, terms = steps[i]
-            assert (chained, start) == (False, steps[lo][1])
-            assert len(terms) == 1 and terms[0][0] == i and terms[0][1] in (1, -1)
+    assert packed == [(0, 19, -1), (19, 34, -1), (34, 38, -1), (38, 42, -1), (42, 45, -1), (45, 48, 1)]
+    # one sum, one combination and one row of A*M per run
+    assert len(program) == 3 * 6
+    steps = program[-6:]
+    combinations = {start for _, start, _ in steps}
+    # registers past the six held rows, the zero register and the six
+    # diagonal terms
+    assert len(combinations) == 6 and min(combinations) > 12
+    for o, (chained, _, terms) in enumerate(steps):
+        assert not chained and terms == ((o, packed[o][2]),)
 
 
-# K_P whose multi-column runs are all carried, its merged singletons with
+# K_P whose multi-column runs are all packed, its merged singletons with
 # diagonal correction +1; below the default fold only with _FOLD_MIN = 0
-CARRY_PARTS = {0: [4, 3, 2, 1, 1], None: [9, 8, 5, 1, 1]}
-# the carried runs after each edit in _edit_runs
-CARRIED_AFTER = {
-    (0, "chained"): [(0, 4, -3)],
+PACKED_PARTS = {0: [4, 3, 2, 1, 1], None: [9, 8, 5, 1, 1]}
+# the packed runs after each edit in _edit_runs
+PACKED_AFTER = {
+    (0, "chained"): [(0, 4, -3), (4, 7, -3), (7, 9, -3), (9, 11, 3)],
     (0, "off-diagonal"): [(4, 7, -1), (7, 9, -1), (9, 11, 1)],
     (0, "mixed-diagonal"): [(0, 4, -1), (4, 7, -1), (9, 11, 1)],
     (0, "equal-rows"): [(0, 4, -1), (4, 7, 0), (7, 9, -1), (9, 11, 1)],
-    (None, "chained"): [(0, 9, -3), (9, 17, -3), (17, 22, -3)],
+    (0, "rows-differ"): [(4, 7, -1), (7, 9, -1), (9, 11, 1)],
+    (None, "chained"): [(0, 9, -3), (9, 17, -3), (17, 22, -3), (22, 24, 3)],
     (None, "off-diagonal"): [(9, 17, -1), (17, 22, -1), (22, 24, 1)],
     (None, "mixed-diagonal"): [(0, 9, -1), (9, 17, -1), (22, 24, 1)],
     (None, "equal-rows"): [(0, 9, -1), (9, 17, 0), (17, 22, -1), (22, 24, 1)],
+    (None, "rows-differ"): [(9, 17, -1), (17, 22, -1), (22, 24, 1)],
 }
 
 
 def _edit_runs(kind: str, rows: list[list[int]], runs: list[tuple[int, int]]) -> list[list[int]]:
-    """A K_P Seidel matrix edited, keeping its runs, so that some are
-    refused the carry, or in "equal-rows" kept with b = 0."""
+    """A K_P Seidel matrix edited, keeping its runs, so that a run that
+    _column_runs merges is not exchangeable, or in "equal-rows" is
+    exchangeable with b = 0; a run that is not is planned row by row."""
     if kind == "chained":
-        # times 3, every coefficient costs two additions, so rows of the
-        # smaller runs are built from the row before, reading their two
-        # diagonal columns
+        # times 3, every coefficient costs two additions; every run is
+        # still exchangeable, so every run is packed
         return [[3 * x for x in row] for row in rows]
     if kind == "off-diagonal":
         # row 2 holds 1 below its diagonal and 2 above it in the first part
-        # (two 1s and one 2 at fold 0), so a correction lies off the diagonal
+        # (two 1s and one 2 at fold 0): columns 1, 2 and 3 are a chain of
+        # pairwise twins, each agreeing with the next outside their own two
+        # rows, with A[2][1] != A[2][3]
         lo, hi = runs[0]
         rows[2][3:hi] = [2] * (hi - 3)
     elif kind == "mixed-diagonal":
         # one row of the third part has diagonal correction 4, the others -1
         lo, hi = runs[2]
         rows[lo + 1][lo + 1] = 5
+    elif kind == "rows-differ":
+        # row 2 holds +1 against the whole second part, the first part's
+        # other rows -1: its rows differ outside the run, and the matrix is
+        # no longer symmetric
+        lo, hi = runs[1]
+        rows[2][lo:hi] = [1] * (hi - lo)
     else:
-        # +1 on the second part's diagonal makes its rows equal, each built
-        # from the row before it and reading no row of M
+        # +1 on the second part's diagonal makes its rows equal, with b = 0
         lo, hi = runs[1]
         for i in range(lo, hi):
             rows[i][i] = 1
     return rows
 
 
-@pytest.mark.parametrize("kind", ["chained", "off-diagonal", "mixed-diagonal", "equal-rows"])
+@pytest.mark.parametrize("kind", ["chained", "off-diagonal", "mixed-diagonal", "equal-rows", "rows-differ"])
 @pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
 def test_runs_refused_the_carry_match_reference(fold, kind):
-    rows = [list(r) for r in seidel_matrix(complete_multipartite(Partition(CARRY_PARTS[fold]))).rows]
+    rows = [list(r) for r in seidel_matrix(complete_multipartite(Partition(PACKED_PARTS[fold]))).rows]
     runs = _column_runs(rows)
     rows = _edit_runs(kind, rows, runs)
     assert _column_runs(rows) == runs
     with pytest.MonkeyPatch.context() as mp:
         if fold is not None:
             mp.setattr(exactalg, "_FOLD_MIN", fold)
-        assert _oracle_plan(rows)[2] == CARRIED_AFTER[fold, kind]
+        assert _oracle_plan(rows)[2] == PACKED_AFTER[fold, kind]
         assert charpoly_oracle(rows) == reference_charpoly(rows)
 
 
 def _read_by_chained_rows(n1: int, n2: int) -> list[list[int]]:
     """Runs (0, 2), (2, 2 + n1) and (2 + n1, 2 + n1 + n2).  The rows of the
     middle run hold 2 throughout it, diagonal included, and differ only in
-    the value they hold in the first run's columns, so each after its
-    first is built from the row before it and reads the first run's rows
-    of M; the last run is a Seidel block with diagonal correction -1."""
+    the value they hold in the first run's columns, so the middle run is
+    not exchangeable and each of its rows after the first differs from
+    the row before it only there; the first run is exchangeable with
+    diagonal correction -1, and so is the last, a Seidel block."""
     n = 2 + n1 + n2
     rows = [[0, 1] + [5] * n1 + [-3] * n2, [1, 0] + [5] * n1 + [-3] * n2]
     rows += [[i + 2] * 2 + [2] * n1 + [7] * n2 for i in range(2, 2 + n1)]
@@ -367,19 +375,19 @@ def _read_by_chained_rows(n1: int, n2: int) -> list[list[int]]:
 
 @pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
 def test_run_read_by_chained_rows_is_refused(fold):
-    # the first run's rows would be read short of their diagonal by rows
-    # that are not its own; the middle run, read by nothing but its sum,
-    # is carried with b = 0
+    # the middle run's rows would each be built from the row before by
+    # reading the first run's rows of M, which are held as one packed row;
+    # they are built from their keys instead, and no row is chained
     n1, n2 = (3, 3) if fold == 0 else (11, 11)
     rows = _read_by_chained_rows(n1, n2)
     n = len(rows)
     with pytest.MonkeyPatch.context() as mp:
         if fold is not None:
             mp.setattr(exactalg, "_FOLD_MIN", fold)
-        runs, program, carried = _oracle_plan(rows)
+        runs, program, packed = _oracle_plan(rows)
         assert runs == [(0, 2), (2, 2 + n1), (2 + n1, n)]
-        assert [i for i, step in enumerate(program[-n:]) if step[0]] == list(range(3, 2 + n1))
-        assert carried == [(2, 2 + n1, 0), (2 + n1, n, -1)]
+        assert packed == [(0, 2, -1), (2 + n1, n, -1)]
+        assert not any(chained for chained, _, _ in program)
         assert charpoly_oracle(rows) == reference_charpoly(rows)
 
 
@@ -387,8 +395,8 @@ def test_run_read_by_chained_rows_is_refused(fold):
     "parts", [[24, 23, 1], [1] * 40, [6, 5, 1], [1] * 10], ids=["24,23,1", "1*40", "6,5,1", "1*10"]
 )
 def test_carried_runs_beside_one_column_runs_match_reference(parts):
-    # a carried run next to a one-column run, whose row takes c*I itself,
-    # and one carried run with diagonal correction +1, at both folds
+    # a packed run next to a one-column run, whose row takes c*I itself,
+    # and one packed run with diagonal correction +1, at both folds
     rows = seidel_matrix(complete_multipartite(Partition(parts))).rows
     expected = reference_charpoly(rows)
     for fold in (0, None):
@@ -396,6 +404,66 @@ def test_carried_runs_beside_one_column_runs_match_reference(parts):
             if fold is not None:
                 mp.setattr(exactalg, "_FOLD_MIN", fold)
             assert charpoly_oracle(rows) == expected
+
+
+@pytest.mark.parametrize("parts", ["16*4", "2,62*1", "4*16", "32*2"])
+def test_order_64_packed_runs_match_reference(parts):
+    # every run packed: sixteen of 4, one of 2 beside 62 merged
+    # singletons (b = +1), four of 16, thirty-two of 2
+    rows = seidel_matrix(complete_multipartite(Partition.parse(parts))).rows
+    expected = reference_charpoly(rows)
+    for fold in (0, None):
+        with pytest.MonkeyPatch.context() as mp:
+            if fold is not None:
+                mp.setattr(exactalg, "_FOLD_MIN", fold)
+            runs, _, packed = _oracle_plan(rows)
+            assert [(lo, hi) for lo, hi, _ in packed] == runs
+            assert charpoly_oracle(rows) == expected
+
+
+@st.composite
+def twin_blow_ups(draw, min_n: int = 22, max_n: int = 40) -> tuple[list[int], list[list[int]]]:
+    """A random integer base matrix B with every vertex blown up into a
+    block of twins, with the bounds of the blocks.
+
+    Block r, of n_r >= 1 columns, holds B[r][s] against block s, and v_r
+    off its diagonal and d_r on it inside itself; B need not be symmetric.
+    Entries are 0, +-1, 2 or anything in the full entry range, so adjacent
+    blocks often merge into one column run, which need not be
+    exchangeable.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(min_n, max_n))
+    k = draw(st.integers(1, n))
+    bounds = [0, *sorted(rng.sample(range(1, n), k - 1)), n]
+
+    def entry() -> int:
+        return rng.choice([0, 1, -1, 2]) if rng.random() < 0.7 else rng.randint(-ENTRY_BOUND, ENTRY_BOUND)
+
+    base = [[entry() for _ in range(k)] for _ in range(k)]
+    inner = [(entry(), entry()) for _ in range(k)]
+    block = [r for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])) for _ in range(lo, hi)]
+    rows = [
+        [inner[r][i == j] if r == s else base[r][s] for j, s in enumerate(block)]
+        for i, r in enumerate(block)
+    ]
+    return bounds, rows
+
+
+@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
+@settings(max_examples=15, deadline=None)
+@given(twin_blow_ups())
+def test_twin_blow_ups_match_reference(fold, case):
+    # a block that is a whole column run is exchangeable, so it is packed
+    bounds, rows = case
+    blocks = {(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo + 1}
+    with pytest.MonkeyPatch.context() as mp:
+        if fold is not None:
+            mp.setattr(exactalg, "_FOLD_MIN", fold)
+        runs, _, packed = _oracle_plan(rows)
+        if runs is not None:
+            assert blocks & set(runs) <= {(lo, hi) for lo, hi, _ in packed}
+        assert charpoly_oracle(rows) == reference_charpoly(rows)
 
 
 @pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
@@ -410,13 +478,14 @@ def test_orders_zero_and_one(fold, rows):
 
 
 def test_plan_carries_each_summed_run():
-    # every part of two or more vertices is carried with diagonal
+    # every part of two or more vertices is packed with diagonal
     # correction -1, and the run of merged singletons, -1 off the diagonal,
-    # with +1; the lone singleton of (24,23,1) is a one-column run, read as
-    # its row of M.  A carried run's sum adds its register n + o after its
-    # rows, and its rows of M are read by that sum and, each, by its own
-    # row of A*M on the diagonal, and by nothing else.
-    for parts, carried, single in [
+    # with +1; the lone singleton of (24,23,1) is a one-column run, held
+    # as its row of M in register 0.  The o-th packed run's W is register
+    # f + o, f the rows held in full; its sum n_r W + g I starts from its
+    # diagonal term register and adds n_r W, and W is read by that sum and
+    # by its one row of A*M, W's next value, and by nothing else.
+    for parts, packed, single in [
         (
             [19, 15, 4, 4, 3, 1, 1, 1],
             [(0, 19, -1), (19, 34, -1), (34, 38, -1), (38, 42, -1), (42, 45, -1), (45, 48, 1)],
@@ -425,19 +494,20 @@ def test_plan_carries_each_summed_run():
         ([24, 23, 1], [(0, 24, -1), (24, 47, -1)], [(47, 48)]),
     ]:
         rows = seidel_matrix(complete_multipartite(Partition(parts))).rows
-        n = len(rows)
         runs, program, got = _oracle_plan(rows)
-        assert got == carried
+        assert got == packed
         assert [(lo, hi) for lo, hi in runs if hi == lo + 1] == single
+        f = len(single)
+        width = f + len(packed)
         readers: dict[int, list[int]] = {}
         for step, (chained, start, terms) in enumerate(program):
             for j in ([] if chained else [start]) + [j for j, _ in terms]:
                 readers.setdefault(j, []).append(step)
-        for o, (lo, hi, b) in enumerate(carried, 1):
-            assert program[o - 1] == (False, lo, tuple((j, 1) for j in range(lo + 1, hi)) + ((n + o, 1),))
-            for i in range(lo, hi):
-                assert program[i - n][2] == ((i, b),)
-                assert readers[i] == [o - 1, len(program) - n + i]
+        for o, (lo, hi, b) in enumerate(packed):
+            row = len(program) - width + f + o
+            assert program[o] == (False, width + 1 + o, ((f + o, hi - lo),))
+            assert program[row][2] == ((f + o, b),)
+            assert readers[f + o] == [o, row]
 
 
 @settings(max_examples=150, deadline=None)
