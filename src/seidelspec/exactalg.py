@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb, isqrt
-from itertools import repeat
 from operator import index, itemgetter, mul, ne, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -326,8 +325,9 @@ def _column_runs(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-# entries of the matrix that column runs must fold, n - 2 for each column
-# that continues a run, before the plan sums them.  Below it planning costs
+# entries of the matrix that packed column runs must fold, n - 2 for each
+# column that continues an exchangeable run, before the plan packs and sums
+# them; a run that is not exchangeable folds nothing.  Below it planning costs
 # more than the additions save: on a 2-vCPU x86 guest with Python 3.11,
 # K_P below order 24 ran no faster with runs and K_P of order 64 in about
 # 0.7 of the time.
@@ -381,15 +381,33 @@ def _exchange_offset(rows: Sequence[Sequence[int]], lo: int, hi: int) -> int | N
     return d - v
 
 
+def _row_program(rows: Sequence[Sequence[int]]) -> list:
+    """The plan's program where nothing is packed: each row of A*M from
+    row i's own nonzero entries, or from row i-1 of A*M plus
+    (a_ij - a_(i-1)j) * M_j where the rows differ, if that costs fewer
+    additions."""
+    n = len(rows)
+    program = []
+    prev = None
+    for row in rows:
+        if prev is not None and 2 * sum(map(ne, row, prev)) < n - row.count(0):
+            program.append((True, 0, tuple(filter(_nonzero, enumerate(map(sub, row, prev))))))
+        else:
+            program.append((False, n, tuple(filter(_nonzero, enumerate(row)))))
+        prev = row
+    return program
+
+
 def _oracle_plan(
     rows: Sequence[Sequence[int]],
-) -> tuple[list[tuple[int, int]] | None, list, list[tuple[int, int, int]]]:
-    """(runs, program, packed): how ``charpoly_oracle`` builds the rows of
-    A*M from those of M.
+) -> tuple[list, list[tuple[int, int, int]]]:
+    """(program, packed): how ``charpoly_oracle`` builds the rows of A*M
+    from those of M.
 
     ``packed`` lists the exchangeable column runs (lo, hi, b)
     (``_exchange_offset``), each held as one row W_r; every other row of M
-    is held in full.  With f rows held in full, in order, and p runs
+    is held in full, so a column run that is not exchangeable is planned
+    column by column.  With f rows held in full, in order, and p runs
     packed, ``program`` is a list of instructions over registers:
     registers 0..f-1 hold the full rows, f + o the o-th packed run's W,
     register f + p holds 0 and f + p + 1 + o the o-th packed run's
@@ -399,121 +417,64 @@ def _oracle_plan(
     f + p registers are the next full rows and W's, in register order:
     one instruction per full row and one per packed run.
 
-    Row i of A is split by the column runs ``runs``: one coefficient v_ir
-    per run r, the row's entry in that run, and corrections (j, a_ij - v_ir)
-    where an entry differs from it.  Only row i's own run can hold
-    corrections: its entries below the diagonal are equal, and so are those
-    above it, and v_ir is whichever of the two leaves fewer.  The program
-    first adds up each run's rows, n_r W_r + g_r I_r for a packed run
-    (``charpoly_oracle``), then combines each distinct key (v_ir)_r once,
-    sum_r(v_ir * run sum r) or from the key combined before it where that
-    is cheaper.  A packed run's row of A*M is its key's combination plus
-    b W_r.  A full row is its key's combination plus its corrections, or
-    is built instead from row i-1 of A*M plus (a_ij - a_(i-1)j) * M_j
-    where the two rows of A differ, when both rows are held in full, no
-    such j lies in a packed run, and that costs fewer additions
-    (``_weight``, counting two per difference) than its corrections and
-    its share of its key's combination.
+    The plan's runs are the packed runs and every other column alone.
+    Row i of A has one coefficient per run, its entry there, or the run's
+    value v off the diagonal in a packed run's own rows.  The program
+    first adds up each packed run's rows, n_r W_r + g_r I_r
+    (``charpoly_oracle``), then combines each distinct key of coefficients
+    once, sum_r(v_ir * run sum r), a column's sum being its row of M, or
+    from the key combined before it where that is cheaper (``_weight``).
+    A full row of A*M is its key's combination, and a packed run's is its
+    key's combination plus b W_r.
 
     Run sums cost planning time, which only big-integer work saved over
-    the call repays, so runs that fold fewer than ``_FOLD_MIN`` entries
-    of the matrix, n - 2 for each column that continues a run, are not
-    summed: ``runs`` is then None, nothing is packed, and each row is
-    built from its own nonzero entries or from the previous row.
+    the call repays, so where packed runs fold fewer than ``_FOLD_MIN``
+    entries of the matrix, n - 2 for each column that continues a run,
+    nothing is packed and ``program`` is ``_row_program``.
     """
     n = len(rows)
-    program: list[tuple[bool, int, tuple[tuple[int, int], ...]]] = []
     # (n - 2) * (n - 1) is the most that runs can fold, so orders below 22
     # are never searched for runs
-    runs = _column_runs(rows) if (n - 2) * (n - 1) >= _FOLD_MIN else None
-    if runs is None or (n - 2) * (n - len(runs)) < _FOLD_MIN:
-        prev = None
-        for row in rows:
-            if prev is not None and 2 * sum(map(ne, row, prev)) < n - row.count(0):
-                program.append((True, 0, tuple(filter(_nonzero, enumerate(map(sub, row, prev))))))
-            else:
-                program.append((False, n, tuple(filter(_nonzero, enumerate(row)))))
-            prev = row
-        return None, program, []
-    starts = [lo for lo, _ in runs]
-    keys = [list(map(row.__getitem__, starts)) for row in rows]
-    corrections = [[]] * n
-    packed = []
-    for r, (lo, hi) in enumerate(runs):
-        if hi == lo + 1:
-            # the row's own entry is its coefficient
-            continue
-        b = _exchange_offset(rows, lo, hi)
-        if b is not None:
-            packed.append((lo, hi, b))
-            for i in range(lo, hi):
-                keys[i][r] = rows[lo][lo + 1]
-            continue
-        for i in range(lo, hi):
-            span = rows[i][lo:hi]
-            below = span[i - lo - 1] if i > lo else span[-1]
-            above = span[i - lo + 1] if i < hi - 1 else span[0]
-            v = below if span.count(below) >= span.count(above) else above
-            keys[i][r] = v
-            corrections[i] = [(j, x - v) for j, x in enumerate(span, lo) if x != v]
-    keys = list(map(tuple, keys))
-    packed_at = {lo: o for o, (lo, _, _) in enumerate(packed)}
-    # the register of each row held in full, in row order, None in a
-    # packed run; the o-th packed run's W follows them, at f + o
-    held: list[int | None] = [None] * n
-    full = [i for lo, hi in runs if lo not in packed_at for i in range(lo, hi)]
-    for x, i in enumerate(full):
-        held[i] = x
-    f = len(full)
+    if (n - 2) * (n - 1) < _FOLD_MIN:
+        return _row_program(rows), []
+    runs = _column_runs(rows)
+    packed = [
+        (lo, hi, b) for lo, hi in runs if hi > lo + 1 and (b := _exchange_offset(rows, lo, hi)) is not None
+    ]
+    if (n - 2) * sum(hi - lo - 1 for lo, hi, _ in packed) < _FOLD_MIN:
+        return _row_program(rows), []
+    program: list[tuple[bool, int, tuple[tuple[int, int], ...]]] = []
+    f = n - sum(hi - lo for lo, hi, _ in packed)
     width = f + len(packed)
     base = width + len(packed)
-    # (register, key, corrections, row) for each full row and each packed
-    # run, in row order; a packed run has row None
-    units = []
+    packed_at = {lo: o for o, (lo, _, _) in enumerate(packed)}
+    # (register, first row, terms past its key's combination) for each of
+    # the plan's runs, in row order, and the register holding its sum
+    units, sums = [], []
+    held = 0
     for lo, hi in runs:
         o = packed_at.get(lo)
         if o is None:
+            # a column alone sums to its row of M
             for i in range(lo, hi):
-                units.append((held[i], keys[i], [(held[j], a) for j, a in corrections[i]], i))
+                units.append((held, i, ()))
+                sums.append(held)
+                held += 1
         else:
             b = packed[o][2]
-            units.append((f + o, keys[lo], [(f + o, b)] if b else [], None))
-    shares = Counter(key for _, key, _, _ in units)
-    # the terms of each full row of A*M built from the previous full row
-    chained: dict[int, tuple[tuple[int, int], ...]] = {}
-    for _, key, fixes, i in units:
-        if i is None or i == 0 or held[i - 1] is None:
-            continue
-        row, prev, share = rows[i], rows[i - 1], shares[key]
-        own = _weight([a for _, a in fixes]) if fixes else 0
-        if 2 * sum(map(ne, row, prev)) * share < _weight(key) + own * share:
-            terms = tuple(filter(_nonzero, enumerate(map(sub, row, prev))))
-            if all(held[j] is not None for j, _ in terms):
-                chained[i] = tuple((held[j], a) for j, a in terms)
-    # a run of one column is that row of M; a longer one is summed
-    # unless no key reads it
-    sums = []
-    for r, (lo, hi) in enumerate(runs):
-        if hi == lo + 1:
-            sums.append(held[lo])
-        elif not any(map(itemgetter(r), keys)):
-            sums.append(None)
-        else:
-            o = packed_at.get(lo)
-            if o is None:
-                start = held[lo]
-                program.append((False, start, tuple(zip(range(start + 1, start + hi - lo), repeat(1)))))
-            else:
-                program.append((False, width + 1 + o, ((f + o, hi - lo),)))
+            units.append((f + o, lo, ((f + o, b),) if b else ()))
+            program.append((False, width + 1 + o, ((f + o, hi - lo),)))
             sums.append(base + len(program))
+    starts = [i for _, i, _ in units]
     combos: dict[tuple[int, ...], int] = {}
     last = None
     rows_out = [None] * width
-    for x, key, fixes, i in units:
-        if i in chained:
-            # a row from the previous row continues from the register just before
-            rows_out[x] = (True, 0, chained[i])
-            continue
+    for r, (x, i, fixes) in enumerate(units):
+        key = list(map(rows[i].__getitem__, starts))
+        if x >= f:
+            # a packed run's rows hold v in its own columns
+            key[r] = rows[i][i + 1]
+        key = tuple(key)
         if key not in combos:
             terms = sorted(filter(_nonzero, zip(sums, key)), key=_not_one)
             if last is not None:
@@ -523,9 +484,9 @@ def _oracle_plan(
             program.append(_instruction(terms, width))
             combos[key] = base + len(program)
             last = key
-        rows_out[x] = _instruction([(combos[key], 1)] + fixes, width)
+        rows_out[x] = (False, combos[key], fixes)
     program += rows_out
-    return runs, program, packed
+    return program, packed
 
 
 def charpoly_oracle(matrix) -> IntPoly:
@@ -544,11 +505,11 @@ def charpoly_oracle(matrix) -> IntPoly:
     same integers; only the readout needs every entry to fit its lane, and
     w = ``_lane_width`` of the squared row norms, by Hadamard's inequality,
     is fixed before any arithmetic.  The plan, ``_oracle_plan``, is built
-    once per call from the matrix's column runs: each step adds up each
-    run's rows once, and row i of A*M is a combination of those run sums
-    plus a few corrections, or row i-1 of A*M plus a few multiples of rows
-    where that is cheaper.  Rows with the same run coefficients share one
-    combination, computed once per step.
+    once per call: where the matrix's exchangeable column runs fold enough
+    entries, each step adds up each run's rows once, and rows with the
+    same run coefficients share one combination of those sums; elsewhere
+    row i of A*M is built from row i's nonzero entries, or from row i-1
+    of A*M where that is cheaper.
 
     A row held in full has c 2^(s_j) added at the start of each step, c
     being the coefficient found last, and its row of A*M is read at its own
@@ -611,7 +572,7 @@ def charpoly_oracle(matrix) -> IntPoly:
     window = (1 << (w + 1)) - 1
     rounding = (1 << w) + 1
     bias = n << (w - 1)
-    _, program, packed = _oracle_plan(rows)
+    program, packed = _oracle_plan(rows)
     # the lanes of the rows held in full, in register order: where each
     # takes c*I and where its row of A*M is read
     diagonal, readout = [*shifts], [*lows]

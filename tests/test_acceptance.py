@@ -26,14 +26,13 @@ from seidelspec import (
     partitions_of,
     positive_root_count,
     quotient_matrix,
-    recover_partitions,
     roots_below,
     seidel_matrix,
     spectrum_report,
     switch,
     verify_shared_part_property,
 )
-from seidelspec.verify import RECOVER_CAP
+from seidelspec.verify import RECOVER_CAP, determination_suite
 
 TOL = 1e-8
 
@@ -141,16 +140,12 @@ def test_acceptance_5_switching_invariance():
 
 
 def test_acceptance_6_partition_recovery_roundtrip():
-    checked = 0
-    for n in range(1, RECOVER_CAP + 1):
-        for p in partitions_of(n):
-            residual = charpoly_coefficients(p).residual
-            recovered = recover_partitions(residual)
-            assert p in recovered, p
-            for q in recovered:
-                assert charpoly_coefficients(q).residual == residual, (p, q)
-            checked += 1
-    print(f"\nACCEPTANCE 6 PASS recovery round trip, {checked} partitions n<={RECOVER_CAP}")
+    # one check per order and one per partition up to RECOVER_CAP, whose
+    # residual must recover exactly itself and its scanned cospectral mates
+    result = determination_suite(RECOVER_CAP)
+    assert result.passed, result.failures
+    assert result.checks == RECOVER_CAP + 2713
+    print(f"\nACCEPTANCE 6 PASS recovery round trip, 2713 partitions n<={RECOVER_CAP}")
 
 
 def test_acceptance_7_cospectral_partitions_share_no_part_size():

@@ -24,7 +24,7 @@ from seidelspec import (
     switch,
 )
 from seidelspec import exactalg
-from seidelspec.exactalg import _column_runs, _lane_width, _oracle_plan
+from seidelspec.exactalg import _column_runs, _exchange_offset, _lane_width, _oracle_plan
 from seidelspec.multipartite import CLOSED_FORMS, quotient_matrix
 
 ENTRY_BOUND = 10**6
@@ -212,6 +212,24 @@ EDGE_RUNS = [
 ]
 
 
+def _exchangeable(rows) -> list[tuple[int, int, int]]:
+    """The column runs of two or more columns that ``_exchange_offset``
+    accepts, as (lo, hi, b): what the plan packs on its run path."""
+    return [
+        (lo, hi, b)
+        for lo, hi in _column_runs(rows)
+        if hi > lo + 1 and (b := _exchange_offset(rows, lo, hi)) is not None
+    ]
+
+
+def _packed(rows) -> list[tuple[int, int, int]]:
+    """The runs the plan packs: the exchangeable runs where they fold at
+    least ``_FOLD_MIN`` entries, n - 2 for each column that continues one,
+    and none elsewhere."""
+    runs = _exchangeable(rows)
+    return runs if (len(rows) - 2) * sum(hi - lo - 1 for lo, hi, _ in runs) >= exactalg._FOLD_MIN else []
+
+
 @st.composite
 def partitions_up_to(draw, max_n: int) -> Partition:
     n = draw(st.integers(1, max_n))
@@ -228,8 +246,9 @@ def partitions_up_to(draw, max_n: int) -> Partition:
 @example(([0, 4], WHOLE_RUN))
 @example(([0, 2, 3, 5], EDGE_RUNS))
 def test_column_run_matrices_match_reference(fold, case):
-    # fold 0 sums the runs of any matrix, the default only where they fold
-    # enough entries to repay planning, so never below order 22
+    # fold 0 packs the exchangeable runs of any matrix, the default only
+    # where they fold enough entries to repay planning, so never below
+    # order 22; a run that is not exchangeable is planned column by column
     bounds, rows = case
     runs = _column_runs(rows)
     # a run found never starts inside a run built
@@ -237,12 +256,14 @@ def test_column_run_matrices_match_reference(fold, case):
     with pytest.MonkeyPatch.context() as mp:
         if fold is not None:
             mp.setattr(exactalg, "_FOLD_MIN", fold)
-            assert _oracle_plan(rows)[0] == runs
+            assert _oracle_plan(rows)[1] == _exchangeable(rows)
         assert charpoly_oracle(rows) == reference_charpoly(rows)
 
 
 def test_column_runs_above_the_fold_match_reference():
-    # three runs of 8 at order 24, summed by the default plan
+    # three runs of 8 at order 24, none exchangeable, as each row holds
+    # its own values below and above its diagonal: the default plan packs
+    # nothing and builds each row from its entries or the previous row
     bounds = [0, 8, 16, 24]
     rng = random.Random(28)
     matrix = [[0] * 24 for _ in range(24)]
@@ -253,7 +274,9 @@ def test_column_runs_above_the_fold_match_reference():
                 row[lo:hi] = [below] * (i - lo) + [diagonal] + [above] * (hi - i - 1)
             else:
                 row[lo:hi] = [rng.choice([1, -1, 3])] * (hi - lo)
-    assert _oracle_plan(matrix)[0] == _column_runs(matrix) == [(0, 8), (8, 16), (16, 24)]
+    assert _column_runs(matrix) == [(0, 8), (8, 16), (16, 24)]
+    assert _exchangeable(matrix) == []
+    assert _oracle_plan(matrix)[1] == []
     assert charpoly_oracle(matrix) == reference_charpoly(matrix)
 
 
@@ -280,9 +303,10 @@ def test_plan_corrects_each_row_once():
     # run is held as one register, and its one row of A*M is its key's
     # combination plus b times that register, none built from scratch
     rows = seidel_matrix(complete_multipartite(Partition([19, 15, 4, 4, 3, 1, 1, 1]))).rows
-    runs, program, packed = _oracle_plan(rows)
-    assert runs == [(0, 19), (19, 34), (34, 38), (38, 42), (42, 45), (45, 48)]
+    program, packed = _oracle_plan(rows)
+    assert _column_runs(rows) == [(0, 19), (19, 34), (34, 38), (38, 42), (42, 45), (45, 48)]
     assert packed == [(0, 19, -1), (19, 34, -1), (34, 38, -1), (38, 42, -1), (42, 45, -1), (45, 48, 1)]
+    assert packed == _exchangeable(rows)
     # one sum, one combination and one row of A*M per run
     assert len(program) == 3 * 6
     steps = program[-6:]
@@ -297,7 +321,9 @@ def test_plan_corrects_each_row_once():
 # K_P whose multi-column runs are all packed, its merged singletons with
 # diagonal correction +1; below the default fold only with _FOLD_MIN = 0
 PACKED_PARTS = {0: [4, 3, 2, 1, 1], None: [9, 8, 5, 1, 1]}
-# the packed runs after each edit in _edit_runs
+# the packed runs after each edit in _edit_runs; at the default fold, once
+# a run is refused, the runs left fold 22 * 12 or 22 * 16 entries, fewer
+# than _FOLD_MIN, so nothing is packed
 PACKED_AFTER = {
     (0, "chained"): [(0, 4, -3), (4, 7, -3), (7, 9, -3), (9, 11, 3)],
     (0, "off-diagonal"): [(4, 7, -1), (7, 9, -1), (9, 11, 1)],
@@ -305,17 +331,18 @@ PACKED_AFTER = {
     (0, "equal-rows"): [(0, 4, -1), (4, 7, 0), (7, 9, -1), (9, 11, 1)],
     (0, "rows-differ"): [(4, 7, -1), (7, 9, -1), (9, 11, 1)],
     (None, "chained"): [(0, 9, -3), (9, 17, -3), (17, 22, -3), (22, 24, 3)],
-    (None, "off-diagonal"): [(9, 17, -1), (17, 22, -1), (22, 24, 1)],
-    (None, "mixed-diagonal"): [(0, 9, -1), (9, 17, -1), (22, 24, 1)],
+    (None, "off-diagonal"): [],
+    (None, "mixed-diagonal"): [],
     (None, "equal-rows"): [(0, 9, -1), (9, 17, 0), (17, 22, -1), (22, 24, 1)],
-    (None, "rows-differ"): [(9, 17, -1), (17, 22, -1), (22, 24, 1)],
+    (None, "rows-differ"): [],
 }
 
 
 def _edit_runs(kind: str, rows: list[list[int]], runs: list[tuple[int, int]]) -> list[list[int]]:
     """A K_P Seidel matrix edited, keeping its runs, so that a run that
     _column_runs merges is not exchangeable, or in "equal-rows" is
-    exchangeable with b = 0; a run that is not is planned row by row."""
+    exchangeable with b = 0; a run that is not is planned column by
+    column."""
     if kind == "chained":
         # times 3, every coefficient costs two additions; every run is
         # still exchangeable, so every run is packed
@@ -355,7 +382,7 @@ def test_runs_refused_the_carry_match_reference(fold, kind):
     with pytest.MonkeyPatch.context() as mp:
         if fold is not None:
             mp.setattr(exactalg, "_FOLD_MIN", fold)
-        assert _oracle_plan(rows)[2] == PACKED_AFTER[fold, kind]
+        assert _oracle_plan(rows)[1] == PACKED_AFTER[fold, kind] == _packed(rows)
         assert charpoly_oracle(rows) == reference_charpoly(rows)
 
 
@@ -375,19 +402,25 @@ def _read_by_chained_rows(n1: int, n2: int) -> list[list[int]]:
 
 @pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
 def test_run_read_by_chained_rows_is_refused(fold):
-    # the middle run's rows would each be built from the row before by
-    # reading the first run's rows of M, which are held as one packed row;
-    # they are built from their keys instead, and no row is chained
+    # the middle run is planned column by column, and no row on the run
+    # path is built from the row before; at the default fold the two
+    # packed runs fold 22 * 11 entries, fewer than _FOLD_MIN, so the plan
+    # packs nothing and its row program builds each row from its entries
+    # or from the previous row
     n1, n2 = (3, 3) if fold == 0 else (11, 11)
     rows = _read_by_chained_rows(n1, n2)
     n = len(rows)
+    assert _column_runs(rows) == [(0, 2), (2, 2 + n1), (2 + n1, n)]
+    assert _exchangeable(rows) == [(0, 2, -1), (2 + n1, n, -1)]
     with pytest.MonkeyPatch.context() as mp:
         if fold is not None:
             mp.setattr(exactalg, "_FOLD_MIN", fold)
-        runs, program, packed = _oracle_plan(rows)
-        assert runs == [(0, 2), (2, 2 + n1), (2 + n1, n)]
-        assert packed == [(0, 2, -1), (2 + n1, n, -1)]
-        assert not any(chained for chained, _, _ in program)
+        program, packed = _oracle_plan(rows)
+        if fold == 0:
+            assert packed == [(0, 2, -1), (2 + n1, n, -1)]
+            assert not any(chained for chained, _, _ in program)
+        else:
+            assert packed == [] and len(program) == n
         assert charpoly_oracle(rows) == reference_charpoly(rows)
 
 
@@ -416,8 +449,9 @@ def test_order_64_packed_runs_match_reference(parts):
         with pytest.MonkeyPatch.context() as mp:
             if fold is not None:
                 mp.setattr(exactalg, "_FOLD_MIN", fold)
-            runs, _, packed = _oracle_plan(rows)
-            assert [(lo, hi) for lo, hi, _ in packed] == runs
+            packed = _oracle_plan(rows)[1]
+            assert packed == _exchangeable(rows)
+            assert [(lo, hi) for lo, hi, _ in packed] == _column_runs(rows)
             assert charpoly_oracle(rows) == expected
 
 
@@ -455,15 +489,64 @@ def twin_blow_ups(draw, min_n: int = 22, max_n: int = 40) -> tuple[list[int], li
 @given(twin_blow_ups())
 def test_twin_blow_ups_match_reference(fold, case):
     # a block that is a whole column run is exchangeable, so it is packed
+    # wherever the plan packs runs
     bounds, rows = case
     blocks = {(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo + 1}
     with pytest.MonkeyPatch.context() as mp:
         if fold is not None:
             mp.setattr(exactalg, "_FOLD_MIN", fold)
-        runs, _, packed = _oracle_plan(rows)
-        if runs is not None:
-            assert blocks & set(runs) <= {(lo, hi) for lo, hi, _ in packed}
+        packed = _oracle_plan(rows)[1]
+        assert packed == _packed(rows)
+        if fold == 0:
+            assert blocks & set(_column_runs(rows)) <= {(lo, hi) for lo, hi, _ in packed}
         assert charpoly_oracle(rows) == reference_charpoly(rows)
+
+
+@st.composite
+def twin_class_graphs(draw, min_n: int = 22, max_n: int = 64) -> Graph:
+    """A random graph of order min_n..max_n, of random edge density, either
+    as drawn or with each vertex of a random base graph blown up into a
+    class of consecutive twins, pairwise adjacent or pairwise not."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(min_n, max_n))
+    density = rng.random()
+    if draw(st.booleans()):
+        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density])
+    k = rng.randint(1, n)
+    bounds = [0, *sorted(rng.sample(range(1, n), k - 1)), n]
+    block = [r for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])) for _ in range(lo, hi)]
+    base = {(r, s) for r in range(k) for s in range(r + 1, k) if rng.random() < density}
+    clique = [rng.random() < 0.5 for _ in range(k)]
+    return Graph(
+        n,
+        [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if (block[i], block[j]) in base or (block[i] == block[j] and clique[block[i]])
+        ],
+    )
+
+
+@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
+@settings(max_examples=40, deadline=None)
+@given(twin_class_graphs(), st.lists(st.integers(1, 4), min_size=3, max_size=64).map(Partition))
+def test_package_matrices_have_only_exchangeable_runs(fold, g, p):
+    # in a symmetric matrix with a constant diagonal, run columns j-1, j and
+    # j+1 give S[j-1][j] = S[j-1][j+1] = S[j][j+1], so every column run is
+    # exchangeable; so is every run of a quotient with k >= 3, a stretch of
+    # equal parts.  The plan then packs every run of two or more columns
+    # wherever it packs, and builds no row from the row before
+    for rows in (seidel_matrix(g).rows, quotient_matrix(p).rows):
+        runs = [(lo, hi) for lo, hi in _column_runs(rows) if hi > lo + 1]
+        assert all(_exchange_offset(rows, lo, hi) is not None for lo, hi in runs)
+        with pytest.MonkeyPatch.context() as mp:
+            if fold is not None:
+                mp.setattr(exactalg, "_FOLD_MIN", fold)
+            program, packed = _oracle_plan(rows)
+        if fold == 0 or packed:
+            assert [(lo, hi) for lo, hi, _ in packed] == runs
+            assert not any(chained for chained, _, _ in program)
 
 
 @pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
@@ -494,9 +577,9 @@ def test_plan_carries_each_summed_run():
         ([24, 23, 1], [(0, 24, -1), (24, 47, -1)], [(47, 48)]),
     ]:
         rows = seidel_matrix(complete_multipartite(Partition(parts))).rows
-        runs, program, got = _oracle_plan(rows)
-        assert got == packed
-        assert [(lo, hi) for lo, hi in runs if hi == lo + 1] == single
+        program, got = _oracle_plan(rows)
+        assert got == packed == _exchangeable(rows)
+        assert [(lo, hi) for lo, hi in _column_runs(rows) if hi == lo + 1] == single
         f = len(single)
         width = f + len(packed)
         readers: dict[int, list[int]] = {}
@@ -587,7 +670,7 @@ def test_lane_bound_matrices_through_runs(rows, expected, carried):
     # 1-2 (diagonal correction -2) and every other row takes c*I itself
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactalg, "_FOLD_MIN", 0)
-        assert _oracle_plan(rows)[2] == carried
+        assert _oracle_plan(rows)[1] == carried == _exchangeable(rows)
         got = charpoly_oracle(rows)
     assert got == expected
     if len(rows) <= REFERENCE_MAX_N:
