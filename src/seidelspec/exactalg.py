@@ -337,24 +337,11 @@ _FOLD_MIN = 400
 _nonzero = itemgetter(1)
 
 
-def _not_one(term: tuple[int, int]) -> bool:
-    return term[1] != 1
-
-
 def _weight(coefficients: Sequence[int]) -> int:
     """Additions that add up rows times these coefficients: one for each
     +-1, two for any other nonzero, which also costs a multiple."""
     nonzero = len(coefficients) - coefficients.count(0)
     return 2 * nonzero - coefficients.count(1) - coefficients.count(-1)
-
-
-def _instruction(
-    terms: list[tuple[int, int]], zero: int
-) -> tuple[bool, int, tuple[tuple[int, int], ...]]:
-    # start from the first term if it is +1, else from the zero register
-    if terms and terms[0][1] == 1:
-        return False, terms[0][0], tuple(terms[1:])
-    return False, zero, tuple(terms)
 
 
 def _exchange_offset(rows: Sequence[Sequence[int]], lo: int, hi: int) -> int | None:
@@ -391,9 +378,10 @@ def _row_program(rows: Sequence[Sequence[int]]) -> list:
     prev = None
     for row in rows:
         if prev is not None and 2 * sum(map(ne, row, prev)) < n - row.count(0):
-            program.append((True, 0, tuple(filter(_nonzero, enumerate(map(sub, row, prev))))))
+            # register n + len(program) holds row i-1 of A*M
+            program.append((n + len(program), tuple(filter(_nonzero, enumerate(map(sub, row, prev))))))
         else:
-            program.append((False, n, tuple(filter(_nonzero, enumerate(row)))))
+            program.append((n, tuple(filter(_nonzero, enumerate(row)))))
         prev = row
     return program
 
@@ -411,21 +399,22 @@ def _oracle_plan(
     packed, ``program`` is a list of instructions over registers:
     registers 0..f-1 hold the full rows, f + o the o-th packed run's W,
     register f + p holds 0 and f + p + 1 + o the o-th packed run's
-    diagonal term.  Each instruction (chained, j, terms) appends one
-    register: register j, or the register appended just before it when
-    ``chained``, plus a * register i over its terms (i, a).  The last
-    f + p registers are the next full rows and W's, in register order:
-    one instruction per full row and one per packed run.
+    diagonal term.  Each instruction (start, terms) appends one register:
+    register start plus a * register i over its terms (i, a), every
+    register it names being appended before it.  The last f + p registers
+    are the next full rows and W's, in register order: one instruction per
+    full row and one per packed run.
 
     The plan's runs are the packed runs and every other column alone.
     Row i of A has one coefficient per run, its entry there, or the run's
     value v off the diagonal in a packed run's own rows.  The program
     first adds up each packed run's rows, n_r W_r + g_r I_r
     (``charpoly_oracle``), then combines each distinct key of coefficients
-    once, sum_r(v_ir * run sum r), a column's sum being its row of M, or
-    from the key combined before it where that is cheaper (``_weight``).
-    A full row of A*M is its key's combination, and a packed run's is its
-    key's combination plus b W_r.
+    once, sum_r(v_ir * run sum r), a column's sum being its row of M: it
+    starts from the key combined before it where that is cheaper
+    (``_weight``), else from a run sum it takes +1 times, else from 0.  A
+    full row of A*M starts from its key's combination and adds nothing,
+    and a packed run's adds b W_r.
 
     Run sums cost planning time, which only big-integer work saved over
     the call repays, so where packed runs fold fewer than ``_FOLD_MIN``
@@ -443,7 +432,7 @@ def _oracle_plan(
     ]
     if (n - 2) * sum(hi - lo - 1 for lo, hi, _ in packed) < _FOLD_MIN:
         return _row_program(rows), []
-    program: list[tuple[bool, int, tuple[tuple[int, int], ...]]] = []
+    program: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     f = n - sum(hi - lo for lo, hi, _ in packed)
     width = f + len(packed)
     base = width + len(packed)
@@ -463,7 +452,7 @@ def _oracle_plan(
         else:
             b = packed[o][2]
             units.append((f + o, lo, ((f + o, b),) if b else ()))
-            program.append((False, width + 1 + o, ((f + o, hi - lo),)))
+            program.append((width + 1 + o, ((f + o, hi - lo),)))
             sums.append(base + len(program))
     starts = [i for _, i, _ in units]
     combos: dict[tuple[int, ...], int] = {}
@@ -476,15 +465,16 @@ def _oracle_plan(
             key[r] = rows[i][i + 1]
         key = tuple(key)
         if key not in combos:
-            terms = sorted(filter(_nonzero, zip(sums, key)), key=_not_one)
-            if last is not None:
-                step = list(map(sub, key, last))
-                if _weight(step) < _weight(key):
-                    terms = [(combos[last], 1)] + list(filter(_nonzero, zip(sums, step)))
-            program.append(_instruction(terms, width))
+            if last is not None and _weight(step := list(map(sub, key, last))) < _weight(key):
+                start, terms = combos[last], tuple(filter(_nonzero, zip(sums, step)))
+            else:
+                # the first run sum taken +1, else the zero register
+                start = sums[key.index(1)] if 1 in key else width
+                terms = tuple(t for t in filter(_nonzero, zip(sums, key)) if t != (start, 1))
+            program.append((start, terms))
             combos[key] = base + len(program)
             last = key
-        rows_out[x] = (False, combos[key], fixes)
+        rows_out[x] = (combos[key], fixes)
     program += rows_out
     return program, packed
 
@@ -511,8 +501,10 @@ def charpoly_oracle(matrix) -> IntPoly:
     row i of A*M is built from row i's nonzero entries, or from row i-1
     of A*M where that is cheaper.
 
-    A row held in full has c 2^(s_j) added at the start of each step, c
-    being the coefficient found last, and its row of A*M is read at its own
+    Each step runs the plan's instructions in one loop, each appending one
+    register, then reads every row it holds once, after the loop.  A row
+    held in full has c 2^(s_j) added at the start of each step, c being
+    the coefficient found last, and its row of A*M is read at its own
     lane.  An exchangeable run r (``_exchange_offset``), of n_r = hi - lo
     >= 2 columns, is held as one row W_r and one offset g_r: row i of M is
     W_r + g_r 2^(s_i) for each i in the run.  The recurrence starts from
@@ -583,10 +575,6 @@ def charpoly_oracle(matrix) -> IntPoly:
     # each packed run's b, n_r b and indicator I_r, and where its W is read
     runs = [(b, (hi - lo) * b, sum(1 << s for s in shifts[lo:hi])) for lo, hi, b in packed]
     reads = [(f + o, lows[lo], hi - lo) for o, (lo, hi, _) in enumerate(packed)]
-    # each instruction with the bit its register's lane is read from: the
-    # full rows of A*M, row i read at lane i, and no other
-    inner = len(program) - width
-    steps = [(*step, s) for step, s in zip(program, [None] * inner + readout + [None] * len(packed))]
     work = [0] * width
     c = 1
     gs = [0] * len(packed)
@@ -604,9 +592,8 @@ def charpoly_oracle(matrix) -> IntPoly:
                 g = gs[o] = b * gs[o] + c
                 work.append(g * indicator)
                 t += nb * g
-        for chained, i, terms, s in steps:
-            if not chained:
-                acc = work[i]
+        for i, terms in program:
+            acc = work[i]
             for j, a in terms:
                 if a == 1:
                     acc += work[j]
@@ -615,9 +602,9 @@ def charpoly_oracle(matrix) -> IntPoly:
                 else:
                     acc += a * work[j]
             work.append(acc)
-            if s is not None:
-                t += ((((acc >> s) & window) + rounding) >> 1) & lane
         del work[:-width]
+        for row, s in zip(work, readout):
+            t += ((((row >> s) & window) + rounding) >> 1) & lane
         for x, s, count in reads:
             t += count * (((((work[x] >> s) & window) + rounding) >> 1) & lane)
         c, r = divmod(-t, k)

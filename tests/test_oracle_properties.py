@@ -230,6 +230,40 @@ def _packed(rows) -> list[tuple[int, int, int]]:
     return runs if (len(rows) - 2) * sum(hi - lo - 1 for lo, hi, _ in runs) >= exactalg._FOLD_MIN else []
 
 
+def _plan_registers(rows, packed) -> tuple[int, int]:
+    """(width, base): the plan holds width rows, and its q-th instruction
+    appends register base + 1 + q (``_oracle_plan``)."""
+    width = len(rows) - sum(hi - lo - 1 for lo, hi, _ in packed)
+    return width, width + len(packed)
+
+
+def _first_pass(rows, program, packed) -> list[list[int]]:
+    """The rows the plan holds after one pass from M_1 = I, run on
+    unpacked rows: the full rows of M, each packed run's W = 0, the zero
+    register, then each packed run's diagonal term g I_r with g = 1."""
+    n = len(rows)
+    inside = {i for lo, hi, _ in packed for i in range(lo, hi)}
+    registers = [[int(i == j) for j in range(n)] for i in range(n) if i not in inside]
+    registers += [[0] * n] * (len(packed) + 1)
+    registers += [[int(lo <= j < hi) for j in range(n)] for lo, hi, _ in packed]
+    for start, terms in program:
+        acc = registers[start]
+        for j, a in terms:
+            acc = [x + a * y for x, y in zip(acc, registers[j])]
+        registers.append(acc)
+    width, _ = _plan_registers(rows, packed)
+    return registers[len(registers) - width :]
+
+
+def _held_rows_start_from_combinations(rows, program, packed) -> bool:
+    """On the run path, each of the last width instructions, the held rows
+    of A*M, starts from a key combination's register: past the run sums,
+    before the first held row, so never from another held row's A*M."""
+    width, base = _plan_registers(rows, packed)
+    first, held = base + 1 + len(packed), base + 1 + len(program) - width
+    return all(first <= start < held for start, _ in program[len(program) - width :])
+
+
 @st.composite
 def partitions_up_to(draw, max_n: int) -> Partition:
     n = draw(st.integers(1, max_n))
@@ -310,12 +344,13 @@ def test_plan_corrects_each_row_once():
     # one sum, one combination and one row of A*M per run
     assert len(program) == 3 * 6
     steps = program[-6:]
-    combinations = {start for _, start, _ in steps}
+    combinations = {start for start, _ in steps}
     # registers past the six held rows, the zero register and the six
     # diagonal terms
     assert len(combinations) == 6 and min(combinations) > 12
-    for o, (chained, _, terms) in enumerate(steps):
-        assert not chained and terms == ((o, packed[o][2]),)
+    assert _held_rows_start_from_combinations(rows, program, packed)
+    for o, (_, terms) in enumerate(steps):
+        assert terms == ((o, packed[o][2]),)
 
 
 # K_P whose multi-column runs are all packed, its merged singletons with
@@ -418,7 +453,7 @@ def test_run_read_by_chained_rows_is_refused(fold):
         program, packed = _oracle_plan(rows)
         if fold == 0:
             assert packed == [(0, 2, -1), (2 + n1, n, -1)]
-            assert not any(chained for chained, _, _ in program)
+            assert _held_rows_start_from_combinations(rows, program, packed)
         else:
             assert packed == [] and len(program) == n
         assert charpoly_oracle(rows) == reference_charpoly(rows)
@@ -502,6 +537,29 @@ def test_twin_blow_ups_match_reference(fold, case):
         assert charpoly_oracle(rows) == reference_charpoly(rows)
 
 
+@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(integer_matrices(), repeating_row_matrices(), twin_blow_ups().map(lambda case: case[1])))
+def test_plan_reads_earlier_registers_and_ends_with_the_held_rows(fold, rows):
+    # the q-th instruction appends register base + 1 + q, so its start and
+    # terms name registers below that; run on unpacked rows from M_1 = I,
+    # its last width instructions leave A's full rows, then each packed
+    # run's W' = row lo of A less b on the diagonal, in register order
+    with pytest.MonkeyPatch.context() as mp:
+        if fold is not None:
+            mp.setattr(exactalg, "_FOLD_MIN", fold)
+        program, packed = _oracle_plan(rows)
+        got = charpoly_oracle(rows)
+    width, base = _plan_registers(rows, packed)
+    for q, (start, terms) in enumerate(program):
+        assert all(0 <= j < base + 1 + q for j in [start, *(j for j, _ in terms)])
+    inside = {i for lo, hi, _ in packed for i in range(lo, hi)}
+    held = [list(row) for i, row in enumerate(rows) if i not in inside]
+    held += [[x - b * (j == lo) for j, x in enumerate(rows[lo])] for lo, _, b in packed]
+    assert len(program) >= width and _first_pass(rows, program, packed) == held
+    assert got == reference_charpoly(rows)
+
+
 @st.composite
 def twin_class_graphs(draw, min_n: int = 22, max_n: int = 64) -> Graph:
     """A random graph of order min_n..max_n, of random edge density, either
@@ -546,7 +604,7 @@ def test_package_matrices_have_only_exchangeable_runs(fold, g, p):
             program, packed = _oracle_plan(rows)
         if fold == 0 or packed:
             assert [(lo, hi) for lo, hi, _ in packed] == runs
-            assert not any(chained for chained, _, _ in program)
+            assert _held_rows_start_from_combinations(rows, program, packed)
 
 
 @pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
@@ -583,13 +641,13 @@ def test_plan_carries_each_summed_run():
         f = len(single)
         width = f + len(packed)
         readers: dict[int, list[int]] = {}
-        for step, (chained, start, terms) in enumerate(program):
-            for j in ([] if chained else [start]) + [j for j, _ in terms]:
+        for step, (start, terms) in enumerate(program):
+            for j in [start] + [j for j, _ in terms]:
                 readers.setdefault(j, []).append(step)
         for o, (lo, hi, b) in enumerate(packed):
             row = len(program) - width + f + o
-            assert program[o] == (False, width + 1 + o, ((f + o, hi - lo),))
-            assert program[row][2] == ((f + o, b),)
+            assert program[o] == (width + 1 + o, ((f + o, hi - lo),))
+            assert program[row][1] == ((f + o, b),)
             assert readers[f + o] == [o, row]
 
 
