@@ -38,6 +38,13 @@ class IntPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _of_ints(cls, coeffs: tuple[int, ...]) -> "IntPoly":
+        """``coeffs``, exact ints ending nonzero, taken unchecked."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def from_roots(cls, roots: Iterable[int]) -> "IntPoly":
         """The monic polynomial with the given integer roots (with multiplicity)."""
         p = cls([1])

@@ -8,11 +8,12 @@ word operations.  That representation caps the order at 64 vertices.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from math import comb
-from operator import add, and_, floordiv, mod, rshift, sub, xor
+from operator import add, and_, floordiv, lshift, mod, rshift, sub, xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, ConsistencyError, DimensionError, GraphFormatError
@@ -81,9 +82,11 @@ class Graph:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Graph":
-        g = cls(n)
+        check_graph_order(n)
         if not 0 <= mask < (1 << comb(n, 2)):
             raise ValueError(f"mask {mask} out of range for order {n}")
+        g = cls.__new__(cls)
+        g.n = n
         g.mask = mask
         return g
 
@@ -208,9 +211,13 @@ def seidel_charpolys(graphs: Iterable[Graph]) -> list[IntPoly]:
     A lane holds ``_lane_width([n - 1] * n)`` bits, the oracle's Hadamard
     bound for a Seidel matrix, every row of squared norm n - 1, plus
     bit_length(n) bits so that the n biased diagonal lanes of a block sum
-    without a carry, rounded up to whole bytes: blocks are packed and read
-    through bytes, in time linear in the chunk.  Graphs of different
-    orders raise DimensionError before any work.
+    without a carry, rounded up to whole bytes.  Each step reads lane 0 of
+    every block with one strided byte copy per lane byte into a slot of
+    native 64-bit words per graph, one memoryview cast, and, for lanes
+    wider than a word (from order 23), one Horner step per lower word.
+    c_k + half goes back into lane 0 as lane-wide little-endian bytes, one
+    strided copy per lane byte.  Graphs of different orders raise
+    DimensionError before any work.
     """
     gs = list(graphs)
     if not gs:
@@ -263,7 +270,16 @@ def _seidel_chunk(n: int, masks: list[int], width: int, lane: int) -> list[IntPo
     const = [sum(map(and_, repeat(ones), flips)) - (n - 2) * bias for _, flips in terms]
     # W = I, so the first product is S
     rows = [bias + (starts << s) for s in shifts]
-    lane0 = [slice(o, o + lane_bytes) for o in range(0, size, block_bytes)]
+    # lane 0 of block b is read as slot b of `words` native 64-bit words:
+    # byte t of a lane, lowest first, goes to byte t ^ swap of its slot,
+    # which byteswaps every word on a big-endian host
+    words = -(-lane_bytes // 8)
+    slot = 8 * words
+    swap = 7 if sys.byteorder == "big" else 0
+    gather = bytearray(len(masks) * slot)
+    slots = memoryview(gather).cast("Q")
+    scatter = bytearray(size)
+    lanes = repeat(lane_bytes)
     offset = n * half
     lifted = half * starts
     cols: list[list[int]] = []
@@ -272,9 +288,14 @@ def _seidel_chunk(n: int, masks: list[int], width: int, lane: int) -> list[IntPo
             sum(map(xor, map(rows.__getitem__, js), flips)) + c
             for (js, flips), c in zip(terms, const)
         ]
-        # lane 0 of each block: its n biased diagonal lanes summed
+        # lane 0 of each block: its n biased diagonal lanes summed, read
+        # top word first with one Horner step per lower word
         diag = sum(map(rshift, rows, shifts)).to_bytes(size, "little")
-        sums = map(int.from_bytes, map(diag.__getitem__, lane0), little)
+        for t in range(lane_bytes):
+            gather[t ^ swap :: slot] = diag[t::block_bytes]
+        sums = slots[words - 1 :: words].tolist()
+        for w in reversed(range(words - 1)):
+            sums = list(map(add, map(lshift, sums, repeat(64)), slots[w::words].tolist()))
         negtr = list(map(sub, repeat(offset), sums))
         if any(map(mod, negtr, repeat(k))):
             raise ConsistencyError("trace recurrence produced a non-integer coefficient")
@@ -282,13 +303,13 @@ def _seidel_chunk(n: int, masks: list[int], width: int, lane: int) -> list[IntPo
         cols.append(coeffs)
         if k == n:
             break
-        # c_k at lane 0 of each block, biased through bytes, then added on
-        # the diagonal
-        biased = map(add, coeffs, repeat(half))
-        step = int.from_bytes(b"".join(map(int.to_bytes, biased, blocks, little)), "little")
-        step -= lifted
+        # c_k + half into lane 0 of each block, then added on the diagonal
+        biased = b"".join(map(int.to_bytes, map(add, coeffs, repeat(half)), lanes, little))
+        for t in range(lane_bytes):
+            scatter[t::block_bytes] = biased[t::lane_bytes]
+        step = int.from_bytes(scatter, "little") - lifted
         rows = [row + (step << s) for row, s in zip(rows, shifts)]
-    return [IntPoly(c) for c in zip(*reversed(cols), repeat(1))]
+    return list(map(IntPoly._of_ints, zip(*reversed(cols), repeat(1))))
 
 
 def switch(g: Graph, subset: Iterable[int]) -> Graph:
@@ -300,11 +321,13 @@ def switch(g: Graph, subset: Iterable[int]) -> Graph:
     set holds exactly one of its ends, so the cut is the XOR of the stars
     of the set's vertices, each vertex counted once.
     """
-    stars = _stars(g.n)
+    n = g.n
+    stars = _stars(n)
     seen = 0
     cut = 0
     for v in subset:
-        g._check_vertex(v)
+        if not 0 <= v < n:
+            raise IndexError(f"vertex {v} out of range for order {n}")
         if not seen >> v & 1:
             seen |= 1 << v
             cut ^= stars[v]
@@ -321,71 +344,85 @@ def normalize_at(g: Graph, v: int) -> Graph:
     return switch(g, g.neighbors(v))
 
 
+@cache
+def _row_layout(n: int) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """(C(j, 2), 2^j - 1) for each vertex j, sum 2^(kn), sum 2^(k(n+1)), k < n."""
+    lows = tuple((comb(j, 2), (1 << j) - 1) for j in range(n))
+    return lows, sum(1 << k * n for k in range(n)), sum(1 << k * (n + 1) for k in range(n))
+
+
 def _neighbour_masks(g: Graph) -> list[int]:
-    """Entry v: the neighbours of v as a vertex bitmask."""
-    rows = [0] * g.n
-    for i, j in g.edges():
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return rows
+    """Entry v: the neighbours of v as a vertex bitmask.  Those of j below
+    j are bits C(j, 2) .. C(j, 2) + j - 1 of the edge mask.  For those
+    above, row j times sum 2^(kn) holds its bit i at every i + kn, all
+    distinct, so with no carry; the mask keeps k = i, and the shift by
+    j < n + 1 makes it bit j of row i's slot of n + 1 bits."""
+    n = g.n
+    lows, spread, diagonal = _row_layout(n)
+    rows = [g.mask >> start & low for start, low in lows]
+    upper = sum((row * spread & diagonal) << j for j, row in enumerate(rows))
+    full = (1 << n) - 1
+    return [row | upper >> i * (n + 1) & full for i, row in enumerate(rows)]
+
+
+def _switch_rows(rows: list[int], subset: int, full: int) -> list[int]:
+    """Neighbour rows after switching at the vertex bitmask ``subset``: row
+    v XOR ``subset``, or XOR ``full ^ subset`` for v in it."""
+    return [row ^ (full ^ subset if subset >> v & 1 else subset) for v, row in enumerate(rows)]
+
+
+def _isomorphisms_from(adjg: list[int]):
+    """The search for a relabeling of the graph of neighbour rows ``adjg``
+    onto another, g's degree data taken once: a function of (adjh, pinned)
+    giving the permutation or None.  Backtracking over degree-compatible
+    assignments; ``pinned`` forces one image pair (g_vertex, h_vertex)."""
+    n = len(adjg)
+    degg = [row.bit_count() for row in adjg]
+    profile = sorted(degg)
+
+    def search(adjh: list[int], pinned: tuple[int, int] | None = None):
+        degh = [row.bit_count() for row in adjh]
+        if sorted(degh) != profile:
+            return None
+        candidates = [[u for u in range(n) if degh[u] == d] for d in degg]
+        if pinned is not None:
+            gv, hv = pinned
+            if hv not in candidates[gv]:
+                return None
+            candidates[gv] = [hv]
+        order = sorted(range(n), key=lambda v: (len(candidates[v]), -degg[v], v))
+        perm = [0] * n
+        used = [False] * n
+
+        def backtrack(pos: int) -> bool:
+            if pos == n:
+                return True
+            v = order[pos]
+            row = adjg[v]
+            for u in candidates[v]:
+                if used[u]:
+                    continue
+                hrow = adjh[u]
+                for w in order[:pos]:
+                    if (row >> w & 1) != (hrow >> perm[w] & 1):
+                        break
+                else:
+                    perm[v] = u
+                    used[u] = True
+                    if backtrack(pos + 1):
+                        return True
+                    used[u] = False
+            return False
+
+        return tuple(perm) if backtrack(0) else None
+
+    return search
 
 
 def graph_isomorphic(g: Graph, h: Graph, pinned: tuple[int, int] | None = None):
-    """A permutation with g.relabel(perm) == h, or None.
-
-    Backtracking over degree-compatible assignments; ``pinned`` forces one
-    image pair (g_vertex, h_vertex).
-    """
-    if g.n != h.n or g.mask.bit_count() != h.mask.bit_count():
-        return None
-    n = g.n
-    if n == 0:
-        return ()
-    adjg = _neighbour_masks(g)
-    adjh = _neighbour_masks(h)
-    degg = [row.bit_count() for row in adjg]
-    degh = [row.bit_count() for row in adjh]
-    if sorted(degg) != sorted(degh):
-        return None
-    candidates: list[list[int]] = [
-        [u for u in range(n) if degh[u] == degg[v]] for v in range(n)
-    ]
-    if pinned is not None:
-        gv, hv = pinned
-        if hv not in candidates[gv]:
-            return None
-        candidates[gv] = [hv]
-    order = sorted(range(n), key=lambda v: (len(candidates[v]), -degg[v], v))
-    perm: list[int | None] = [None] * n
-    used = [False] * n
-
-    def backtrack(pos: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        row = adjg[v]
-        for u in candidates[v]:
-            if used[u]:
-                continue
-            hrow = adjh[u]
-            ok = True
-            for w in order[:pos]:
-                if (row >> w & 1) != (hrow >> perm[w] & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            perm[v] = u
-            used[u] = True
-            if backtrack(pos + 1):
-                return True
-            perm[v] = None
-            used[u] = False
-        return False
-
-    if not backtrack(0):
-        return None
-    return tuple(perm)  # type: ignore[arg-type]
+    """A permutation with g.relabel(perm) == h, or None; ``pinned`` forces
+    one image pair (g_vertex, h_vertex)."""
+    return _isomorphisms_from(_neighbour_masks(g))(_neighbour_masks(h), pinned)
 
 
 @dataclass(frozen=True)
@@ -413,7 +450,8 @@ def switching_equivalent(g: Graph, h: Graph):
     canonical member in which a chosen base vertex is isolated; the classes
     of g and h agree up to relabeling iff the form of g based at vertex 0
     is isomorphic, base mapped to base, to the form of h based at some
-    vertex.
+    vertex.  The forms are switched and searched as neighbour rows, the
+    form of g and its degrees once; the witness is replayed on the graphs.
     """
     if g.n != h.n:
         return None
@@ -424,18 +462,18 @@ def switching_equivalent(g: Graph, h: Graph):
         )
     if n == 0:
         return SwitchingWitness((), ())
-    ng = normalize_at(g, 0)
+    # switching at the base's neighbours isolates it
+    full = (1 << n) - 1
+    rows_g = _neighbour_masks(g)
+    rows_h = _neighbour_masks(h)
+    search = _isomorphisms_from(_switch_rows(rows_g, rows_g[0], full))
     for u in range(n):
-        perm = graph_isomorphic(ng, normalize_at(h, u), pinned=(0, u))
+        perm = search(_switch_rows(rows_h, rows_h[u], full), (0, u))
         if perm is None:
             continue
-        inv = [0] * n
-        for a, b in enumerate(perm):
-            inv[b] = a
-        subset = sorted(
-            set(g.neighbors(0)).symmetric_difference(inv[b] for b in h.neighbors(u))
-        )
-        witness = SwitchingWitness(tuple(subset), perm)
+        # N_g(0) symmetric difference the preimage of N_h(u)
+        subset = rows_g[0] ^ sum(1 << a for a, b in enumerate(perm) if rows_h[u] >> b & 1)
+        witness = SwitchingWitness(tuple(v for v in range(n) if subset >> v & 1), perm)
         witness.replay(g, h)
         return witness
     return None
@@ -502,9 +540,10 @@ def multipartite_switching_class(g: Graph) -> tuple[Partition, SwitchingWitness]
     # switching at `far` makes representative 0 adjacent to every other
     # representative; g switches to a complete multipartite graph exactly
     # when that makes every pair of representatives adjacent
+    switched = _switch_rows(rows, far, full)
     for r in reps:
         others = rep_mask ^ (1 << r)
-        if (rows[r] ^ (full ^ far if far >> r & 1 else far)) & others != others:
+        if switched[r] & others != others:
             return None
     # each vertex takes its representative's row (switch where negated),
     # and the classes not adjacent to representative 0 switch whole

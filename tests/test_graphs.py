@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import comb
 
@@ -26,7 +27,13 @@ from seidelspec import (
     switch,
     switching_equivalent,
 )
-from seidelspec.graphs import MAX_VERTICES, _PAIR_ENDS, _pair_index
+from seidelspec.graphs import (
+    MAX_VERTICES,
+    _PAIR_ENDS,
+    _neighbour_masks,
+    _pair_index,
+    _switch_rows,
+)
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -216,7 +223,61 @@ class TestIsomorphism:
         assert graph_isomorphic(P3, h, pinned=(1, 2)) is None
 
 
+class TestNeighbourRows:
+    def test_rows_match_the_edges(self):
+        rng = random.Random(33)
+        for n in range(0, 65):
+            for g in (random_graph(rng, n), Graph.from_mask(n, (1 << comb(n, 2)) - 1)):
+                want = [0] * n
+                for i, j in g.edges():
+                    want[i] |= 1 << j
+                    want[j] |= 1 << i
+                assert _neighbour_masks(g) == want
+
+    def test_row_switching_matches_switch(self):
+        rng = random.Random(34)
+        for n in [*range(0, 11), 23, 64]:
+            for _ in range(20):
+                g = random_graph(rng, n)
+                subset = random_subset(rng, n)
+                mask = sum(1 << v for v in subset)
+                want = _neighbour_masks(switch(g, subset))
+                assert _switch_rows(_neighbour_masks(g), mask, (1 << n) - 1) == want
+
+
+def witness_corpus(seed=33, per_order=111):
+    """Pairs of orders 1..9, alternately a random graph with its switched,
+    relabeled image and two random graphs: 1,998 pairs."""
+    rng = random.Random(seed)
+    for n in range(1, 10):
+        for i in range(2 * per_order):
+            g = random_graph(rng, n)
+            if i % 2:
+                h = random_graph(rng, n)
+            else:
+                subset = random_subset(rng, n)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = switch(g, subset).relabel(perm)
+            yield g, h
+
+
+# sha256 of the witnesses' (subset, permutation), or None, over
+# witness_corpus(); 1,392 of its pairs are equivalent
+WITNESS_DIGEST = "692b35a16e69f2aa197296043e9c7a0f293044f0be8b5388404127300dc81fe9"
+
+
 class TestSwitchingEquivalent:
+    def test_witnesses_are_pinned(self):
+        digest = hashlib.sha256()
+        found = 0
+        for g, h in witness_corpus():
+            w = switching_equivalent(g, h)
+            found += w is not None
+            digest.update(repr(None if w is None else (w.subset, w.permutation)).encode())
+        assert found == 1392
+        assert digest.hexdigest() == WITNESS_DIGEST
+
     def test_reflexive(self):
         rng = random.Random(25)
         for _ in range(20):
@@ -443,6 +504,16 @@ class TestGraphBasics:
     def test_oversized_order_rejected(self):
         with pytest.raises(CapExceededError):
             Graph(65)
+
+    def test_from_mask_checks_the_order_then_the_mask(self):
+        for n, mask in ((65, 0), (65, -1), (-1, 1)):
+            with pytest.raises(CapExceededError):
+                Graph.from_mask(n, mask)
+        for n, mask in ((3, 8), (3, -1), (0, 1)):
+            with pytest.raises(ValueError):
+                Graph.from_mask(n, mask)
+        g = Graph.from_mask(3, 7)
+        assert (g.n, g.mask) == (3, 7) and g == K3
 
     def test_complement_involution(self):
         rng = random.Random(28)

@@ -17,10 +17,12 @@ from seidelspec import (
     Partition,
     charpoly_oracle,
     charpoly_product,
+    complete_multipartite,
     exhaustive_switching_survey,
     graph6_decode,
     seidel_charpolys,
     seidel_matrix,
+    switch,
     switching_equivalent,
 )
 from seidelspec.cli import main
@@ -59,6 +61,59 @@ def random_batch(n: int, size: int, seed: int) -> list[Graph]:
 def test_batch_equals_oracle_graph_by_graph(n, kind, seed):
     batch = random_batch(n, batch_size(n, kind), seed)
     assert seidel_charpolys(batch) == [charpoly_oracle(seidel_matrix(g)) for g in batch]
+
+
+# every order whose lanes take one more byte than the order below
+LANE_ORDERS = [
+    n for n in range(1, 65)
+    if n == 1 or graphs._batch_layout(n)[1] != graphs._batch_layout(n - 1)[1]
+]
+# the first order whose lanes are wider than one 64-bit word
+MULTI_WORD = 23
+
+
+def test_lane_orders():
+    assert LANE_ORDERS == [
+        1, 4, 7, 10, 12, 16, 18, 20, 23, 27, 30, 33, 36, 38, 39, 41, 44, 47, 49, 51, 52,
+        54, 57, 59, 62, 64,
+    ]
+    assert [graphs._batch_layout(n)[1] // 8 for n in LANE_ORDERS] == [*range(1, 10), *range(11, 28)]
+    assert graphs._batch_layout(MULTI_WORD - 1)[1] == 64 < graphs._batch_layout(MULTI_WORD)[1]
+
+
+@pytest.mark.parametrize("n", LANE_ORDERS)
+def test_batch_equals_oracle_where_the_lane_widens(n):
+    """Lanes of every byte count from 1 to 27.  Below MULTI_WORD the batch
+    takes chunk + 1 graphs, cycling through a switched K_P, the empty and
+    complete graphs and, up to order 12, random graphs; from MULTI_WORD,
+    where the kernel itself costs up to 0.2 s a graph, it is one switched
+    K_P (many multi-word lanes side by side are checked below)."""
+    rng = random.Random(n)
+    parts = [n - 2, 1, 1] if n > 2 else [n]
+    subset = [v for v in range(n) if rng.getrandbits(1)]
+    distinct = [switch(complete_multipartite(parts), subset)]
+    size = 1
+    if n < MULTI_WORD:
+        distinct += [Graph(n), Graph.from_mask(n, (1 << comb(n, 2)) - 1)]
+        if n <= 12:
+            distinct += random_batch(n, 5, n)
+        size = graphs._batch_layout(n)[2] + 1
+    batch = [distinct[i % len(distinct)] for i in range(size)]
+    oracle = {g: charpoly_oracle(seidel_matrix(g)) for g in distinct}
+    assert seidel_charpolys(batch) == [oracle[g] for g in batch]
+
+
+@pytest.mark.parametrize("lane_bytes", [1, 7, 8, 9, 16, 17, 24, 25, 27])
+def test_wide_lanes_read_graph_by_graph(lane_bytes):
+    # any lane at least as wide as the layout's gives the same result, so
+    # order 6 runs cheaply through lanes of up to four words, many graphs
+    # side by side
+    n = 6
+    width, lane, _ = graphs._batch_layout(n)
+    lane = max(lane, 8 * lane_bytes)
+    batch = random_batch(n, 40, lane_bytes)
+    want = [charpoly_oracle(seidel_matrix(g)) for g in batch]
+    assert graphs._seidel_chunk(n, [g.mask for g in batch], width, lane) == want
 
 
 def test_mixed_orders_rejected_before_any_work(monkeypatch):
