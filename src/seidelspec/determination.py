@@ -9,11 +9,12 @@ complete multipartite graph is switching equivalent to it.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from math import comb
-from operator import add, eq, mul
+from operator import eq, mul
 from typing import Iterator
 
 from .errors import (
@@ -36,7 +37,8 @@ from .graphs import (
 from .multipartite import (
     FactoredSeidelPoly,
     Partition,
-    _sigma_residual,
+    _read_lanes,
+    _sigma_residuals,
     charpoly_coefficients,
     expanded_coefficients,
     residual_weights,
@@ -57,22 +59,40 @@ def _parts_from(rest: int, cap: int, slots: int | None) -> Iterator[int]:
     return iter(range(min(cap, rest - slots + 1), -(-rest // slots) - 1, -1))
 
 
-def _partition_walk(
-    n: int, k: int | None = None
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+def _walk_words(n: int) -> int:
+    """64-bit words per lane of the packed sigma of ``_partition_walk(n)``.
+
+    Splitting a part a >= 2 into 1 and a - 1 takes sigma_i, which is
+    s_i + a s_(i-1) over the other parts, to
+    s_i + a s_(i-1) + (a - 1) s_(i-2): no sigma_i goes down.  Splitting
+    until every part is 1 thus gives sigma_i <= C(n, i) <= C(n, floor(n/2))
+    for every partition of n.  The packed sigma is the exact integer
+    prod (1 + x 2^w) over the parts x, sum sigma_i 2^(w i), so with lanes
+    of w >= bit_length(C(n, floor(n/2))) bits each sigma_i is its own lane.
+    """
+    return -(-comb(n, n // 2).bit_length() // 64)
+
+
+def _partition_walk(n: int, k: int | None = None) -> Iterator[tuple[tuple[int, ...], int]]:
     """(parts, sigma) for every partition of n (into exactly k parts when k
-    is given), in descending lex order, where sigma[i] is the i-th
-    elementary symmetric function of the parts.
+    is given), in descending lex order, where sigma is the elementary
+    symmetric functions of the parts packed into one integer: sigma_i in
+    lane i, w = 64 ``_walk_words(n)`` bits per lane.
 
     A depth-first walk of the partition tree on an explicit stack:
-    appending a part x to a prefix takes its sigma to
-    sigma_i + x * sigma_(i-1), once per edge, and a branch with no
-    partition below it is never entered.
+    appending a part x to a prefix takes sigma_i to
+    sigma_i + x sigma_(i-1), that is sigma to sigma + x (sigma << w), once
+    per edge, and a branch with no partition below it is never entered.
+    A tail of r ones is one multiplication by (1 + 2^w)^r.
     """
     if n < 1 or (k is not None and k < 1):
         return
+    w = 64 * _walk_words(n)
+    ones = [1]
+    for _ in range(n):
+        ones.append(ones[-1] + (ones[-1] << w))
     parts: list[int] = []
-    stack = [([1], n, _parts_from(n, n, k))]
+    stack = [(1, n, _parts_from(n, n, k))]
     while stack:
         sig, rest, choices = stack[-1]
         part = next(choices, 0)
@@ -81,14 +101,13 @@ def _partition_walk(
             if parts:
                 parts.pop()
             continue
-        sig = [1, *map(add, sig[1:], map(mul, sig, repeat(part))), part * sig[-1]]
         rest -= part
         if part == 1:
-            # every part after a 1 is a 1: one path, walked without the stack
-            for _ in range(rest):
-                sig = [1, *map(add, sig[1:], sig), sig[-1]]
-            yield (*parts, *repeat(1, rest + 1)), sig
-        elif not rest:
+            # every part after a 1 is a 1: one path, taken in one product
+            yield (*parts, *repeat(1, rest + 1)), sig * ones[rest + 1]
+            continue
+        sig += part * (sig << w)
+        if not rest:
             yield (*parts, part), sig
         else:
             parts.append(part)
@@ -99,7 +118,7 @@ def _partition_walk(
 def partitions_of(n: int, k: int | None = None) -> Iterator[Partition]:
     """Partitions of n (optionally into exactly k parts), descending lex order."""
     for parts, _ in _partition_walk(n, k):
-        yield Partition(parts)
+        yield Partition._of_parts(parts)
 
 
 def recover_partitions(residual: IntPoly) -> list[Partition]:
@@ -197,18 +216,20 @@ def cospectral_classes(n: int, k: int | None = None) -> list[CospectralClass]:
     """Group all partitions of n (optionally with k parts) by exact spectrum.
 
     One walk of the partition tree gives each partition's elementary
-    symmetric functions sigma, and its key is (sigma_3, ..., sigma_k).
-    With k parts the polynomial is (x+1)^(n-k) times the degree-k residual,
-    whose coefficients are the rows of ``residual_weights(k)`` applied to
-    sigma: sigma_1 = n, sigma_2 has weight 0 in every row, and row m >= 3
-    gives sigma_m a nonzero weight, so two partitions with k parts share a
-    polynomial iff they share the key.  The key has k - 2 entries, so
-    partitions with different k >= 3 never share one, and every partition
-    with at most two parts gets the key (), the two-part degeneracy.  That
-    no two classes share a polynomial either is checked, not assumed: a
-    residual with k >= 3 has value (-2)^(k-1) (k-2) sigma_k at -1, which
-    must not vanish, so -1 has multiplicity exactly n - k and the
-    polynomial fixes k.
+    symmetric functions as one packed integer sigma, w bits per lane
+    (``_partition_walk``), and its key is the integer sigma >> 3w, whose
+    lanes are sigma_3, ..., sigma_k.  With k parts the polynomial is
+    (x+1)^(n-k) times the degree-k residual, whose coefficients are the
+    rows of ``residual_weights(k)`` applied to sigma: sigma_1 = n, sigma_2
+    has weight 0 in every row, and row m >= 3 gives sigma_m a nonzero
+    weight, so two partitions with k parts share a polynomial iff they
+    share the key.  The key's top lane is sigma_k >= 1, so partitions with
+    different k >= 3 never share one, and every partition with at most two
+    parts gets the key 0, the two-part degeneracy.  That no two classes
+    share a polynomial either is checked, not assumed: a residual with
+    k >= 3 has value (-2)^(k-1) (k-2) sigma_k at -1, which must not
+    vanish, so -1 has multiplicity exactly n - k and the polynomial fixes
+    k.
     """
     if n < 1:
         raise InvalidPartitionError(f"cospectral search needs order n >= 1, got {n}")
@@ -218,22 +239,33 @@ def cospectral_classes(n: int, k: int | None = None) -> list[CospectralClass]:
         raise CapExceededError(
             f"cospectral search is capped at order {COSPECTRAL_CAP}, got {n}"
         )
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    words = _walk_words(n)
+    shift = 3 * 64 * words
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for parts, sig in _partition_walk(n, k):
-        groups.setdefault(tuple(sig[3:]), []).append(parts)
+        groups.setdefault(sig >> shift, []).append(parts)
+    # sigma_2 has weight 0 in every row, so the key and n fix the residual
+    # of the first member walked, whose part count is its degree
+    degrees = [len(members[0]) for members in groups.values()]
+    order = sys.byteorder
+    blobs = [
+        key.to_bytes((d - 2) * 8 * words, order)
+        for key, d in zip(groups, degrees)
+        if d >= 3
+    ]
+    read = iter(_read_lanes(blobs, words, "Q"))
+    head = (1, n, 0)
+    sigs = [head + tuple(islice(read, d - 2)) if d >= 3 else head[: d + 1] for d in degrees]
     classes = []
-    for key, members in groups.items():
-        # sigma_2 has weight 0 in every row, so the key and n fix the
-        # residual of the first member walked, whose part count is its degree
-        residual = _sigma_residual((1, n, 0, *key)[: len(members[0]) + 1])
+    for members, degree, residual in zip(groups.values(), degrees, _sigma_residuals(sigs)):
         members.sort()
-        partitions = tuple(map(Partition, members))
-        if residual.degree >= 3 and not residual(-1):
+        partitions = tuple(map(Partition._of_parts, members))
+        if degree >= 3 and not residual(-1):
             raise TheoremViolationError(
                 f"the residual of {partitions[0]} vanishes at -1, so its "
                 "polynomial does not fix the part count"
             )
-        charpoly = FactoredSeidelPoly(n - residual.degree, (), residual)
+        charpoly = FactoredSeidelPoly(n - degree, (), residual)
         classes.append(CospectralClass(charpoly, partitions))
     # member lists are sorted and disjoint, so their least members order
     # the classes as the whole lists would

@@ -57,6 +57,14 @@ class Partition:
             raise InvalidPartitionError(f"parts must be >= 1, got {ps}")
         self.parts = ps
 
+    @classmethod
+    def _of_parts(cls, parts: tuple[int, ...]) -> "Partition":
+        """``parts``, a non-empty non-increasing tuple of positive exact
+        ints such as the partition walk yields, taken unchecked."""
+        p = cls.__new__(cls)
+        p.parts = parts
+        return p
+
     @staticmethod
     def parse_groups(text: str) -> Iterator[tuple[int, int]]:
         """Validated (size, count) pairs of a ``parse`` argument, in the order
@@ -128,7 +136,7 @@ class Partition:
         return hash(self.parts)
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(map(str, self.parts))
 
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
@@ -139,13 +147,48 @@ def _linear(size: int) -> IntPoly:
     return IntPoly([1 - 2 * size, 1])
 
 
+def _lane_bias(w: int, lanes: int) -> int:
+    """2^(w-1) in each of ``lanes`` w-bit lanes.  Added to a packed integer
+    whose lanes hold values in (-2^(w-1), 2^(w-1)), it leaves every lane in
+    [0, 2^w), so no borrow or carry crosses a lane boundary; XOR with it
+    then turns every lane into its value in w-bit two's complement."""
+    return ((1 << w * lanes) - 1) // ((1 << w) - 1) << (w - 1)
+
+
+def _read_lanes(blobs: list[bytes], words: int, top: str = "q") -> list[int]:
+    """Every lane of ``blobs``, lowest first, blob after blob.
+
+    Each blob is a packed integer written with ``to_bytes`` in native byte
+    order, whole lanes of ``words`` 64-bit words each.  All blobs are
+    joined into one buffer and read with one memoryview cast: the top word
+    of each lane with format ``top`` ('q' for signed lanes in two's
+    complement, 'Q' for unsigned ones), and, when a lane is wider than
+    one word, each lower word as an unsigned 'Q', combined by Horner's
+    rule from the top word down.  A big-endian blob puts its top word
+    first: with the blobs and then all words reversed, the words run as
+    on a little-endian host.  That big-endian branch has never run: the
+    package's tests have only run on little-endian hosts.
+    """
+    step = 1
+    if sys.byteorder == "big":
+        blobs = blobs[::-1]
+        step = -1
+    buf = memoryview(b"".join(blobs))
+    lanes = buf.cast(top)[::step][words - 1 :: words].tolist()
+    if words > 1:
+        low = buf.cast("Q")[::step]
+        for i in reversed(range(words - 1)):
+            lanes = list(map(add, map(lshift, lanes, repeat(64)), low[i::words].tolist()))
+    return lanes
+
+
 @lru_cache(maxsize=256)
 def _ones_layout(w: int, length: int, e: int) -> tuple[range, int, int]:
     """(lane shifts, bias, packed (x+1)^e) for a product of length + e
-    coefficients in w-bit lanes: the bias holds 2^(w-1) in every lane and
-    the packed power is (2^w + 1)^e, (x+1)^e at x = 2^w."""
+    coefficients in w-bit lanes: the bias is ``_lane_bias`` of those lanes
+    and the packed power is (2^w + 1)^e, (x+1)^e at x = 2^w."""
     shifts = range(0, (length + e) * w, w)
-    return shifts, sum(1 << (w - 1 + s) for s in shifts), ((1 << w) + 1) ** e
+    return shifts, _lane_bias(w, length + e), ((1 << w) + 1) ** e
 
 
 def _times_ones_powers(products: Iterable[tuple[IntPoly, int]]) -> list[tuple[int, ...]]:
@@ -155,20 +198,16 @@ def _times_ones_powers(products: Iterable[tuple[IntPoly, int]]) -> list[tuple[in
     p's coefficients c_i are packed as signed w-bit lanes, sum c_i 2^(w i),
     and multiplied by the packed power.  The product's coefficient
     q_j = sum_i c_i C(e, j - i) has |q_j| <= ||p||_1 C(e, floor(e/2)) = B,
-    so for w > bit_length(B), |q_j| < 2^(w-1): adding 2^(w-1) to every lane
-    leaves each lane in [0, 2^w), no borrow or carry crosses a lane
-    boundary, and XOR with 2^(w-1) then turns each lane into q_j in w-bit
-    two's complement.  B is reached by a constant p at j = floor(e/2), so
-    no narrower lane holds every input; since C(e, floor(e/2)) <= 2^e,
-    bit_length(B) is at most bit_length(||p||_1) + e.  The bound holds for
-    any p, not only for a correct residual.
+    so for w > bit_length(B), |q_j| < 2^(w-1) and ``_lane_bias`` makes
+    every lane q_j in w-bit two's complement.  B is reached by a constant
+    p at j = floor(e/2), so no narrower lane holds every input; since
+    C(e, floor(e/2)) <= 2^e, bit_length(B) is at most
+    bit_length(||p||_1) + e.  The bound holds for any p, not only for a
+    correct residual.
 
     Every lane of one call is the same whole number of 64-bit words, the
     most that any of its products needs (one word for every search class
-    up to order 36).  The products' bytes are joined into one buffer, in
-    native byte order, and read with one memoryview cast: the top word of
-    each lane as a signed 'q', and, when a lane is wider than one word,
-    each lower word as an unsigned 'Q'.
+    up to order 36), and all products are read by one ``_read_lanes``.
     """
     items = [(p.coeffs, e) for p, e in products]
     words = 1
@@ -186,20 +225,7 @@ def _times_ones_powers(products: Iterable[tuple[IntPoly, int]]) -> list[tuple[in
             shifts, bias, power = _ones_layout(w, len(cs), e)
             packed = (sum(map(lshift, cs, shifts)) * power + bias) ^ bias
             blobs.append(packed.to_bytes(len(shifts) * 8 * words, order))
-    # a big-endian product puts its top word first: with the products and
-    # then all words reversed, the words run as on a little-endian host
-    step = 1
-    if order == "big":
-        blobs.reverse()
-        step = -1
-    buf = memoryview(b"".join(blobs))
-    lanes = buf.cast("q")[::step][words - 1 :: words].tolist()
-    if words > 1:
-        # Horner from the top word down, one lower word at a time
-        low = buf.cast("Q")[::step]
-        for i in reversed(range(words - 1)):
-            lanes = list(map(add, map(lshift, lanes, repeat(64)), low[i::words].tolist()))
-    read = iter(lanes)
+    read = iter(_read_lanes(blobs, words))
     return [tuple(islice(read, len(cs) + e)) if cs and e else cs for cs, e in items]
 
 
@@ -305,20 +331,83 @@ def residual_weights(k: int) -> tuple[tuple[int, ...], ...]:
     Row m holds the weights of sigma_0 .. sigma_m in the coefficient of
     x^(k-m): C(k,m) for sigma_0, then (-1)^(i-1) 2^(i-1) (i-2) C(k-i,m-i)
     for sigma_i.  Row m ends in the weight of sigma_m, which is zero only
-    for m = 2, so sigma_2 drops out of every coefficient.  Built once per k.
+    for m = 2, so sigma_2 drops out of every coefficient.  Column i, read
+    down the rows, is c_i (x+1)^(k-i) with c_0 = 1 and
+    c_i = (-2)^(i-1) (i-2): the residual is sum_i c_i sigma_i (x+1)^(k-i),
+    which is how ``_sigma_residual`` computes it.  Built once per k.
     """
+    cs = _column_weights(k)
     return tuple(
-        (comb(k, m),)
-        + tuple((-2) ** (i - 1) * (i - 2) * comb(k - i, m - i) for i in range(1, m + 1))
-        for m in range(k + 1)
+        tuple(c * comb(k - i, m - i) for i, c in enumerate(cs[: m + 1])) for m in range(k + 1)
     )
 
 
-def _sigma_residual(sig: Sequence[int]) -> IntPoly:
+def _column_weights(k: int) -> list[int]:
+    """c_0 .. c_k of ``residual_weights``: 1, then (-2)^(i-1) (i-2)."""
+    return [1, *((-2) ** (i - 1) * (i - 2) for i in range(1, k + 1))]
+
+
+def _residual_spread(k: int) -> tuple[int, ...]:
+    """|c_i| C(k-i, floor((k-i)/2)) for i = 0..k: the most that a unit of
+    sigma_i adds to the absolute value of any residual coefficient."""
+    return tuple(abs(c) * comb(k - i, (k - i) // 2) for i, c in enumerate(_column_weights(k)))
+
+
+def _residual_table(k: int, words: int) -> tuple[list[int], int]:
+    """(c_i (2^v + 1)^(k-i) for i = 0..k, ``_lane_bias`` of k + 1 lanes)
+    for v = 64 words: column i of ``residual_weights`` packed in v-bit
+    lanes, (x+1)^(k-i) at x = 2^v."""
+    v = 64 * words
+    table = []
+    power = 1
+    for c in reversed(_column_weights(k)):
+        table.append(c * power)
+        power += power << v
+    return table[::-1], _lane_bias(v, k + 1)
+
+
+def _sigma_residuals(sigs: Sequence[Sequence[int]]) -> list[IntPoly]:
     """The degree-k residual of the parts whose elementary symmetric
-    functions are sig = sigma_0 .. sigma_k, by the coefficient formula."""
-    rows = residual_weights(len(sig) - 1)
-    return IntPoly([sum(map(mul, row, sig)) for row in reversed(rows)])
+    functions are sig = sigma_0 .. sigma_k (sigma_0 = 1, so it is monic),
+    for every sig, each by one packed dot product and all read back
+    together.
+
+    The residual is sum_i c_i sigma_i (x+1)^(k-i) (``residual_weights``),
+    so at x = 2^v it is the dot product of sig with ``_residual_table``.
+    Its coefficient of x^j is q_j = sum_i c_i sigma_i C(k-i, j), and
+    C(k-i, j) <= C(k-i, floor((k-i)/2)), so |q_j| <= B, the dot product of
+    |sig| with ``_residual_spread(k)``.  For v > bit_length(B),
+    |q_j| < 2^(v-1), so the packed q_j are lanes that ``_lane_bias`` turns
+    into v-bit two's complement.  The bound holds for any sig, not only
+    for the sigma of a partition.  Each residual's lanes are the fewest
+    whole 64-bit words that hold bit_length(B) + 1 bits (one word for every
+    search class up to order 31), and the residuals of each lane width are
+    read by one ``_read_lanes``.  The spreads and tables are built once
+    per degree and width within a call.
+    """
+    spreads = {k: _residual_spread(k) for k in {len(sig) - 1 for sig in sigs}}
+    by_words: dict[int, list[int]] = {}
+    for i, sig in enumerate(sigs):
+        bound = sum(map(mul, map(abs, sig), spreads[len(sig) - 1]))
+        by_words.setdefault(-(-(bound.bit_length() + 1) // 64), []).append(i)
+    order = sys.byteorder
+    residuals = [IntPoly()] * len(sigs)
+    for words, picked in by_words.items():
+        layouts = {k: _residual_table(k, words) for k in {len(sigs[i]) - 1 for i in picked}}
+        blobs = []
+        for i in picked:
+            table, bias = layouts[len(sigs[i]) - 1]
+            packed = (sum(map(mul, sigs[i], table)) + bias) ^ bias
+            blobs.append(packed.to_bytes(len(table) * 8 * words, order))
+        read = iter(_read_lanes(blobs, words))
+        for i in picked:
+            residuals[i] = IntPoly._of_ints(tuple(islice(read, len(sigs[i]))))
+    return residuals
+
+
+def _sigma_residual(sig: Sequence[int]) -> IntPoly:
+    """The residual of one sig = sigma_0 .. sigma_k, by ``_sigma_residuals``."""
+    return _sigma_residuals([sig])[0]
 
 
 def _flat_residual(parts: Sequence[int]) -> IntPoly:
@@ -360,9 +449,10 @@ def charpoly_coefficients(p: Partition) -> FactoredSeidelPoly:
 
     The residual coefficient of x^(k-m) is
     C(k,m) + sum_{i=1..m} (-1)^(i-1) 2^(i-1) (i-2) C(k-i,m-i) sigma_i,
-    one dot product of row m of ``residual_weights(k)`` with the
-    elementary symmetric functions of the parts; the i=2 weight vanishes
-    because of the factor (i-2), so sigma_2 never appears.
+    row m of ``residual_weights(k)`` applied to the elementary symmetric
+    functions of the parts, all rows at once as the packed dot product of
+    ``_sigma_residual``; the i=2 weight vanishes because of the factor
+    (i-2), so sigma_2 never appears.
     """
     return FactoredSeidelPoly.assemble(p.n - p.k, (), _flat_residual(p.parts), p.n)
 

@@ -1,4 +1,5 @@
 import gc
+import sys
 from functools import cache
 from math import comb, prod
 from operator import mul
@@ -35,7 +36,7 @@ from seidelspec import (
 )
 from seidelspec.determination import COSPECTRAL_CAP, two_graphs
 from seidelspec.exactalg import elementary_symmetric
-from seidelspec.multipartite import residual_weights
+from seidelspec.multipartite import _read_lanes, residual_weights
 
 
 class TestPartitionsOf:
@@ -61,6 +62,50 @@ class TestPartitionsOf:
 
     def test_empty(self):
         assert list(partitions_of(0)) == []
+
+
+def walk_lanes(sig: int, n: int) -> list[int]:
+    # the lanes of the walk's packed sigma, lowest first, up to the last
+    # nonzero one, read by shifts and masks
+    w = 64 * determination._walk_words(n)
+    lanes = []
+    while sig:
+        lanes.append(sig & ((1 << w) - 1))
+        sig >>= w
+    return lanes
+
+
+class TestPackedWalk:
+    def test_lanes_are_elementary_symmetric_to_order_24(self):
+        for n in range(1, 25):
+            assert determination._walk_words(n) == 1
+            for k in (None, *range(1, n + 1)):
+                for parts, sig in determination._partition_walk(n, k):
+                    assert walk_lanes(sig, n) == elementary_symmetric(parts), (parts, k)
+
+    def test_order_68_takes_two_words_per_lane(self):
+        # C(68, 34) > 2^64, so every lane is two words wide, and the key
+        # sigma >> 3w reads back as the search reads it
+        assert comb(68, 34) >= 1 << 64
+        assert [determination._walk_words(n) for n in (67, 68)] == [1, 2]
+        walked = list(determination._partition_walk(68, 3))
+        assert [parts for parts, _ in walked] == [p.parts for p in partitions_of(68, 3)]
+        assert len(walked) == 385
+        for parts, sig in walked:
+            assert walk_lanes(sig, 68) == elementary_symmetric(parts)
+            key = sig >> 3 * 128
+            assert _read_lanes([key.to_bytes(16, sys.byteorder)], 2, "Q") == [prod(parts)]
+
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    def test_unsigned_lanes_read_back(self, words):
+        # lanes up to 2^(64 words) - 1 in one blob, and two blobs in one read
+        w = 64 * words
+        lanes = [0, 1, (1 << w) - 1, 1 << (w - 1), 3 << (w // 2), 12345]
+        blobs = [
+            sum(v << w * i for i, v in enumerate(part)).to_bytes(len(part) * 8 * words, sys.byteorder)
+            for part in (lanes[:4], lanes[4:])
+        ]
+        assert _read_lanes(blobs, words, "Q") == lanes
 
 
 def positive_integer_roots(p: IntPoly):
@@ -288,6 +333,30 @@ class TestCospectralClasses:
                     assert (Partition([n]) in cls.partitions) == (k != 2)
                     for q in cls.partitions:
                         assert cls.charpoly.expanded == charpoly_coefficients(q).expanded, (n, k, q)
+
+    def test_matches_list_keyed_grouping_to_order_20(self):
+        # reference: the grouping on the list (sigma_3, ..., sigma_k), each
+        # class's residual built row by row from residual_weights for the
+        # first member walked, members sorted, classes by least member
+        for n in range(1, 21):
+            for k in (None, *range(1, n + 1)):
+                groups: dict[tuple[int, ...], list[Partition]] = {}
+                for p in partitions_of(n, k):
+                    groups.setdefault(tuple(elementary_symmetric(p.parts)[3:]), []).append(p)
+                want = []
+                for key, members in groups.items():
+                    first = members[0].k
+                    sig = (1, n, 0, *key)[: first + 1]
+                    rows = reversed(residual_weights(first))
+                    residual = IntPoly([sum(map(mul, row, sig)) for row in rows])
+                    want.append((n - first, (), residual, tuple(sorted(members))))
+                want.sort(key=lambda cls: cls[3][0])
+                got = [
+                    (f.ones_exponent, f.linear_factors, f.residual, cls.partitions)
+                    for cls in cospectral_classes(n, k)
+                    for f in [cls.charpoly]
+                ]
+                assert got == want, (n, k)
 
     def test_class_residual_is_first_walked_members(self):
         # a class keeps only its key and members; its residual, rebuilt

@@ -125,6 +125,16 @@ class TestClosedForms:
             assert all(row[2] == 0 for row in rows[2:]), k
             assert all(row[m] for m, row in enumerate(rows) if m != 2), k
 
+    def test_residual_weight_columns_are_powers_of_x_plus_1(self):
+        # column i of the rows, constant term first, is c_i (x+1)^(k-i)
+        # with c_0 = 1 and c_i = (-2)^(i-1) (i-2)
+        for k in range(65):
+            rows = residual_weights(k)
+            for i in range(k + 1):
+                c = 1 if i == 0 else (-2) ** (i - 1) * (i - 2)
+                column = IntPoly([rows[k - j][i] if k - j >= i else 0 for j in range(k + 1)])
+                assert column == c * X_PLUS_1 ** (k - i), (k, i)
+
     def test_two_parts_similar_to_empty_graph(self):
         rng = random.Random(31)
         for _ in range(10):

@@ -4,15 +4,18 @@ Each kernel is checked against the plainer code it replaced, kept here as
 the reference: root multiplicity by evaluating p(r) and then dividing
 exactly by x - r, the shift x = c - t and the Taylor coefficients by
 Horner composition of IntPoly products, the (x+1)^e factor as a repeated
-IntPoly power, the coefficient formula as a per-term loop, and the search's
-class polynomials and verdict evidence, both built from the degree-k
-residual, against the expanded polynomial of the coefficient formula.
+IntPoly power, the coefficient formula as a per-term loop, the packed
+residual as the product form and the row-by-row weight table, the packed
+walk's lanes as elementary symmetric functions, and the search's class
+polynomials and verdict evidence, both built from the degree-k residual,
+against the expanded polynomial of the coefficient formula.
 """
 
 from math import comb
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seidelspec import (
@@ -28,12 +31,19 @@ from seidelspec.determination import (
     COSPECTRAL_CAP,
     _build_verdict,
     _partition_walk,
+    _walk_words,
     cospectral_classes,
     forced_rule,
     partitions_of,
 )
 from seidelspec.exactalg import elementary_symmetric
-from seidelspec.multipartite import _times_ones_powers
+from seidelspec.multipartite import (
+    _product_residual,
+    _sigma_residual,
+    _sigma_residuals,
+    _times_ones_powers,
+    residual_weights,
+)
 
 small_ints = st.integers(-6, 6)
 cofactors = st.lists(st.integers(-40, 40), min_size=1, max_size=8).filter(
@@ -247,11 +257,59 @@ def test_coefficient_formula_matches_per_term_loop(parts):
     )
 
 
+def walk_lanes(sig: int, n: int) -> list[int]:
+    # the lanes of the walk's packed sigma, lowest first, up to the last
+    # nonzero one
+    w = 64 * _walk_words(n)
+    lanes = []
+    while sig:
+        lanes.append(sig & ((1 << w) - 1))
+        sig >>= w
+    return lanes
+
+
+# part sizes up to 10^9 and up to 40 parts: residual lanes from one
+# 64-bit word to some twenty
+residual_parts = st.lists(
+    st.one_of(st.integers(1, 9), st.integers(1, 10**9)), max_size=40
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(parts=residual_parts)
+@example(parts=[10**9] * 40)
+@example(parts=[1] * 40)
+@example(parts=[30])
+@example(parts=[])
+def test_sigma_residual_is_product_residual(parts):
+    assert _sigma_residual(elementary_symmetric(parts)) == _product_residual(parts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=st.lists(residual_parts, max_size=6))
+def test_sigma_residuals_read_each_lane_width_in_place(batch):
+    # residuals of several lane widths in one call come back in input order
+    sigs = [elementary_symmetric(parts) for parts in batch]
+    assert _sigma_residuals(sigs) == [_product_residual(parts) for parts in batch]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rest=st.lists(st.integers(-(2**200), 2**200), max_size=12))
+@example(rest=[-(2**63 - 1)])
+def test_sigma_residual_holds_any_sigma(rest):
+    # the lane bound holds for any integers, at a word's edge too:
+    # sigma_1 = -(2^63 - 1) makes the constant term 2^63, one bit past a
+    # signed word
+    sig = [1, *rest]
+    rows = reversed(residual_weights(len(rest)))
+    assert _sigma_residual(sig) == IntPoly([sum(map(mul, row, sig)) for row in rows])
+
+
 def test_class_charpoly_is_expanded_polynomial_to_order_20():
     for n in range(1, 21):
         for k in (None, *range(1, n + 1)):
             for parts, sig in _partition_walk(n, k):
-                assert sig == elementary_symmetric(parts)
+                assert walk_lanes(sig, n) == elementary_symmetric(parts)
             for cls in cospectral_classes(n, k):
                 got = cls.charpoly.expanded
                 for p in cls.partitions:
@@ -273,7 +331,7 @@ def test_class_charpoly_is_expanded_polynomial_to_order_36(p, with_k):
     # the walk is in descending lex order, so it stops at p
     k = p.k if with_k else None
     sig = next(sig for found, sig in _partition_walk(p.n, k) if found == p.parts)
-    assert sig == elementary_symmetric(p.parts)
+    assert walk_lanes(sig, p.n) == elementary_symmetric(p.parts)
     cls = next(c for c in cospectral_classes(p.n, k) if p in c.partitions)
     assert cls.charpoly.expanded == charpoly_coefficients(p).expanded
 
