@@ -380,19 +380,26 @@ class DeterminationReport:
         """The ``search --json`` payload.  ``classes`` is a one-shot iterator
         of class dicts, expanded ``_EXPAND_CHUNK`` classes at a time, so a
         writer that takes it item by item holds one chunk's coefficients
-        and strings at most; list it to read it more than once."""
+        at most; list it to read it more than once.  Every partition has a
+        verdict, and its verdict key is the one string that its class
+        lists too; the payload holds the only references to them."""
+        names = {}
+        verdicts = {}
+        for v in self.verdicts:
+            names[v.partition.parts] = name = str(v.partition)
+            verdicts[name] = v.status
         return {
             "order": str(self.order),
             "k": None if self.k_filter is None else str(self.k_filter),
-            "classes": self._class_dicts(),
+            "classes": self._class_dicts(names),
             "violations": [
                 {"first": str(a), "second": str(b), "shared_size": str(s)}
                 for a, b, s in self.shared_part_violations
             ],
-            "verdicts": {str(v.partition): v.status for v in self.verdicts},
+            "verdicts": verdicts,
         }
 
-    def _class_dicts(self) -> Iterator[dict]:
+    def _class_dicts(self, names: dict[tuple[int, ...], str]) -> Iterator[dict]:
         # expanded a chunk of classes at a time, so that only one chunk's
         # coefficients are held as integers
         classes = self.classes
@@ -402,7 +409,7 @@ class DeterminationReport:
             for cls, coeffs in zip(chunk, polys):
                 yield {
                     "charpoly": list(map(str, coeffs)),
-                    "partitions": list(map(str, cls.partitions)),
+                    "partitions": [names[p.parts] for p in cls.partitions],
                     "degenerate_bipartite": cls.degenerate_bipartite,
                 }
 

@@ -216,6 +216,33 @@ class TestSpectrumBoundQuotient:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "partition, digest",
+        [
+            (
+                "17,16,10,8,4,4,3,2",
+                "ffb2c05f939ed23074b4f541ee6d7ee58a332bcc8dbaddcdf96cd1824e882580",
+            ),
+            (
+                # 32 runs of two twin rows
+                "32*2",
+                "de3c01dd27a0e30174fae906096f2fc7e21706adfa3ccc8d475d1ab8465254fb",
+            ),
+            (
+                # an order-16 partition of the benchmark's large catalog
+                "8,3,2,2,1",
+                "81dba7cc421de9c9061699521fa6d903b63f7620071264a6d0664136a30e8cb9",
+            ),
+        ],
+    )
+    def test_spectrum_json_output_pinned(self, capsys, partition, digest):
+        # SHA-256 of the whole stdout, every eigenvalue's repr included,
+        # recorded when the reduction rebuilt every row of the leading
+        # block; reflecting each run of twin rows once must not change a byte
+        code, out, _ = run(capsys, "spectrum", partition, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bound_violation_exits_3(self, capsys, monkeypatch):
         # a bound below the least eigenvalue (-3 for 2,2,2) is refused by
         # the report, and bound prints nothing to stdout

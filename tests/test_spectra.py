@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 
 import numpy as np
@@ -30,6 +31,7 @@ from seidelspec import (
     symmetric_eigenvalues,
 )
 from seidelspec import spectra
+from seidelspec.multipartite import quotient_matrix, symmetrize_quotient
 from seidelspec.spectra import COMPARISON_TOL, _primitive, sturm_chain
 
 X_PLUS_1 = IntPoly([1, 1])
@@ -131,6 +133,84 @@ def reference_jacobi(m) -> list[float]:
                     a[r][p] = a[p][r] = c * arp - s * arq
                     a[r][q] = a[q][r] = s * arp + c * arq
     raise AssertionError("reference Jacobi did not converge")
+
+
+def reference_tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
+    # the row-by-row Householder reduction that _tridiagonalize ran before
+    # it reflected twin rows once: every row of the leading block is
+    # rebuilt at every step
+    n = len(a)
+    d = [0.0] * n
+    e = [0.0] * n
+    for i in range(n - 1, 0, -1):
+        row = a[i]
+        d[i] = row[i]
+        scale = math.fsum(map(abs, row[:i]))
+        if i == 1 or scale <= spectra.EIGEN_CONVERGENCE:
+            e[i] = row[i - 1]
+            continue
+        u = [v / scale for v in row[:i]]
+        h = math.fsum(map(operator.mul, u, u))
+        f = u[-1]
+        g = -math.copysign(math.sqrt(h), f)
+        e[i] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        p = [math.fsum(map(operator.mul, a[j], u)) / h for j in range(i)]
+        half = math.fsum(map(operator.mul, u, p)) / (2.0 * h)
+        q = [pj - half * uj for pj, uj in zip(p, u)]
+        for j in range(i):
+            uj, qj = u[j], q[j]
+            a[j] = [v - uj * qk - qj * uk for v, qk, uk in zip(a[j], q, u)]
+    d[0] = a[0][0]
+    return d, e
+
+
+def reference_prepared(m) -> list[list[float]]:
+    # the scaled and averaged rows that symmetric_eigenvalues reduced
+    # before it skipped the averaging of bitwise symmetric rows
+    a = [[float(v) for v in row] for row in m]
+    n = len(a)
+    shift = math.frexp(max(abs(v) for row in a for v in row))[1]
+    a = [[math.ldexp(v, -shift) for v in row] for row in a]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = (a[i][j] + a[j][i]) / 2.0
+            a[i][j] = a[j][i] = v
+    return a
+
+
+def bits(values) -> list[str]:
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [v.hex() for v in values]
+
+
+def assert_same_reduction(a):
+    got = spectra._tridiagonalize([row[:] for row in a])
+    want = reference_tridiagonalize([row[:] for row in a])
+    assert [bits(v) for v in got] == [bits(v) for v in want]
+
+
+def reduced_input(m) -> list[list[float]] | None:
+    # the rows symmetric_eigenvalues hands to _tridiagonalize, checked
+    # bit for bit against the reference reduction on the way; None for a
+    # zero matrix, which is not reduced
+    seen = []
+    reduce = spectra._tridiagonalize
+
+    def spy(a):
+        seen.append([row[:] for row in a])
+        return reduce(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_tridiagonalize", spy)
+        symmetric_eigenvalues(m)
+    if not any(map(any, m)):
+        assert seen == []
+        return None
+    (a,) = seen
+    assert_same_reduction(a)
+    return a
 
 
 def reference_tol(m) -> float:
@@ -345,6 +425,100 @@ class TestJacobi:
         monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", 0)
         with pytest.raises(ConvergenceError):
             symmetric_eigenvalues([[0, 1], [1, 0]])
+
+
+TWIN_ENTRY = st.one_of(ENTRY, st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+@st.composite
+def twin_blow_up(draw):
+    # a random symmetric matrix on m classes, each class blown up to a run
+    # of 1 to 6 consecutive twin rows with its own diagonal entry; exact
+    # zeros and units make skipped rows and signed zeros likely, and the
+    # pivot passes through every run, its last row first
+    runs = draw(st.lists(st.integers(1, 6), min_size=1, max_size=10))
+    m = len(runs)
+    upper = iter(draw(st.lists(TWIN_ENTRY, min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2)))
+    base = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            base[i][j] = base[j][i] = next(upper)
+    diag = draw(st.lists(TWIN_ENTRY, min_size=m, max_size=m))
+    cls = [c for c, r in enumerate(runs) for _ in range(r)]
+    return [
+        [diag[ci] if i == j else base[ci][cj] for j, cj in enumerate(cls)]
+        for i, ci in enumerate(cls)
+    ]
+
+
+@st.composite
+def partition_up_to_64(draw):
+    rest = draw(st.integers(1, 64))
+    parts = []
+    while rest:
+        parts.append(draw(st.integers(1, rest)))
+        rest -= parts[-1]
+    return Partition(parts)
+
+
+class TestTwinReduction:
+    """_tridiagonalize against the row-by-row reduction, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=twin_blow_up())
+    @example(a=[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    def test_twin_blow_ups(self, a):
+        with pytest.MonkeyPatch.context() as mp:
+            # look for twins at every order, not only where it pays
+            mp.setattr(spectra, "_TWIN_MIN_ORDER", 2)
+            assert_same_reduction(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=partition_up_to_64())
+    @example(p=Partition([2] * 32))
+    @example(p=Partition([4] * 16))
+    @example(p=Partition([1] * 64))
+    @example(p=Partition([17, 16, 10, 8, 4, 4, 3, 2]))
+    def test_seidel_matrices_and_quotients(self, p):
+        reduced_input(seidel_matrix(complete_multipartite(p)))
+        reduced_input(symmetrize_quotient(quotient_matrix(p), p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=SYMMETRIC_MATRICES)
+    def test_prepared_rows(self, m):
+        # skipping the averaging of bitwise symmetric rows hands the
+        # reduction the same rows as averaging them
+        a = reduced_input(m)
+        if a is not None:
+            assert list(map(bits, a)) == list(map(bits, reference_prepared(m)))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # asymmetric in the sign of a zero only: averaged, to 0.0
+            [[1.0, 0.0, 2.0], [-0.0, 1.0, 2.0], [2.0, 2.0, 3.0]],
+            # asymmetric within SYMMETRY_TOL
+            [[0.0, 1.0], [1.0 + 2**-52, 0.0]],
+            # symmetrised quotient of 5,5,3: twin rows after averaging
+            symmetrize_quotient(quotient_matrix(Partition([5, 5, 3])), Partition([5, 5, 3])),
+        ],
+    )
+    def test_averaged_rows(self, m):
+        assert list(map(bits, reduced_input(m))) == list(map(bits, reference_prepared(m)))
+
+    def test_twin_rows_tell_signed_zeros_apart(self):
+        # rows 0 and 1 are swaps of each other as floats, but not as bits
+        a = [[0.0, 1.0, 0.0, 2.0], [1.0, 0.0, -0.0, 2.0], [0.0, -0.0, 5.0, 3.0], [2.0, 2.0, 3.0, 1.0]]
+        assert spectra._twin_rows(a) == []
+        a[1][2] = a[2][1] = 0.0
+        assert spectra._twin_rows(a) == [1]
+        assert not spectra._bitwise_symmetric([[1.0, 0.0], [-0.0, 1.0]])
+        assert spectra._bitwise_symmetric([[1.0, -0.0], [-0.0, 1.0]])
+
+    def test_twins_are_found_in_k_p(self):
+        # every vertex but the first of each part is its predecessor's twin
+        a = [[float(v) for v in row] for row in seidel_matrix(complete_multipartite([3, 2, 1])).rows]
+        assert spectra._twin_rows(a) == [1, 2, 4]
 
 
 class TestRootCounting:
