@@ -20,8 +20,8 @@ shared core, Python 3.11).
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, starmap
 from operator import eq, mul
 from struct import Struct
@@ -71,26 +71,17 @@ def _as_float_rows(m) -> list[list[float]]:
     return rows
 
 
-@lru_cache(maxsize=128)
-def _packer(n: int):
-    """pack(*row) is the bytes of a row of n floats."""
-    return Struct(f"{n}d").pack
-
-
-def _bitwise_symmetric(a: list[list[float]]) -> bool:
+def _bitwise_symmetric(a: list[list[float]], pack) -> bool:
     """True iff every row of the non-empty square a equals its column
-    byte for byte; map(pack, *a) packs the columns."""
-    # float equality first, row against column, which an asymmetric
-    # matrix fails at its first asymmetric row, before any row is packed
-    if not all(map(eq, a, map(list, zip(*a)))):
-        return False
-    pack = _packer(len(a))
+    byte for byte; pack(*row) is the bytes of a row, and map(pack, *a)
+    packs the columns, lazily, so the first differing row ends it."""
     return all(map(eq, starmap(pack, a), map(pack, *a)))
 
 
-def _twin_rows(a: list[list[float]]) -> list[int]:
+def _twin_rows(a: list[list[float]], pack) -> list[int]:
     """The rows j, ascending, that are row j - 1 with entries j - 1 and j
-    swapped, bit for bit (signed zeros included)."""
+    swapped, bit for bit (signed zeros included); pack(*row) is the
+    bytes of a row."""
     twins = []
     rows = None
     for j in range(1, len(a)):
@@ -98,7 +89,7 @@ def _twin_rows(a: list[list[float]]) -> list[int]:
         if a[j][j] != a[j - 1][j - 1]:
             continue
         if rows is None:
-            rows = list(starmap(_packer(len(a)), a))
+            rows = list(starmap(pack, a))
         row, prev = rows[j], rows[j - 1]
         lo, mid, hi = 8 * j - 8, 8 * j, 8 * j + 8
         if (
@@ -111,37 +102,15 @@ def _twin_rows(a: list[list[float]]) -> list[int]:
     return twins
 
 
-def _reflect_twins(
-    a: list[list[float]], u: list[float], h: float, twins: list[int]
-) -> None:
-    """The rank-two update of _tridiagonalize on the leading len(u) rows,
-    with each row of twins copied, swapped, from the new row above it."""
-    marks = bytearray(len(u))
-    for j in twins:
-        marks[j] = 1
-    p = [0.0 if t else math.fsum(map(mul, row, u)) / h for row, t in zip(a, marks)]
-    for j in twins:
-        p[j] = p[j - 1]
-    half = math.fsum(map(mul, u, p)) / (2.0 * h)
-    q = [pj - half * uj for pj, uj in zip(p, u)]
-    for j, t in enumerate(marks):
-        if not t:
-            uj, qj = u[j], q[j]
-            a[j] = [v - uj * qk - qj * uk for v, qk, uk in zip(a[j], q, u)]
-    for j in twins:
-        row = a[j - 1][:]
-        row[j - 1], row[j] = row[j], row[j - 1]
-        a[j] = row
-
-
-def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
+def _tridiagonalize(a: list[list[float]], pack) -> tuple[list[float], list[float]]:
     """Diagonal d and subdiagonal e (e[i] couples i - 1 and i, e[0] = 0).
 
     Householder reduction of the symmetric rows a, last row first
     (EISPACK tred2 without accumulating the transformations).  Step i
     reflects the leading i x i block and rebuilds its rows at length i,
     so every dot product is one fsum over two whole rows.  a must be
-    exactly symmetric, bit for bit, as symmetric_eigenvalues makes it.
+    exactly symmetric, bit for bit, as symmetric_eigenvalues makes it,
+    and pack(*row) is the bytes of one of its rows.
 
     Row i counts as already reduced when the 1-norm of its off-diagonal
     part, row[:i], is at most EIGEN_CONVERGENCE: e[i] keeps row[i - 1],
@@ -157,14 +126,14 @@ def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
     has rank k, so after about k reflections every row left is roundoff
     and is skipped; a dense matrix skips none.
 
-    Twin rows are reflected once.  Row j is marked a twin when it is row
-    j - 1 with entries j - 1 and j swapped, bit for bit, as the rows of
-    two vertices of one part of K_P are.  With a symmetric, every other
-    row then has equal entries j - 1 and j, so the matrix is invariant
-    under the swap t of j - 1 and j taken on rows and columns together:
+    Twin rows are reflected once.  Row j is a twin when it is row j - 1
+    with entries j - 1 and j swapped, bit for bit, as the rows of two
+    vertices of one part of K_P are.  With a symmetric, every other row
+    then has equal entries j - 1 and j, so the matrix is invariant under
+    the swap t of j - 1 and j taken on rows and columns together:
     A[t(r)][t(c)] is A[r][c], bit for bit.  Step i keeps that invariance
-    for every marked j <= i - 2, by induction.  u is row i over scale,
-    and t fixes i, so u[j - 1] = u[j].  Then p[j] sums the products
+    for every twin j <= i - 2, by induction.  u is row i over scale, and
+    t fixes i, so u[j - 1] = u[j].  Then p[j] sums the products
     A[j][c] u[c], which are the products A[j - 1][t(c)] u[t(c)] of
     p[j - 1] in another order; math.fsum rounds the exact sum of a
     multiset once, whatever its order, so p[j] is p[j - 1], and q, made
@@ -172,18 +141,22 @@ def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
     A[r][c] - u[r] q[c] - q[r] u[c] is then the same floating-point
     operations on the same floats as the new entry at (t(r), t(c)), so
     the new block is invariant, and its row j is its row j - 1 swapped:
-    a marked row takes p[j - 1] and that copy in place of one fsum and one
-    rank-two update.  Step i changes u[i - 1], which breaks the invariance
-    for the pair (i - 2, i - 1), so the mark of row i - 1 is cleared first
-    (with those of rows already eliminated); a skipped step changes
-    nothing.  (d, e) are those of the row-by-row reduction, bit for bit.
+    a twin row takes p[j - 1] and that copy in place of one fsum and one
+    rank-two update, and only the other rows, the leads, are updated.
+    Step i changes u[i - 1], which breaks the invariance for the pair
+    (i - 2, i - 1), so row i - 1 is made a lead first (so are the twins
+    already eliminated); a skipped step changes nothing.  (d, e)
+    are those of the row-by-row reduction, bit for bit.
     Below order _TWIN_MIN_ORDER no twin is looked for: there the search
     costs more than the reflections it saves.
     """
     n = len(a)
     d = [0.0] * n
     e = [0.0] * n
-    twins = _twin_rows(a) if n >= _TWIN_MIN_ORDER else []
+    twins = _twin_rows(a, pack) if n >= _TWIN_MIN_ORDER else []
+    leads = list(range(n))
+    for j in reversed(twins):
+        del leads[j]
     for i in range(n - 1, 0, -1):
         row = a[i]
         d[i] = row[i]
@@ -200,17 +173,23 @@ def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
         u[-1] = f - g
         # u[i - 1] has changed, so rows i - 2 and i - 1 are twins no more
         while twins and twins[-1] >= i - 1:
-            twins.pop()
-        # P = I - u u^T / h; P A P = A - u q^T - q u^T
-        if twins:
-            _reflect_twins(a, u, h, twins)
-            continue
-        p = [math.fsum(map(mul, a[j], u)) / h for j in range(i)]
+            insort(leads, twins.pop())
+        # every row is in one of the two lists, and every twin is below i
+        block = leads[: i - len(twins)]
+        # P = I - u u^T / h; P A P = A - u q^T - q u^T, row by row on the
+        # leads, and a twin row j takes p[j - 1] and the new row j - 1 swapped
+        p = [math.fsum(map(mul, a[j], u)) / h for j in block]
+        for j in twins:
+            p.insert(j, p[j - 1])
         half = math.fsum(map(mul, u, p)) / (2.0 * h)
         q = [pj - half * uj for pj, uj in zip(p, u)]
-        for j in range(i):
+        for j in block:
             uj, qj = u[j], q[j]
             a[j] = [v - uj * qk - qj * uk for v, qk, uk in zip(a[j], q, u)]
+        for j in twins:
+            row = a[j - 1][:]
+            row[j - 1], row[j] = row[j], row[j - 1]
+            a[j] = row
     d[0] = a[0][0]
     return d, e
 
@@ -296,9 +275,10 @@ def symmetric_eigenvalues(m) -> list[float]:
         return [0.0] * n
     shift = math.frexp(big)[1]
     scaled = [[math.ldexp(v, -shift) for v in row] for row in a]
+    pack = Struct(f"{n}d").pack
     # scaled rows equal to their transpose byte for byte have asymmetry 0,
     # and averaging them would change no bit
-    if not _bitwise_symmetric(scaled):
+    if not _bitwise_symmetric(scaled, pack):
         asym = max(
             (abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i + 1, n)),
             default=0.0,
@@ -311,7 +291,7 @@ def symmetric_eigenvalues(m) -> list[float]:
             for j in range(i + 1, n):
                 v = (scaled[i][j] + scaled[j][i]) / 2.0
                 scaled[i][j] = scaled[j][i] = v
-    eigs = sorted(_tql1(*_tridiagonalize(scaled)), reverse=True)
+    eigs = sorted(_tql1(*_tridiagonalize(scaled, pack)), reverse=True)
     try:
         return [math.ldexp(v, shift) for v in eigs]
     except OverflowError as exc:

@@ -2,6 +2,7 @@ import json
 import math
 import operator
 import random
+from struct import Struct
 
 import numpy as np
 import pytest
@@ -185,8 +186,12 @@ def bits(values) -> list[str]:
     return [v.hex() for v in values]
 
 
+def tridiagonalize(a):
+    return spectra._tridiagonalize(a, Struct(f"{len(a)}d").pack)
+
+
 def assert_same_reduction(a):
-    got = spectra._tridiagonalize([row[:] for row in a])
+    got = tridiagonalize([row[:] for row in a])
     want = reference_tridiagonalize([row[:] for row in a])
     assert [bits(v) for v in got] == [bits(v) for v in want]
 
@@ -198,9 +203,9 @@ def reduced_input(m) -> list[list[float]] | None:
     seen = []
     reduce = spectra._tridiagonalize
 
-    def spy(a):
+    def spy(a, pack):
         seen.append([row[:] for row in a])
-        return reduce(a)
+        return reduce(a, pack)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "_tridiagonalize", spy)
@@ -388,8 +393,8 @@ class TestJacobi:
                     v *= spectra.EIGEN_CONVERGENCE / (2 * i)
                 a[i][j] = a[j][i] = v
         block = [row[:size] for row in a[:size]]
-        d, e = spectra._tridiagonalize([row[:] for row in a])
-        d_block, e_block = spectra._tridiagonalize(block)
+        d, e = tridiagonalize([row[:] for row in a])
+        d_block, e_block = tridiagonalize(block)
         assert d[:size] == d_block and e[:size] == e_block
         assert d[size:] == [a[i][i] for i in range(size, n)]
         assert e[size:] == [a[i][i - 1] for i in range(size, n)]
@@ -400,7 +405,7 @@ class TestJacobi:
         tiny = spectra.EIGEN_CONVERGENCE
         for off, skipped in ((tiny, True), (2 * tiny, False)):
             a = [[0.5, 0.25, off], [0.25, -0.5, 0.0], [off, 0.0, 0.125]]
-            d, e = spectra._tridiagonalize(a)
+            d, e = tridiagonalize(a)
             assert (d == [0.5, -0.5, 0.125] and e[2] == 0.0) is skipped
 
     @pytest.mark.parametrize(
@@ -509,16 +514,18 @@ class TestTwinReduction:
     def test_twin_rows_tell_signed_zeros_apart(self):
         # rows 0 and 1 are swaps of each other as floats, but not as bits
         a = [[0.0, 1.0, 0.0, 2.0], [1.0, 0.0, -0.0, 2.0], [0.0, -0.0, 5.0, 3.0], [2.0, 2.0, 3.0, 1.0]]
-        assert spectra._twin_rows(a) == []
+        pack = Struct("4d").pack
+        assert spectra._twin_rows(a, pack) == []
         a[1][2] = a[2][1] = 0.0
-        assert spectra._twin_rows(a) == [1]
-        assert not spectra._bitwise_symmetric([[1.0, 0.0], [-0.0, 1.0]])
-        assert spectra._bitwise_symmetric([[1.0, -0.0], [-0.0, 1.0]])
+        assert spectra._twin_rows(a, pack) == [1]
+        pack = Struct("2d").pack
+        assert not spectra._bitwise_symmetric([[1.0, 0.0], [-0.0, 1.0]], pack)
+        assert spectra._bitwise_symmetric([[1.0, -0.0], [-0.0, 1.0]], pack)
 
     def test_twins_are_found_in_k_p(self):
         # every vertex but the first of each part is its predecessor's twin
         a = [[float(v) for v in row] for row in seidel_matrix(complete_multipartite([3, 2, 1])).rows]
-        assert spectra._twin_rows(a) == [1, 2, 4]
+        assert spectra._twin_rows(a, Struct("6d").pack) == [1, 2, 4]
 
 
 class TestRootCounting:
