@@ -332,25 +332,6 @@ def _column_runs(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-# entries of the matrix that packed column runs must fold, n - 2 for each
-# column that continues an exchangeable run, before the plan packs and sums
-# them; a run that is not exchangeable folds nothing.  Below it planning costs
-# more than the additions save: on a 2-vCPU x86 guest with Python 3.11,
-# K_P below order 24 ran no faster with runs and K_P of order 64 in about
-# 0.7 of the time.
-_FOLD_MIN = 400
-
-# the coefficient of an (index, coefficient) term, to filter out zeros
-_nonzero = itemgetter(1)
-
-
-def _weight(coefficients: Sequence[int]) -> int:
-    """Additions that add up rows times these coefficients: one for each
-    +-1, two for any other nonzero, which also costs a multiple."""
-    nonzero = len(coefficients) - coefficients.count(0)
-    return 2 * nonzero - coefficients.count(1) - coefficients.count(-1)
-
-
 def _exchange_offset(rows: Sequence[Sequence[int]], lo: int, hi: int) -> int | None:
     """b where the column run lo..hi-1, of two or more columns, is
     exchangeable, else None.
@@ -375,11 +356,18 @@ def _exchange_offset(rows: Sequence[Sequence[int]], lo: int, hi: int) -> int | N
     return d - v
 
 
+# the coefficient of an (index, coefficient) term, to filter out zeros
+_nonzero = itemgetter(1)
+
+
 def _row_program(rows: Sequence[Sequence[int]]) -> list:
-    """The plan's program where nothing is packed: each row of A*M from
-    row i's own nonzero entries, or from row i-1 of A*M plus
-    (a_ij - a_(i-1)j) * M_j where the rows differ, if that costs fewer
-    additions."""
+    """How ``charpoly_oracle`` builds the rows of A*M from those of M, as
+    one instruction (start, terms) per row: register start plus a *
+    register j over its terms (j, a).  Registers 0..n-1 hold the rows of
+    M and register n holds 0; row i of A*M, appended as register n + 1 + i,
+    starts from 0 and adds row i's own nonzero entries, or starts from row
+    i-1 of A*M and adds (a_ij - a_(i-1)j) * M_j where the rows differ, if
+    that costs fewer additions."""
     n = len(rows)
     program = []
     prev = None
@@ -393,212 +381,99 @@ def _row_program(rows: Sequence[Sequence[int]]) -> list:
     return program
 
 
-def _oracle_plan(
-    rows: Sequence[Sequence[int]],
-) -> tuple[list, list[tuple[int, int, int]]]:
-    """(program, packed): how ``charpoly_oracle`` builds the rows of A*M
-    from those of M.
+def _run_quotient(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """(B, roots): the quotient of a square matrix by its exchangeable
+    column runs, and b_r taken n_r - 1 times for each such run r.
 
-    ``packed`` lists the exchangeable column runs (lo, hi, b)
-    (``_exchange_offset``), each held as one row W_r; every other row of M
-    is held in full, so a column run that is not exchangeable is planned
-    column by column.  With f rows held in full, in order, and p runs
-    packed, ``program`` is a list of instructions over registers:
-    registers 0..f-1 hold the full rows, f + o the o-th packed run's W,
-    register f + p holds 0 and f + p + 1 + o the o-th packed run's
-    diagonal term.  Each instruction (start, terms) appends one register:
-    register start plus a * register i over its terms (i, a), every
-    register it names being appended before it.  The last f + p registers
-    are the next full rows and W's, in register order: one instruction per
-    full row and one per packed run.
-
-    The plan's runs are the packed runs and every other column alone.
-    Row i of A has one coefficient per run, its entry there, or the run's
-    value v off the diagonal in a packed run's own rows.  The program
-    first adds up each packed run's rows, n_r W_r + g_r I_r
-    (``charpoly_oracle``), then combines each distinct key of coefficients
-    once, sum_r(v_ir * run sum r), a column's sum being its row of M: it
-    starts from the key combined before it where that is cheaper
-    (``_weight``), else from a run sum it takes +1 times, else from 0.  A
-    full row of A*M starts from its key's combination and adds nothing,
-    and a packed run's adds b W_r.
-
-    Run sums cost planning time, which only big-integer work saved over
-    the call repays, so where packed runs fold fewer than ``_FOLD_MIN``
-    entries of the matrix, n - 2 for each column that continues a run,
-    nothing is packed and ``program`` is ``_row_program``.
+    Each column run of two or more columns that ``_exchange_offset``
+    accepts is one class, of n_r columns with offset b_r, and every other
+    column is a class of its own.  B[r][s] is the sum of row lo_r over the
+    columns of class s, lo_r the first index of class r.
     """
-    n = len(rows)
-    # (n - 2) * (n - 1) is the most that runs can fold, so orders below 22
-    # are never searched for runs
-    if (n - 2) * (n - 1) < _FOLD_MIN:
-        return _row_program(rows), []
-    runs = _column_runs(rows)
-    packed = [
-        (lo, hi, b) for lo, hi in runs if hi > lo + 1 and (b := _exchange_offset(rows, lo, hi)) is not None
-    ]
-    if (n - 2) * sum(hi - lo - 1 for lo, hi, _ in packed) < _FOLD_MIN:
-        return _row_program(rows), []
-    program: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    f = n - sum(hi - lo for lo, hi, _ in packed)
-    width = f + len(packed)
-    base = width + len(packed)
-    packed_at = {lo: o for o, (lo, _, _) in enumerate(packed)}
-    # (register, first row, terms past its key's combination) for each of
-    # the plan's runs, in row order, and the register holding its sum
-    units, sums = [], []
-    held = 0
-    for lo, hi in runs:
-        o = packed_at.get(lo)
-        if o is None:
-            # a column alone sums to its row of M
-            for i in range(lo, hi):
-                units.append((held, i, ()))
-                sums.append(held)
-                held += 1
+    classes: list[tuple[int, int]] = []
+    roots: list[int] = []
+    for lo, hi in _column_runs(rows):
+        if hi > lo + 1 and (b := _exchange_offset(rows, lo, hi)) is not None:
+            classes.append((lo, hi))
+            roots += [b] * (hi - lo - 1)
         else:
-            b = packed[o][2]
-            units.append((f + o, lo, ((f + o, b),) if b else ()))
-            program.append((width + 1 + o, ((f + o, hi - lo),)))
-            sums.append(base + len(program))
-    starts = [i for _, i, _ in units]
-    combos: dict[tuple[int, ...], int] = {}
-    last = None
-    rows_out = [None] * width
-    for r, (x, i, fixes) in enumerate(units):
-        key = list(map(rows[i].__getitem__, starts))
-        if x >= f:
-            # a packed run's rows hold v in its own columns
-            key[r] = rows[i][i + 1]
-        key = tuple(key)
-        if key not in combos:
-            if last is not None and _weight(step := list(map(sub, key, last))) < _weight(key):
-                start, terms = combos[last], tuple(filter(_nonzero, zip(sums, step)))
-            else:
-                # the first run sum taken +1, else the zero register
-                start = sums[key.index(1)] if 1 in key else width
-                terms = tuple(t for t in filter(_nonzero, zip(sums, key)) if t != (start, 1))
-            program.append((start, terms))
-            combos[key] = base + len(program)
-            last = key
-        rows_out[x] = (combos[key], fixes)
-    program += rows_out
-    return program, packed
+            classes += [(j, j + 1) for j in range(lo, hi)]
+    quotient = [[sum(rows[lo][a:z]) for a, z in classes] for lo, _ in classes]
+    return quotient, roots
 
 
 def charpoly_oracle(matrix) -> IntPoly:
-    """Exact monic characteristic polynomial det(xI - M).
+    """Exact monic characteristic polynomial det(xI - A).
 
-    Faddeev-LeVerrier recurrence: M_1 = I and, for k = 1..n, the
-    coefficient c = -tr(A M_k) / k of x^(n-k) and M_(k+1) = A M_k + c I.
-    For an integer matrix every division by k is exact over the integers,
-    which is checked; the result is independent of any closed form
-    elsewhere in this package.
+    With the quotient B of A by its exchangeable column runs and their
+    offsets b_r (``_run_quotient``),
 
-    Each row of the work matrix M is packed into one Python int of n signed
+        det(xI - A) = det(xI - B) * prod_r (x - b_r)^(n_r - 1),
+
+    for any integer matrix A, symmetric or not.
+
+    (1) The classes form an equitable partition.  The rows of a run r agree
+    outside its block and each sums to n_r v_r + b_r inside it, v_r being
+    its value off the diagonal, so A 1_s = sum_r B[r][s] 1_r for the
+    indicator 1_s of each class s: span{1_s} is invariant under A, which
+    acts on it as B.
+
+    (2) The columns of a run agree outside the run's rows, the column-run
+    condition, and inside its block column i holds v_r + b_r in row i and
+    v_r in the others.  So A(e_i - e_j) = b_r (e_i - e_j) for i, j in one
+    run, and the n_r - 1 differences e_i - e_lo span an invariant subspace
+    on which A is b_r I.
+
+    (3) A vector in both subspaces is constant on each class, zero on each
+    class of one column and sums to zero on each run, so it is zero; their
+    dimensions, k and the sum of n_r - 1, add to n, so they span Q^n and
+    the characteristic polynomial factors as above.
+
+    det(xI - B), B of order k, comes from the Faddeev-LeVerrier recurrence:
+    M_1 = I and, for m = 1..k, the coefficient c = -tr(B M_m) / m of
+    x^(k-m) and M_(m+1) = B M_m + c I.  For an integer matrix every
+    division by m is exact over the integers, which is checked; the result
+    is independent of any closed form elsewhere in this package.
+
+    Each row of the work matrix M is packed into one Python int of k signed
     lanes, lane j holding entry j at bit offset s_j = w*j + 1, so row i of
-    the product A*M is a sum of multiples of whole rows M_j.  Packing is
-    linear, so every way of adding up the same multiples of rows gives the
-    same integers; only the readout needs every entry to fit its lane, and
-    w = ``_lane_width`` of the squared row norms, by Hadamard's inequality,
-    is fixed before any arithmetic.  The plan, ``_oracle_plan``, is built
-    once per call: where the matrix's exchangeable column runs fold enough
-    entries, each step adds up each run's rows once, and rows with the
-    same run coefficients share one combination of those sums; elsewhere
-    row i of A*M is built from row i's nonzero entries, or from row i-1
-    of A*M where that is cheaper.
+    B*M is a sum of multiples of whole rows M_j, built as ``_row_program``
+    says; each step adds c 2^(s_i) to row i first.  Packing is linear, so
+    every way of adding up the same multiples of rows gives the same
+    integers; only the readout needs every entry to fit its lane, and w =
+    ``_lane_width`` of the squared row norms, by Hadamard's inequality, is
+    fixed before any arithmetic.
 
-    Each step runs the plan's instructions in one loop, each appending one
-    register, then reads every row it holds once, after the loop.  A row
-    held in full has c 2^(s_j) added at the start of each step, c being
-    the coefficient found last, and its row of A*M is read at its own
-    lane.  An exchangeable run r (``_exchange_offset``), of n_r = hi - lo
-    >= 2 columns, is held as one row W_r and one offset g_r: row i of M is
-    W_r + g_r 2^(s_i) for each i in the run.  The recurrence starts from
-    W = 0 and c = 1, g_r taking the value 1 in the first step, which is
-    M_1 = I, so the first pass of the plan builds A.
-
-    (1) The rows W_i of the run stay equal.  Swapping two columns i, j of
-    the run together with their rows, by a permutation matrix P, fixes A;
-    P then commutes with A and with every M_k, a polynomial in A, so
-    P M_k P = M_k and rows i and j of M_k agree outside lanes i and j.
-    The recurrence keeps the W_i equal step by step: each starts at 0, and
-    row i of A M_k is sum_r'(v_ir' S_r') + b M_k[i], S_r' the run sums,
-    whose first term, the run's key combination, is the same for every i
-    of the run, as its rows agree outside the block and hold v in it.
-    With M_k[i] = W_r + g_r 2^(s_i), row i of A M_k is
-    W'_r + b g_r 2^(s_i), W'_r being the key combination plus b W_r, built
-    once for the run, and row i of M_(k+1) is W'_r + (b g_r + c) 2^(s_i).
-    The run's sum is n_r W_r + g_r I_r, I_r the sum of 2^(s_i) over the
-    run, built once per call.
-
-    (2) Every lane of W'_r in the run's block holds one value.  For i != j
-    in the run, lane j of W'_r is M_(k+1)[i][j], the identity term sitting
-    on lane i alone.  Swaps of the run's indices fix M_(k+1) and carry any
-    ordered pair of distinct indices to any other, so these entries are
-    one value e; lane i of W'_r, lane i of the same row seen from another
-    row of the run, is e too.
-
-    (3) The run adds n_r times one rounded read to the trace.  The
-    diagonal entry of row i of A M_k is lane i of W'_r plus b g_r, that is
-    e + b g_r for every i of the run, so the run adds n_r (e + b g_r) to
-    tr(A M_k).  W'_r holds no pending identity term: each of its lanes is
-    an entry of M_(k+1) off the diagonal, so the readout below reads e at
-    lane lo exactly, and the run adds n_r times that read and n_r b g_r.
-
-    Readout of lane i of a row x = sum_j e_j 2^(s_j), held in full or a
-    packed W'_r, needs no bias on the whole row.  Every e_j is a
-    work-matrix entry, so |e_j| < 2^(w-1) = half (``_lane_width``); the
-    lanes below lane i sum to L with |L| <= 2 (half - 1) (2^(wi) - 1) /
-    (2^w - 1) < 2^(wi) = 2^(s_i - 1).  So x = H 2^(s_i) + L with H = e_i
-    mod 2^w, and H = round(x / 2^(s_i)).  With y the w + 1 bits of x from
-    bit s_i - 1, that is floor(x / 2^(s_i - 1)) mod 2^(w+1), the rounded
-    quotient is floor((y + 1) / 2) mod 2^w.  Working mod 2^w, e_i + half =
-    ((y + 1 + 2^w) >> 1) mod 2^w, and as e_i + half lies in [0, 2^w) the
-    mask by 2^w - 1 gives it exactly.  The trace is the sum of these
-    reads, each packed run's taken n_r times, plus sum_r n_r b g_r, less
-    n * half.
+    Readout of lane i of a row x = sum_j e_j 2^(s_j) needs no bias on the
+    whole row.  Every e_j is a work-matrix entry, so |e_j| < 2^(w-1) = half
+    (``_lane_width``); the lanes below lane i sum to L with |L| <= 2 (half
+    - 1) (2^(wi) - 1) / (2^w - 1) < 2^(wi) = 2^(s_i - 1).  So x = H 2^(s_i)
+    + L with H = e_i mod 2^w, and H = round(x / 2^(s_i)).  With y the w + 1
+    bits of x from bit s_i - 1, that is floor(x / 2^(s_i - 1)) mod
+    2^(w+1), the rounded quotient is floor((y + 1) / 2) mod 2^w.  Working
+    mod 2^w, e_i + half = ((y + 1 + 2^w) >> 1) mod 2^w, and as e_i + half
+    lies in [0, 2^w) the mask by 2^w - 1 gives it exactly.  The trace is
+    the sum of these reads less k * half.
     """
     m = matrix if isinstance(matrix, IntMatrix) else IntMatrix(matrix)
-    n = m.n
-    if n == 0:
-        return IntPoly([1])
-    rows = m.rows
+    rows, roots = _run_quotient(m.rows)
+    k = len(rows)
     w = _lane_width([sum(map(mul, row, row)) for row in rows])
-    shifts = range(1, n * w + 1, w)
-    lows = range(0, n * w, w)
+    shifts = range(1, k * w + 1, w)
+    lows = range(0, k * w, w)
     lane = (1 << w) - 1
     window = (1 << (w + 1)) - 1
     rounding = (1 << w) + 1
-    bias = n << (w - 1)
-    program, packed = _oracle_plan(rows)
-    # the lanes of the rows held in full, in register order: where each
-    # takes c*I and where its row of A*M is read
-    diagonal, readout = [*shifts], [*lows]
-    for lo, hi, _ in reversed(packed):
-        del diagonal[lo:hi], readout[lo:hi]
-    f = len(diagonal)
-    width = f + len(packed)
-    # each packed run's b, n_r b and indicator I_r, and where its W is read
-    runs = [(b, (hi - lo) * b, sum(1 << s for s in shifts[lo:hi])) for lo, hi, b in packed]
-    reads = [(f + o, lows[lo], hi - lo) for o, (lo, hi, _) in enumerate(packed)]
-    work = [0] * width
+    bias = k << (w - 1)
+    program = _row_program(rows)
+    work = [0] * k
     c = 1
-    gs = [0] * len(packed)
     coeffs = [1]
-    for k in range(1, n + 1):
+    for step in range(1, k + 1):
         if c:
-            work[:f] = [row + (c << s) for row, s in zip(work, diagonal)]
-        # the registers: the full rows and W's, 0, the packed runs' g I,
-        # then one per instruction, the last width of them the next full
-        # rows and W's; g becomes b g + c, and the run's trace takes n_r b g
-        t = -bias
+            work = [row + (c << s) for row, s in zip(work, shifts)]
+        # register k holds 0, then one register per row of B*M
         work.append(0)
-        if runs:
-            for o, (b, nb, indicator) in enumerate(runs):
-                g = gs[o] = b * gs[o] + c
-                work.append(g * indicator)
-                t += nb * g
         for i, terms in program:
             acc = work[i]
             for j, a in terms:
@@ -609,16 +484,19 @@ def charpoly_oracle(matrix) -> IntPoly:
                 else:
                     acc += a * work[j]
             work.append(acc)
-        del work[:-width]
-        for row, s in zip(work, readout):
+        del work[: k + 1]
+        t = -bias
+        for row, s in zip(work, lows):
             t += ((((row >> s) & window) + rounding) >> 1) & lane
-        for x, s, count in reads:
-            t += count * (((((work[x] >> s) & window) + rounding) >> 1) & lane)
-        c, r = divmod(-t, k)
+        c, r = divmod(-t, step)
         if r:
             raise ConsistencyError("trace recurrence produced a non-integer coefficient")
         coeffs.append(c)
-    return IntPoly(reversed(coeffs))
+    poly = IntPoly._of_ints(tuple(reversed(coeffs)))
+    for b, e in Counter(roots).items():
+        # (x - b)^e, whose x^j coefficient is C(e, j) (-b)^(e - j)
+        poly = poly * IntPoly._of_ints(tuple(comb(e, j) * (-b) ** (e - j) for j in range(e + 1)))
+    return poly
 
 
 def elementary_symmetric(values: Sequence[int]) -> list[int]:

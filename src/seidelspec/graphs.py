@@ -197,16 +197,18 @@ def _batch_layout(n: int) -> tuple[int, int, int]:
 def seidel_charpolys(graphs: Iterable[Graph]) -> list[IntPoly]:
     """det(xI - S(G)) for every graph, in order; the graphs share one order.
 
-    Equal to ``charpoly_oracle(seidel_matrix(g))`` for each g, by the same
-    Faddeev-LeVerrier recurrence with the same checked exact division, run
-    on a chunk of graphs at once.  Each packed row holds row i of every
-    graph's work matrix W, graph b in block b of n lanes.  Row i of S*W is
-    the sum over j != i of W_j, negated where ij is an edge.  Every lane is
-    biased to be nonnegative, w + half < 2 half, and XOR with 2 half - 1
-    turns it into half - 1 - w, so row i for all graphs at once is
-    sum_(j != i) ((W_j + bias) ^ F_ij) plus a constant row, where F_ij
-    covers the lanes of the graphs with edge ij.  F_ij is cut from the edge
-    masks; no matrix is built per graph.
+    Equal to ``charpoly_oracle(seidel_matrix(g))`` for each g.  The oracle
+    first reduces the matrix by its exchangeable column runs; this kernel
+    runs the same Faddeev-LeVerrier recurrence, with the same checked
+    exact division, on the whole matrix of every graph of a chunk at once.
+    Each packed row holds row i of every graph's work matrix W, graph b in
+    block b of n lanes.  Row i of S*W is the sum over j != i of W_j,
+    negated where ij is an edge.  Every lane is biased to be nonnegative,
+    w + half < 2 half, and XOR with 2 half - 1 turns it into half - 1 - w,
+    so row i for all graphs at once is sum_(j != i) ((W_j + bias) ^ F_ij)
+    plus a constant row, where F_ij covers the lanes of the graphs with
+    edge ij.  F_ij is cut from the edge masks; no matrix is built per
+    graph.
 
     A lane holds ``_lane_width([n - 1] * n)`` bits, the oracle's Hadamard
     bound for a Seidel matrix, every row of squared norm n - 1, plus

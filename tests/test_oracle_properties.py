@@ -1,9 +1,18 @@
-"""Property tests of the packed-row charpoly_oracle.
+"""Property tests of charpoly_oracle: its run quotient and its packed rows.
 
 The reference below is the plain Faddeev-LeVerrier recurrence on
 list-of-lists matrices, one Python int per entry and n^3 multiply-adds per
-step; it shares the recurrence with the oracle but none of its packing, so
-a lane that overflows or is read back wrongly shows up as a difference.
+step; it shares the recurrence with the oracle but none of its packing and
+none of its reduction by exchangeable column runs, so a lane that
+overflows or is read back wrongly, or a quotient or factor built wrongly,
+shows up as a difference.
+
+Tests parametrised by ``path`` feed the oracle each matrix twice: as built
+("runs"), so that its column runs are consecutive and the oracle reduces
+the exchangeable ones to their quotient, and under a seeded relabelling
+("default"), which scatters the runs so that the oracle runs its
+recurrence on the whole matrix, or on all of it but the few twins that the
+relabelling leaves adjacent.
 """
 
 import random
@@ -23,14 +32,14 @@ from seidelspec import (
     seidel_matrix,
     switch,
 )
-from seidelspec import exactalg
-from seidelspec.exactalg import _column_runs, _exchange_offset, _lane_width, _oracle_plan
+from seidelspec.exactalg import _column_runs, _exchange_offset, _lane_width, _run_quotient
 from seidelspec.multipartite import CLOSED_FORMS, quotient_matrix
 
 ENTRY_BOUND = 10**6
 # the reference costs O(n^4) big-integer work; above this order the
 # exact closed form alone checks the oracle
 REFERENCE_MAX_N = 32
+RELABEL_SEED = 2019
 
 
 def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -66,6 +75,19 @@ def reference_run(rows: list[list[int]]) -> tuple[IntPoly, int]:
 
 def reference_charpoly(rows: list[list[int]]) -> IntPoly:
     return reference_run(rows)[0]
+
+
+def relabelled(rows) -> list[list[int]]:
+    """P A P^T for a seeded random permutation P: the same characteristic
+    polynomial, with the twins of a run scattered over the matrix."""
+    order = list(range(len(rows)))
+    random.Random(RELABEL_SEED).shuffle(order)
+    return [[rows[i][j] for j in order] for i in order]
+
+
+def laid_out(path: str, rows) -> list[list[int]]:
+    """The matrix as built on the "runs" path, relabelled on "default"."""
+    return [list(row) for row in rows] if path == "runs" else relabelled(rows)
 
 
 # small entries (0 and +-1 take their own branches in the kernel) mixed
@@ -120,7 +142,9 @@ def test_matrices_at_the_lane_width_bound(n, a, kind):
     # every entry equals max|a_ij| and every row has the same Euclidean
     # norm, the row norms that fix the lane width, so the entries grow as
     # fast as the row norms allow; for a*I and a times a permutation each
-    # row norm is a, n times below that of a*J
+    # row norm is a, n times below that of a*J.  a*J, -a*J, a*(J-I) and a*I
+    # are one exchangeable run, reduced to order 1; the cyclic shift has
+    # no run and goes through the whole recurrence
     rows, expected = _scaled_ones(n, a, kind)
     got = charpoly_oracle(rows)
     assert got == expected
@@ -214,54 +238,12 @@ EDGE_RUNS = [
 
 def _exchangeable(rows) -> list[tuple[int, int, int]]:
     """The column runs of two or more columns that ``_exchange_offset``
-    accepts, as (lo, hi, b): what the plan packs on its run path."""
+    accepts, as (lo, hi, b): the classes the oracle's quotient merges."""
     return [
         (lo, hi, b)
         for lo, hi in _column_runs(rows)
         if hi > lo + 1 and (b := _exchange_offset(rows, lo, hi)) is not None
     ]
-
-
-def _packed(rows) -> list[tuple[int, int, int]]:
-    """The runs the plan packs: the exchangeable runs where they fold at
-    least ``_FOLD_MIN`` entries, n - 2 for each column that continues one,
-    and none elsewhere."""
-    runs = _exchangeable(rows)
-    return runs if (len(rows) - 2) * sum(hi - lo - 1 for lo, hi, _ in runs) >= exactalg._FOLD_MIN else []
-
-
-def _plan_registers(rows, packed) -> tuple[int, int]:
-    """(width, base): the plan holds width rows, and its q-th instruction
-    appends register base + 1 + q (``_oracle_plan``)."""
-    width = len(rows) - sum(hi - lo - 1 for lo, hi, _ in packed)
-    return width, width + len(packed)
-
-
-def _first_pass(rows, program, packed) -> list[list[int]]:
-    """The rows the plan holds after one pass from M_1 = I, run on
-    unpacked rows: the full rows of M, each packed run's W = 0, the zero
-    register, then each packed run's diagonal term g I_r with g = 1."""
-    n = len(rows)
-    inside = {i for lo, hi, _ in packed for i in range(lo, hi)}
-    registers = [[int(i == j) for j in range(n)] for i in range(n) if i not in inside]
-    registers += [[0] * n] * (len(packed) + 1)
-    registers += [[int(lo <= j < hi) for j in range(n)] for lo, hi, _ in packed]
-    for start, terms in program:
-        acc = registers[start]
-        for j, a in terms:
-            acc = [x + a * y for x, y in zip(acc, registers[j])]
-        registers.append(acc)
-    width, _ = _plan_registers(rows, packed)
-    return registers[len(registers) - width :]
-
-
-def _held_rows_start_from_combinations(rows, program, packed) -> bool:
-    """On the run path, each of the last width instructions, the held rows
-    of A*M, starts from a key combination's register: past the run sums,
-    before the first held row, so never from another held row's A*M."""
-    width, base = _plan_registers(rows, packed)
-    first, held = base + 1 + len(packed), base + 1 + len(program) - width
-    return all(first <= start < held for start, _ in program[len(program) - width :])
 
 
 @st.composite
@@ -271,7 +253,7 @@ def partitions_up_to(draw, max_n: int) -> Partition:
     return Partition([b - a for a, b in zip([0] + cuts, cuts + [n])])
 
 
-@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
+@pytest.mark.parametrize("path", ["runs", "default"])
 @settings(max_examples=150, deadline=None)
 @given(column_run_matrices())
 @example(([0, 1], [[5]]))
@@ -279,25 +261,20 @@ def partitions_up_to(draw, max_n: int) -> Partition:
 @example(([0, 2], [[2, -1], [0, 10**6]]))
 @example(([0, 4], WHOLE_RUN))
 @example(([0, 2, 3, 5], EDGE_RUNS))
-def test_column_run_matrices_match_reference(fold, case):
-    # fold 0 packs the exchangeable runs of any matrix, the default only
-    # where they fold enough entries to repay planning, so never below
-    # order 22; a run that is not exchangeable is planned column by column
+def test_column_run_matrices_match_reference(path, case):
+    # as built, each exchangeable run is one class of the quotient and a
+    # run that is not exchangeable is one class per column
     bounds, rows = case
     runs = _column_runs(rows)
     # a run found never starts inside a run built
     assert {lo for lo, _ in runs} <= set(bounds)
-    with pytest.MonkeyPatch.context() as mp:
-        if fold is not None:
-            mp.setattr(exactalg, "_FOLD_MIN", fold)
-            assert _oracle_plan(rows)[1] == _exchangeable(rows)
-        assert charpoly_oracle(rows) == reference_charpoly(rows)
+    assert charpoly_oracle(laid_out(path, rows)) == reference_charpoly(rows)
 
 
 def test_column_runs_above_the_fold_match_reference():
     # three runs of 8 at order 24, none exchangeable, as each row holds
-    # its own values below and above its diagonal: the default plan packs
-    # nothing and builds each row from its entries or the previous row
+    # its own values below and above its diagonal: no run is reduced, and
+    # the quotient is the matrix itself
     bounds = [0, 8, 16, 24]
     rng = random.Random(28)
     matrix = [[0] * 24 for _ in range(24)]
@@ -310,20 +287,18 @@ def test_column_runs_above_the_fold_match_reference():
                 row[lo:hi] = [rng.choice([1, -1, 3])] * (hi - lo)
     assert _column_runs(matrix) == [(0, 8), (8, 16), (16, 24)]
     assert _exchangeable(matrix) == []
-    assert _oracle_plan(matrix)[1] == []
+    assert _run_quotient(matrix) == (matrix, [])
     assert charpoly_oracle(matrix) == reference_charpoly(matrix)
 
 
 @settings(max_examples=60, deadline=None)
 @given(partitions_up_to(12))
 def test_multipartite_and_quotient_through_runs(p):
-    # below the fold, with every run summed: K_P's rows take the runs, and
-    # the quotient's rows, which differ in two entries, the previous row
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactalg, "_FOLD_MIN", 0)
-        forms = CLOSED_FORMS["product"](p)
-        assert charpoly_oracle(seidel_matrix(complete_multipartite(p))) == forms.expanded
-        assert charpoly_oracle(quotient_matrix(p)) == forms.residual
+    # K_P reduces by its parts, and the quotient, whose runs are stretches
+    # of equal parts, by those
+    forms = CLOSED_FORMS["product"](p)
+    assert charpoly_oracle(seidel_matrix(complete_multipartite(p))) == forms.expanded
+    assert charpoly_oracle(quotient_matrix(p)) == forms.residual
 
 
 def test_runs_of_complete_multipartite_seidel_matrices():
@@ -332,59 +307,31 @@ def test_runs_of_complete_multipartite_seidel_matrices():
     assert _column_runs(rows) == [(0, 3), (3, 5), (5, 7)]
 
 
-def test_plan_corrects_each_row_once():
-    # equal adjacent sizes stay apart, the three singletons merge; every
-    # run is held as one register, and its one row of A*M is its key's
-    # combination plus b times that register, none built from scratch
-    rows = seidel_matrix(complete_multipartite(Partition([19, 15, 4, 4, 3, 1, 1, 1]))).rows
-    program, packed = _oracle_plan(rows)
-    assert _column_runs(rows) == [(0, 19), (19, 34), (34, 38), (38, 42), (42, 45), (45, 48)]
-    assert packed == [(0, 19, -1), (19, 34, -1), (34, 38, -1), (38, 42, -1), (42, 45, -1), (45, 48, 1)]
-    assert packed == _exchangeable(rows)
-    # one sum, one combination and one row of A*M per run
-    assert len(program) == 3 * 6
-    steps = program[-6:]
-    combinations = {start for start, _ in steps}
-    # registers past the six held rows, the zero register and the six
-    # diagonal terms
-    assert len(combinations) == 6 and min(combinations) > 12
-    assert _held_rows_start_from_combinations(rows, program, packed)
-    for o, (_, terms) in enumerate(steps):
-        assert terms == ((o, packed[o][2]),)
-
-
-# K_P whose multi-column runs are all packed, its merged singletons with
-# diagonal correction +1; below the default fold only with _FOLD_MIN = 0
-PACKED_PARTS = {0: [4, 3, 2, 1, 1], None: [9, 8, 5, 1, 1]}
-# the packed runs after each edit in _edit_runs; at the default fold, once
-# a run is refused, the runs left fold 22 * 12 or 22 * 16 entries, fewer
-# than _FOLD_MIN, so nothing is packed
-PACKED_AFTER = {
-    (0, "chained"): [(0, 4, -3), (4, 7, -3), (7, 9, -3), (9, 11, 3)],
-    (0, "off-diagonal"): [(4, 7, -1), (7, 9, -1), (9, 11, 1)],
-    (0, "mixed-diagonal"): [(0, 4, -1), (4, 7, -1), (9, 11, 1)],
-    (0, "equal-rows"): [(0, 4, -1), (4, 7, 0), (7, 9, -1), (9, 11, 1)],
-    (0, "rows-differ"): [(4, 7, -1), (7, 9, -1), (9, 11, 1)],
-    (None, "chained"): [(0, 9, -3), (9, 17, -3), (17, 22, -3), (22, 24, 3)],
-    (None, "off-diagonal"): [],
-    (None, "mixed-diagonal"): [],
-    (None, "equal-rows"): [(0, 9, -1), (9, 17, 0), (17, 22, -1), (22, 24, 1)],
-    (None, "rows-differ"): [],
+# K_P whose four column runs are all exchangeable, its merged singletons
+# with diagonal correction +1
+EDITED_PARTS = ([4, 3, 2, 1, 1], [9, 8, 5, 1, 1])
+# the exchangeable runs after each edit in _edit_runs, as (index of the
+# run, b)
+EXCHANGEABLE_AFTER = {
+    "chained": [(0, -3), (1, -3), (2, -3), (3, 3)],
+    "off-diagonal": [(1, -1), (2, -1), (3, 1)],
+    "mixed-diagonal": [(0, -1), (1, -1), (3, 1)],
+    "equal-rows": [(0, -1), (1, 0), (2, -1), (3, 1)],
+    "rows-differ": [(1, -1), (2, -1), (3, 1)],
 }
 
 
 def _edit_runs(kind: str, rows: list[list[int]], runs: list[tuple[int, int]]) -> list[list[int]]:
     """A K_P Seidel matrix edited, keeping its runs, so that a run that
     _column_runs merges is not exchangeable, or in "equal-rows" is
-    exchangeable with b = 0; a run that is not is planned column by
+    exchangeable with b = 0; a run that is not stays one class per
     column."""
     if kind == "chained":
-        # times 3, every coefficient costs two additions; every run is
-        # still exchangeable, so every run is packed
+        # times 3, with no entry +-1; every run is still exchangeable
         return [[3 * x for x in row] for row in rows]
     if kind == "off-diagonal":
         # row 2 holds 1 below its diagonal and 2 above it in the first part
-        # (two 1s and one 2 at fold 0): columns 1, 2 and 3 are a chain of
+        # (two 1s and one 2 in a part of 4): columns 1, 2 and 3 are a chain of
         # pairwise twins, each agreeing with the next outside their own two
         # rows, with A[2][1] != A[2][3]
         lo, hi = runs[0]
@@ -408,17 +355,15 @@ def _edit_runs(kind: str, rows: list[list[int]], runs: list[tuple[int, int]]) ->
 
 
 @pytest.mark.parametrize("kind", ["chained", "off-diagonal", "mixed-diagonal", "equal-rows", "rows-differ"])
-@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
-def test_runs_refused_the_carry_match_reference(fold, kind):
-    rows = [list(r) for r in seidel_matrix(complete_multipartite(Partition(PACKED_PARTS[fold]))).rows]
-    runs = _column_runs(rows)
-    rows = _edit_runs(kind, rows, runs)
-    assert _column_runs(rows) == runs
-    with pytest.MonkeyPatch.context() as mp:
-        if fold is not None:
-            mp.setattr(exactalg, "_FOLD_MIN", fold)
-        assert _oracle_plan(rows)[1] == PACKED_AFTER[fold, kind] == _packed(rows)
-        assert charpoly_oracle(rows) == reference_charpoly(rows)
+@pytest.mark.parametrize("path", ["runs", "default"])
+def test_runs_refused_the_carry_match_reference(path, kind):
+    for parts in EDITED_PARTS:
+        rows = [list(r) for r in seidel_matrix(complete_multipartite(Partition(parts))).rows]
+        runs = _column_runs(rows)
+        rows = _edit_runs(kind, rows, runs)
+        assert _column_runs(rows) == runs
+        assert _exchangeable(rows) == [(*runs[o], b) for o, b in EXCHANGEABLE_AFTER[kind]]
+        assert charpoly_oracle(laid_out(path, rows)) == reference_charpoly(rows)
 
 
 def _read_by_chained_rows(n1: int, n2: int) -> list[list[int]]:
@@ -435,59 +380,41 @@ def _read_by_chained_rows(n1: int, n2: int) -> list[list[int]]:
     return rows
 
 
-@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
-def test_run_read_by_chained_rows_is_refused(fold):
-    # the middle run is planned column by column, and no row on the run
-    # path is built from the row before; at the default fold the two
-    # packed runs fold 22 * 11 entries, fewer than _FOLD_MIN, so the plan
-    # packs nothing and its row program builds each row from its entries
-    # or from the previous row
-    n1, n2 = (3, 3) if fold == 0 else (11, 11)
-    rows = _read_by_chained_rows(n1, n2)
-    n = len(rows)
-    assert _column_runs(rows) == [(0, 2), (2, 2 + n1), (2 + n1, n)]
-    assert _exchangeable(rows) == [(0, 2, -1), (2 + n1, n, -1)]
-    with pytest.MonkeyPatch.context() as mp:
-        if fold is not None:
-            mp.setattr(exactalg, "_FOLD_MIN", fold)
-        program, packed = _oracle_plan(rows)
-        if fold == 0:
-            assert packed == [(0, 2, -1), (2 + n1, n, -1)]
-            assert _held_rows_start_from_combinations(rows, program, packed)
-        else:
-            assert packed == [] and len(program) == n
-        assert charpoly_oracle(rows) == reference_charpoly(rows)
+@pytest.mark.parametrize("path", ["runs", "default"])
+def test_run_read_by_chained_rows_is_refused(path):
+    # the middle run stays one class per column, and the quotient's rows
+    # for it differ from the row before only in the first run's column
+    for n1, n2 in [(3, 3), (11, 11)]:
+        rows = _read_by_chained_rows(n1, n2)
+        n = len(rows)
+        assert _column_runs(rows) == [(0, 2), (2, 2 + n1), (2 + n1, n)]
+        assert _exchangeable(rows) == [(0, 2, -1), (2 + n1, n, -1)]
+        assert len(_run_quotient(rows)[0]) == 2 + n1
+        assert charpoly_oracle(laid_out(path, rows)) == reference_charpoly(rows)
 
 
 @pytest.mark.parametrize(
     "parts", [[24, 23, 1], [1] * 40, [6, 5, 1], [1] * 10], ids=["24,23,1", "1*40", "6,5,1", "1*10"]
 )
 def test_carried_runs_beside_one_column_runs_match_reference(parts):
-    # a packed run next to a one-column run, whose row takes c*I itself,
-    # and one packed run with diagonal correction +1, at both folds
+    # a reduced run next to a one-column run, and one reduced run with
+    # diagonal correction +1, as built and relabelled
     rows = seidel_matrix(complete_multipartite(Partition(parts))).rows
     expected = reference_charpoly(rows)
-    for fold in (0, None):
-        with pytest.MonkeyPatch.context() as mp:
-            if fold is not None:
-                mp.setattr(exactalg, "_FOLD_MIN", fold)
-            assert charpoly_oracle(rows) == expected
+    for path in ("runs", "default"):
+        assert charpoly_oracle(laid_out(path, rows)) == expected
 
 
 @pytest.mark.parametrize("parts", ["16*4", "2,62*1", "4*16", "32*2"])
 def test_order_64_packed_runs_match_reference(parts):
-    # every run packed: sixteen of 4, one of 2 beside 62 merged
-    # singletons (b = +1), four of 16, thirty-two of 2
+    # every run reduced: sixteen of 4, one of 2 beside 62 merged
+    # singletons (b = +1), four of 16, thirty-two of 2; relabelled, the
+    # whole order-64 recurrence
     rows = seidel_matrix(complete_multipartite(Partition.parse(parts))).rows
     expected = reference_charpoly(rows)
-    for fold in (0, None):
-        with pytest.MonkeyPatch.context() as mp:
-            if fold is not None:
-                mp.setattr(exactalg, "_FOLD_MIN", fold)
-            packed = _oracle_plan(rows)[1]
-            assert packed == _exchangeable(rows)
-            assert [(lo, hi) for lo, hi, _ in packed] == _column_runs(rows)
-            assert charpoly_oracle(rows) == expected
+    assert [(lo, hi) for lo, hi, _ in _exchangeable(rows)] == _column_runs(rows)
+    for path in ("runs", "default"):
+        assert charpoly_oracle(laid_out(path, rows)) == expected
 
 
 @st.composite
@@ -519,45 +446,89 @@ def twin_blow_ups(draw, min_n: int = 22, max_n: int = 40) -> tuple[list[int], li
     return bounds, rows
 
 
-@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
+@pytest.mark.parametrize("path", ["runs", "default"])
 @settings(max_examples=15, deadline=None)
 @given(twin_blow_ups())
-def test_twin_blow_ups_match_reference(fold, case):
-    # a block that is a whole column run is exchangeable, so it is packed
-    # wherever the plan packs runs
+def test_twin_blow_ups_match_reference(path, case):
+    # a block that is a whole column run is exchangeable, so it is one
+    # class of the quotient
     bounds, rows = case
     blocks = {(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo + 1}
-    with pytest.MonkeyPatch.context() as mp:
-        if fold is not None:
-            mp.setattr(exactalg, "_FOLD_MIN", fold)
-        packed = _oracle_plan(rows)[1]
-        assert packed == _packed(rows)
-        if fold == 0:
-            assert blocks & set(_column_runs(rows)) <= {(lo, hi) for lo, hi, _ in packed}
-        assert charpoly_oracle(rows) == reference_charpoly(rows)
+    assert blocks & set(_column_runs(rows)) <= {(lo, hi) for lo, hi, _ in _exchangeable(rows)}
+    assert charpoly_oracle(laid_out(path, rows)) == reference_charpoly(rows)
 
 
-@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
-@settings(max_examples=50, deadline=None)
-@given(st.one_of(integer_matrices(), repeating_row_matrices(), twin_blow_ups().map(lambda case: case[1])))
-def test_plan_reads_earlier_registers_and_ends_with_the_held_rows(fold, rows):
-    # the q-th instruction appends register base + 1 + q, so its start and
-    # terms name registers below that; run on unpacked rows from M_1 = I,
-    # its last width instructions leave A's full rows, then each packed
-    # run's W' = row lo of A less b on the diagonal, in register order
-    with pytest.MonkeyPatch.context() as mp:
-        if fold is not None:
-            mp.setattr(exactalg, "_FOLD_MIN", fold)
-        program, packed = _oracle_plan(rows)
-        got = charpoly_oracle(rows)
-    width, base = _plan_registers(rows, packed)
-    for q, (start, terms) in enumerate(program):
-        assert all(0 <= j < base + 1 + q for j in [start, *(j for j, _ in terms)])
-    inside = {i for lo, hi, _ in packed for i in range(lo, hi)}
-    held = [list(row) for i, row in enumerate(rows) if i not in inside]
-    held += [[x - b * (j == lo) for j, x in enumerate(rows[lo])] for lo, _, b in packed]
-    assert len(program) >= width and _first_pass(rows, program, packed) == held
-    assert got == reference_charpoly(rows)
+@st.composite
+def integer_blow_ups(draw, max_k: int = 6) -> list[list[int]]:
+    """A random integer core C of order k, not symmetric, with vertex r
+    blown up into a class of 1 to 5 consecutive twins.
+
+    Class r holds C[r][s] against class s and, inside itself, C[r][r] off
+    the diagonal and C[r][r] + b_r on it, b_r = 0 included.  If drawn, one
+    entry anywhere then takes a new value, which can break a run.
+    """
+    k = draw(st.integers(1, max_k))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    core = [[draw(entries) for _ in range(k)] for _ in range(k)]
+    offsets = [draw(st.one_of(st.just(0), entries)) for _ in range(k)]
+    block = [r for r, size in enumerate(sizes) for _ in range(size)]
+    rows = [[core[r][s] + (i == j) * offsets[r] for j, s in enumerate(block)] for i, r in enumerate(block)]
+    if draw(st.booleans()):
+        n = len(rows)
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(entries)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_blow_ups())
+def test_integer_blow_ups_match_reference(rows):
+    assert charpoly_oracle(rows) == reference_charpoly(rows)
+
+
+# runs (0, 3) with v = -1, b = 2 and (3, 5) with v = 5, b = -3 beside a
+# column of its own; the core is not symmetric
+TWO_OFFSETS = [
+    [1, -1, -1, 4, 4, 7],
+    [-1, 1, -1, 4, 4, 7],
+    [-1, -1, 1, 4, 4, 7],
+    [0, 0, 0, 2, 5, -2],
+    [0, 0, 0, 5, 2, -2],
+    [3, 3, 3, 1, 1, 6],
+]
+# a column run (0, 2) whose rows hold 1 and 2 off the diagonal in it, so
+# _exchange_offset refuses it
+REFUSED_RUN = [[0, 1, 5], [2, 0, 5], [3, 3, 4]]
+
+
+@pytest.mark.parametrize(
+    "rows, quotient, roots",
+    [
+        ([], [], []),
+        ([[3]], [[3]], []),
+        ([[0, 1], [1, 0]], [[1]], [-1]),
+        ([[4, 4], [4, 4]], [[8]], [0]),
+        ([[2, 5], [7, 2]], [[2, 5], [7, 2]], []),
+        (REFUSED_RUN, REFUSED_RUN, []),
+        (TWO_OFFSETS, [[-1, 8, 7], [0, 7, -2], [9, 2, 6]], [2, 2, -3]),
+    ],
+    ids=["order-0", "order-1", "order-2-run", "order-2-b0", "order-2-refused", "refused", "two-offsets"],
+)
+def test_run_quotient_cases(rows, quotient, roots):
+    assert _run_quotient(rows) == (quotient, roots)
+    expected = reference_charpoly(rows)
+    assert reference_charpoly(quotient) * IntPoly.from_roots(roots) == expected
+    assert charpoly_oracle(rows) == expected
+
+
+def test_complete_multipartite_reduces_to_its_runs():
+    # each part of two or more vertices is one class with b = -1, equal
+    # adjacent sizes kept apart, and the three singletons one class with
+    # b = +1
+    p = Partition([19, 15, 4, 4, 3, 1, 1, 1])
+    rows = seidel_matrix(complete_multipartite(p)).rows
+    quotient, roots = _run_quotient(rows)
+    assert len(quotient) == 6 and sorted(roots) == [-1] * 40 + [1] * 2
+    assert charpoly_oracle(rows) == CLOSED_FORMS["product"](p).expanded
 
 
 @st.composite
@@ -586,69 +557,31 @@ def twin_class_graphs(draw, min_n: int = 22, max_n: int = 64) -> Graph:
     )
 
 
-@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
+@pytest.mark.parametrize("path", ["runs", "default"])
 @settings(max_examples=40, deadline=None)
 @given(twin_class_graphs(), st.lists(st.integers(1, 4), min_size=3, max_size=64).map(Partition))
-def test_package_matrices_have_only_exchangeable_runs(fold, g, p):
+def test_package_matrices_have_only_exchangeable_runs(path, g, p):
     # in a symmetric matrix with a constant diagonal, run columns j-1, j and
     # j+1 give S[j-1][j] = S[j-1][j+1] = S[j][j+1], so every column run is
     # exchangeable; so is every run of a quotient with k >= 3, a stretch of
-    # equal parts.  The plan then packs every run of two or more columns
-    # wherever it packs, and builds no row from the row before
-    for rows in (seidel_matrix(g).rows, quotient_matrix(p).rows):
-        runs = [(lo, hi) for lo, hi in _column_runs(rows) if hi > lo + 1]
-        assert all(_exchange_offset(rows, lo, hi) is not None for lo, hi in runs)
-        with pytest.MonkeyPatch.context() as mp:
-            if fold is not None:
-                mp.setattr(exactalg, "_FOLD_MIN", fold)
-            program, packed = _oracle_plan(rows)
-        if fold == 0 or packed:
-            assert [(lo, hi) for lo, hi, _ in packed] == runs
-            assert _held_rows_start_from_combinations(rows, program, packed)
+    # equal parts.  Every run of two or more columns is then reduced.  The
+    # Seidel matrix is checked against the reference up to its order, and
+    # past it against the batched kernel, which reduces nothing
+    rows, quotient = seidel_matrix(g).rows, quotient_matrix(p).rows
+    for matrix in (rows, quotient):
+        runs = [(lo, hi) for lo, hi in _column_runs(matrix) if hi > lo + 1]
+        assert all(_exchange_offset(matrix, lo, hi) is not None for lo, hi in runs)
+    expected = reference_charpoly(rows) if g.n <= REFERENCE_MAX_N else seidel_charpolys([g])[0]
+    assert charpoly_oracle(laid_out(path, rows)) == expected
+    assert charpoly_oracle(laid_out(path, quotient)) == CLOSED_FORMS["product"](p).residual
 
 
-@pytest.mark.parametrize("fold", [0, None], ids=["runs", "default"])
+@pytest.mark.parametrize("path", ["runs", "default"])
 @pytest.mark.parametrize(
     "rows", [[], [[0]], [[1]], [[-7]], [[ENTRY_BOUND]]], ids=["empty", "0", "1", "-7", "bound"]
 )
-def test_orders_zero_and_one(fold, rows):
-    with pytest.MonkeyPatch.context() as mp:
-        if fold is not None:
-            mp.setattr(exactalg, "_FOLD_MIN", fold)
-        assert charpoly_oracle(rows) == reference_charpoly(rows)
-
-
-def test_plan_carries_each_summed_run():
-    # every part of two or more vertices is packed with diagonal
-    # correction -1, and the run of merged singletons, -1 off the diagonal,
-    # with +1; the lone singleton of (24,23,1) is a one-column run, held
-    # as its row of M in register 0.  The o-th packed run's W is register
-    # f + o, f the rows held in full; its sum n_r W + g I starts from its
-    # diagonal term register and adds n_r W, and W is read by that sum and
-    # by its one row of A*M, W's next value, and by nothing else.
-    for parts, packed, single in [
-        (
-            [19, 15, 4, 4, 3, 1, 1, 1],
-            [(0, 19, -1), (19, 34, -1), (34, 38, -1), (38, 42, -1), (42, 45, -1), (45, 48, 1)],
-            [],
-        ),
-        ([24, 23, 1], [(0, 24, -1), (24, 47, -1)], [(47, 48)]),
-    ]:
-        rows = seidel_matrix(complete_multipartite(Partition(parts))).rows
-        program, got = _oracle_plan(rows)
-        assert got == packed == _exchangeable(rows)
-        assert [(lo, hi) for lo, hi in _column_runs(rows) if hi == lo + 1] == single
-        f = len(single)
-        width = f + len(packed)
-        readers: dict[int, list[int]] = {}
-        for step, (start, terms) in enumerate(program):
-            for j in [start] + [j for j, _ in terms]:
-                readers.setdefault(j, []).append(step)
-        for o, (lo, hi, b) in enumerate(packed):
-            row = len(program) - width + f + o
-            assert program[o] == (width + 1 + o, ((f + o, hi - lo),))
-            assert program[row][1] == ((f + o, b),)
-            assert readers[f + o] == [o, row]
+def test_orders_zero_and_one(path, rows):
+    assert charpoly_oracle(laid_out(path, rows)) == reference_charpoly(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -724,22 +657,26 @@ def test_paley_conference_matrices(q):
 )
 def test_lane_bound_matrices_through_runs(rows, expected, carried):
     # Hadamard's inequality holds with equality, so the work matrices fill
-    # their lanes; with every run summed, H_4 carries its run of columns
-    # 1-2 (diagonal correction -2) and every other row takes c*I itself
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactalg, "_FOLD_MIN", 0)
-        assert _oracle_plan(rows)[1] == carried == _exchangeable(rows)
-        got = charpoly_oracle(rows)
+    # their lanes; H_4 reduces its run of columns 1-2 (diagonal correction
+    # -2) to order 3, and no other matrix here has a run to reduce
+    assert _exchangeable(rows) == carried
+    got = charpoly_oracle(rows)
     assert got == expected
     if len(rows) <= REFERENCE_MAX_N:
         assert got == reference_charpoly(rows)
 
 
 @settings(max_examples=8, deadline=None)
-@given(partitions_up_to(64))
-@example(Partition([1] * 64))
-def test_order_64_complete_multipartite_matches_closed_form(p):
-    oracle = charpoly_oracle(seidel_matrix(complete_multipartite(p)))
+@given(partitions_up_to(64), st.randoms(use_true_random=False))
+@example(Partition([1] * 64), random.Random(0))
+def test_order_64_complete_multipartite_matches_closed_form(p, rng):
+    # as built, the oracle reduces K_P by its parts; relabelled, the twins
+    # are scattered and the whole recurrence runs
+    g = complete_multipartite(p)
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    oracle = charpoly_oracle(seidel_matrix(g))
+    assert charpoly_oracle(seidel_matrix(g.relabel(perm))) == oracle
     for name, form in CLOSED_FORMS.items():
         assert form(p).expanded == oracle, name
 
