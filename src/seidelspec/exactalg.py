@@ -2,7 +2,8 @@
 
 Coefficients and entries are Python ints, so everything in this module is
 exact; no floating point is used anywhere here.  Values are immutable after
-construction.
+construction.  The run finder (``_run_classes``) only compares entries,
+and ``spectra.symmetric_eigenvalues`` runs it on float rows as well.
 """
 
 from __future__ import annotations
@@ -317,17 +318,26 @@ def _column_runs(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """The column runs [lo, hi) of a square matrix, in order.
 
     A run is a maximal stretch of consecutive columns in which each column
-    agrees with the one before it in every row except those two columns'
-    own rows.  In the Seidel matrix of K_P the runs are the parts, with
-    adjacent parts of size 1 merged into one run.
+    has the diagonal entry of the one before it and agrees with it in
+    every row except those two columns' own rows.  In the Seidel matrix of
+    K_P the runs are the parts, with adjacent parts of size 1 merged into
+    one run.  Every exchangeable run has one diagonal value, so the
+    diagonal entries are compared first, and the columns only where two
+    adjacent diagonal entries are equal: a matrix without such a pair has
+    only runs of one column, found in n - 1 comparisons.  The entries may be
+    ints or floats, -0.0 and 0.0 comparing equal.
     """
     n = len(rows)
-    cols = list(zip(*rows))
+    cols = None
     bounds = [0]
     for j in range(1, n):
-        a, b = cols[j - 1], cols[j]
-        if a[: j - 1] != b[: j - 1] or a[j + 1 :] != b[j + 1 :]:
-            bounds.append(j)
+        if rows[j][j] == rows[j - 1][j - 1]:
+            if cols is None:
+                cols = list(zip(*rows))
+            a, b = cols[j - 1], cols[j]
+            if a[: j - 1] == b[: j - 1] and a[j + 1 :] == b[j + 1 :]:
+                continue
+        bounds.append(j)
     bounds.append(n)
     return list(zip(bounds, bounds[1:]))
 
@@ -337,11 +347,12 @@ def _exchange_offset(rows: Sequence[Sequence[int]], lo: int, hi: int) -> int | N
     exchangeable, else None.
 
     The run is exchangeable when its rows agree outside its own block and
-    each holds one value v in the block off the diagonal and v + b on it,
-    checked entry by entry.  Swapping any two of its columns together with
-    their rows then fixes the matrix: the rows agree outside the block,
-    the columns agree outside the block's rows (a column run), and inside
-    the block the swap maps v to v and v + b to v + b.
+    each holds one value v in the block off the diagonal, checked entry by
+    entry; on the diagonal a column run holds one value, v + b.  Swapping
+    any two of its columns together with their rows then fixes the
+    matrix: the rows agree outside the block, the columns agree outside
+    the block's rows (a column run), and inside the block the swap maps v
+    to v and v + b to v + b.
     """
     top = rows[lo]
     v, d = top[lo + 1], top[lo]
@@ -351,7 +362,7 @@ def _exchange_offset(rows: Sequence[Sequence[int]], lo: int, hi: int) -> int | N
     for i in range(lo, hi):
         row = rows[i]
         span = row[lo:hi]
-        if span[i - lo] != d or span.count(v) != count or row[:lo] != left or row[hi:] != right:
+        if span.count(v) != count or row[:lo] != left or row[hi:] != right:
             return None
     return d - v
 
@@ -362,42 +373,53 @@ _nonzero = itemgetter(1)
 
 def _row_program(rows: Sequence[Sequence[int]]) -> list:
     """How ``charpoly_oracle`` builds the rows of A*M from those of M, as
-    one instruction (start, terms) per row: register start plus a *
-    register j over its terms (j, a).  Registers 0..n-1 hold the rows of
-    M and register n holds 0; row i of A*M, appended as register n + 1 + i,
-    starts from 0 and adds row i's own nonzero entries, or starts from row
-    i-1 of A*M and adds (a_ij - a_(i-1)j) * M_j where the rows differ, if
-    that costs fewer additions."""
+    one (chained, terms) per row: row i of A*M is the sum of a * M_j over
+    its terms (j, a), added to 0, or, if chained, to row i-1 of A*M.  Row
+    i is chained, with the terms (a_ij - a_(i-1)j) where the rows differ,
+    if that costs fewer additions than its own nonzero entries."""
     n = len(rows)
     program = []
     prev = None
     for row in rows:
         if prev is not None and 2 * sum(map(ne, row, prev)) < n - row.count(0):
-            # register n + len(program) holds row i-1 of A*M
-            program.append((n + len(program), tuple(filter(_nonzero, enumerate(map(sub, row, prev))))))
+            program.append((True, tuple(filter(_nonzero, enumerate(map(sub, row, prev))))))
         else:
-            program.append((n, tuple(filter(_nonzero, enumerate(row)))))
+            program.append((False, tuple(filter(_nonzero, enumerate(row)))))
         prev = row
     return program
 
 
-def _run_quotient(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """(B, roots): the quotient of a square matrix by its exchangeable
-    column runs, and b_r taken n_r - 1 times for each such run r.
+def _run_classes(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The classes [lo, hi) of a square matrix's run quotient, in order.
 
     Each column run of two or more columns that ``_exchange_offset``
-    accepts is one class, of n_r columns with offset b_r, and every other
-    column is a class of its own.  B[r][s] is the sum of row lo_r over the
-    columns of class s, lo_r the first index of class r.
+    accepts is one class, and every other column is a class of its own.
+    ``charpoly_oracle`` and ``spectra.symmetric_eigenvalues`` both reduce
+    by these classes.
     """
+    runs = _column_runs(rows)
+    if len(runs) == len(rows):
+        # every run is one column, a class as it stands
+        return runs
     classes: list[tuple[int, int]] = []
-    roots: list[int] = []
-    for lo, hi in _column_runs(rows):
-        if hi > lo + 1 and (b := _exchange_offset(rows, lo, hi)) is not None:
+    for lo, hi in runs:
+        if hi > lo + 1 and _exchange_offset(rows, lo, hi) is not None:
             classes.append((lo, hi))
-            roots += [b] * (hi - lo - 1)
         else:
             classes += [(j, j + 1) for j in range(lo, hi)]
+    return classes
+
+
+def _run_quotient(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """(B, roots): the quotient of a square matrix by its ``_run_classes``,
+    and b_r taken n_r - 1 times for each class r of n_r columns.
+
+    B[r][s] is the sum of row lo_r over the columns of class s, lo_r the
+    first index of class r, and b_r is d_r - v_r, its diagonal entry less
+    the value off its diagonal in its block.
+    """
+    classes = _run_classes(rows)
+    roots = [rows[lo][lo] - rows[lo][lo + 1] for lo, hi in classes for _ in range(lo + 1, hi)]
     quotient = [[sum(rows[lo][a:z]) for a, z in classes] for lo, _ in classes]
     return quotient, roots
 
@@ -472,10 +494,11 @@ def charpoly_oracle(matrix) -> IntPoly:
     for step in range(1, k + 1):
         if c:
             work = [row + (c << s) for row, s in zip(work, shifts)]
-        # register k holds 0, then one register per row of B*M
-        work.append(0)
-        for i, terms in program:
-            acc = work[i]
+        product = []
+        acc = 0
+        for chained, terms in program:
+            if not chained:
+                acc = 0
             for j, a in terms:
                 if a == 1:
                     acc += work[j]
@@ -483,8 +506,8 @@ def charpoly_oracle(matrix) -> IntPoly:
                     acc -= work[j]
                 else:
                     acc += a * work[j]
-            work.append(acc)
-        del work[: k + 1]
+            product.append(acc)
+        work = product
         t = -bias
         for row, s in zip(work, lows):
             t += ((((row >> s) & window) + rounding) >> 1) & lane

@@ -514,16 +514,19 @@ def least_eigenvalue_bound(p: Partition) -> EigenvalueBound:
 def symmetrize_quotient(b: IntMatrix, p: Partition) -> list[list[float]]:
     """Similarity transform of the quotient by diag(1/sqrt(n_i)).
 
-    Entry (i,j) becomes b_ij * sqrt(n_i / n_j); off the diagonal this is
-    -sqrt(n_i n_j), so the result is symmetric (up to rounding) with the
-    same spectrum as the quotient.
+    Entry (i,j) becomes b_ij / n_j * sqrt(n_i n_j), which is b_ij
+    sqrt(n_i / n_j).  The quotient of a symmetric matrix has b_ij n_i =
+    b_ji n_j, so b_ij / n_j and b_ji / n_i are one rational, rounded once
+    to one float, and n_i n_j is one exact integer: the result is
+    symmetric bit for bit, with the same spectrum as the quotient.  For
+    K_P the off-diagonal entries are -sqrt(n_i n_j).
     """
     ns = p.parts
     k = p.k
     if b.n != k:
         raise DimensionError(f"quotient has dimension {b.n}, partition has {k} parts")
     return [
-        [b.rows[i][j] * math.sqrt(ns[i] / ns[j]) for j in range(k)]
+        [b.rows[i][j] / ns[j] * math.sqrt(ns[i] * ns[j]) for j in range(k)]
         for i in range(k)
     ]
 

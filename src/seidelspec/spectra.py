@@ -8,19 +8,18 @@ exact/numeric comparisons, 1e-6 for scaled polynomial residuals.  The
 tridiagonalisation skips a row whose off-diagonal 1-norm on the scaled
 matrix is at most EIGEN_CONVERGENCE instead of reflecting it; by Weyl's
 inequality all the skips together move no eigenvalue by more than
-(n - 2) * EIGEN_CONVERGENCE times the scale, and since S + I of K_P has
-rank k, a K_P spectrum costs about k reflections instead of n - 2.
-Two vertices of one part are twins: their rows are equal once their own
-two entries are swapped.  Each step reflects one row per run of twins and
-copies the rest, with the same bits as reflecting every row, so at order
-64 a K_P eigensolve takes about 1.6 ms instead of 4.5 ms (8 parts, one
-shared core, Python 3.11).
+(n - 2) * EIGEN_CONVERGENCE times the scale.
+Before either step the matrix is reduced by the exchangeable runs that
+``charpoly_oracle`` reduces by (``exactalg._run_classes``): a run of n_r
+twin rows gives d_r - v_r, n_r - 1 times, and only the symmetric core of
+one row and column per run is reduced, so the Seidel matrix of K_P is
+solved as a core of at most k rows (adjacent singleton parts make one
+run) beside -1 with multiplicity n - k.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from itertools import chain, starmap
 from operator import eq, mul
@@ -36,7 +35,7 @@ from .errors import (
     TheoremViolationError,
     ZeroPolynomialError,
 )
-from .exactalg import IntMatrix, IntPoly
+from .exactalg import IntMatrix, IntPoly, _run_classes
 from .graphs import check_graph_order, complete_multipartite, seidel_matrix
 from .multipartite import (
     EigenvalueBound,
@@ -54,7 +53,6 @@ EIGEN_CONVERGENCE = 1e-12
 COMPARISON_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
 SYMMETRY_TOL = 1e-10
-_TWIN_MIN_ORDER = 12  # below it, finding twin rows costs more than it saves
 _MAX_QL_ITERATIONS = 30  # per eigenvalue, as in EISPACK tql1
 
 
@@ -78,39 +76,14 @@ def _bitwise_symmetric(a: list[list[float]], pack) -> bool:
     return all(map(eq, starmap(pack, a), map(pack, *a)))
 
 
-def _twin_rows(a: list[list[float]], pack) -> list[int]:
-    """The rows j, ascending, that are row j - 1 with entries j - 1 and j
-    swapped, bit for bit (signed zeros included); pack(*row) is the
-    bytes of a row."""
-    twins = []
-    rows = None
-    for j in range(1, len(a)):
-        # equal diagonal entries first, which most rows without a twin fail
-        if a[j][j] != a[j - 1][j - 1]:
-            continue
-        if rows is None:
-            rows = list(starmap(pack, a))
-        row, prev = rows[j], rows[j - 1]
-        lo, mid, hi = 8 * j - 8, 8 * j, 8 * j + 8
-        if (
-            row[mid:hi] == prev[lo:mid]
-            and row[lo:mid] == prev[mid:hi]
-            and row[:lo] == prev[:lo]
-            and row[hi:] == prev[hi:]
-        ):
-            twins.append(j)
-    return twins
-
-
-def _tridiagonalize(a: list[list[float]], pack) -> tuple[list[float], list[float]]:
+def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
     """Diagonal d and subdiagonal e (e[i] couples i - 1 and i, e[0] = 0).
 
     Householder reduction of the symmetric rows a, last row first
     (EISPACK tred2 without accumulating the transformations).  Step i
     reflects the leading i x i block and rebuilds its rows at length i,
     so every dot product is one fsum over two whole rows.  a must be
-    exactly symmetric, bit for bit, as symmetric_eigenvalues makes it,
-    and pack(*row) is the bytes of one of its rows.
+    exactly symmetric, bit for bit, as symmetric_eigenvalues makes it.
 
     Row i counts as already reduced when the 1-norm of its off-diagonal
     part, row[:i], is at most EIGEN_CONVERGENCE: e[i] keeps row[i - 1],
@@ -120,48 +93,22 @@ def _tridiagonalize(a: list[list[float]], pack) -> tuple[list[float], list[float
     +-||v||_2 <= ||v||_1 <= EIGEN_CONVERGENCE, so by Weyl's inequality one
     skip moves no eigenvalue by more than EIGEN_CONVERGENCE, and the n - 2
     steps that can skip move none by more than (n - 2) * EIGEN_CONVERGENCE.
-    symmetric_eigenvalues scales the largest entry into [0.5, 1) first,
-    so that is (n - 2) * EIGEN_CONVERGENCE * 2^shift on the caller's
-    matrix, the same absolute scale as _tql1's deflation.  S + I of K_P
-    has rank k, so after about k reflections every row left is roundoff
-    and is skipped; a dense matrix skips none.
-
-    Twin rows are reflected once.  Row j is a twin when it is row j - 1
-    with entries j - 1 and j swapped, bit for bit, as the rows of two
-    vertices of one part of K_P are.  With a symmetric, every other row
-    then has equal entries j - 1 and j, so the matrix is invariant under
-    the swap t of j - 1 and j taken on rows and columns together:
-    A[t(r)][t(c)] is A[r][c], bit for bit.  Step i keeps that invariance
-    for every twin j <= i - 2, by induction.  u is row i over scale, and
-    t fixes i, so u[j - 1] = u[j].  Then p[j] sums the products
-    A[j][c] u[c], which are the products A[j - 1][t(c)] u[t(c)] of
-    p[j - 1] in another order; math.fsum rounds the exact sum of a
-    multiset once, whatever its order, so p[j] is p[j - 1], and q, made
-    entrywise from p and u, is invariant as well.  The new entry
-    A[r][c] - u[r] q[c] - q[r] u[c] is then the same floating-point
-    operations on the same floats as the new entry at (t(r), t(c)), so
-    the new block is invariant, and its row j is its row j - 1 swapped:
-    a twin row takes p[j - 1] and that copy in place of one fsum and one
-    rank-two update, and only the other rows, the leads, are updated.
-    Step i changes u[i - 1], which breaks the invariance for the pair
-    (i - 2, i - 1), so row i - 1 is made a lead first (so are the twins
-    already eliminated); a skipped step changes nothing.  (d, e)
-    are those of the row-by-row reduction, bit for bit.
-    Below order _TWIN_MIN_ORDER no twin is looked for: there the search
-    costs more than the reflections it saves.
+    symmetric_eigenvalues scales the largest entry of its matrix A into
+    [0.5, 1) and hands over the core of A's runs, whose entries each sum
+    up to n_r scaled entries of A, so they reach up to N times that range,
+    N the order of A.  The bound stays absolute: (n - 2) *
+    EIGEN_CONVERGENCE * 2^shift on the caller's matrix, the same scale as
+    _tql1's deflation.  A matrix near rank r skips every row left after
+    about r reflections, as roundoff; a dense matrix skips none.
     """
     n = len(a)
     d = [0.0] * n
     e = [0.0] * n
-    twins = _twin_rows(a, pack) if n >= _TWIN_MIN_ORDER else []
-    leads = list(range(n))
-    for j in reversed(twins):
-        del leads[j]
-    for i in range(n - 1, 0, -1):
+    for i in range(n - 1, 1, -1):
         row = a[i]
         d[i] = row[i]
         scale = math.fsum(map(abs, row[:i]))
-        if i == 1 or scale <= EIGEN_CONVERGENCE:
+        if scale <= EIGEN_CONVERGENCE:
             e[i] = row[i - 1]
             continue
         u = [v / scale for v in row[:i]]
@@ -171,25 +118,16 @@ def _tridiagonalize(a: list[list[float]], pack) -> tuple[list[float], list[float
         e[i] = scale * g
         h -= f * g
         u[-1] = f - g
-        # u[i - 1] has changed, so rows i - 2 and i - 1 are twins no more
-        while twins and twins[-1] >= i - 1:
-            insort(leads, twins.pop())
-        # every row is in one of the two lists, and every twin is below i
-        block = leads[: i - len(twins)]
-        # P = I - u u^T / h; P A P = A - u q^T - q u^T, row by row on the
-        # leads, and a twin row j takes p[j - 1] and the new row j - 1 swapped
-        p = [math.fsum(map(mul, a[j], u)) / h for j in block]
-        for j in twins:
-            p.insert(j, p[j - 1])
+        # P = I - u u^T / h; P A P = A - u q^T - q u^T, row by row
+        p = [math.fsum(map(mul, a[j], u)) / h for j in range(i)]
         half = math.fsum(map(mul, u, p)) / (2.0 * h)
         q = [pj - half * uj for pj, uj in zip(p, u)]
-        for j in block:
+        for j in range(i):
             uj, qj = u[j], q[j]
             a[j] = [v - uj * qk - qj * uk for v, qk, uk in zip(a[j], q, u)]
-        for j in twins:
-            row = a[j - 1][:]
-            row[j - 1], row[j] = row[j], row[j - 1]
-            a[j] = row
+    # the leading 2 x 2 block is tridiagonal as it stands
+    if n > 1:
+        d[1], e[1] = a[1][1], a[1][0]
     d[0] = a[0][0]
     return d, e
 
@@ -198,13 +136,16 @@ def _tql1(d: list[float], e: list[float]) -> list[float]:
     """Eigenvalues of the symmetric tridiagonal (d, e), by implicit-shift QL.
 
     EISPACK tql1: e[m] is deflated once |e[m]| <= EIGEN_CONVERGENCE *
-    (|d[m]| + |d[m+1]| + 1).  The caller scales the largest matrix entry
-    into [0.5, 1), so the 1 is at most twice that entry: it lets a
-    coupling between two zero diagonal entries deflate (the QL shift
-    cannot pass through it), and a deflation still moves an eigenvalue
-    by at most 4 * EIGEN_CONVERGENCE times the matrix norm; the rows that
-    _tridiagonalize skips as already reduced add at most (n - 2) *
-    EIGEN_CONVERGENCE on the same scale (the proof is in its docstring).
+    (|d[m]| + |d[m+1]| + 1).  The caller scales the largest entry of its
+    matrix A into [0.5, 1) and passes the reduced core of A's runs, whose
+    entries reach up to N times that range (N the order of A) and whose
+    eigenvalues are among A's, so |d[m]| <= ||A||.  The 1 is at most
+    twice the largest entry of A: it lets a coupling between two zero
+    diagonal entries deflate (the QL shift cannot pass through it), and a
+    deflation still moves an eigenvalue by at most 4 * EIGEN_CONVERGENCE
+    * ||A||; the rows that _tridiagonalize skips as already reduced add
+    at most (n - 2) * EIGEN_CONVERGENCE on the same scale (the proof is
+    in its docstring).
     Each eigenvalue gets at most _MAX_QL_ITERATIONS QL steps.  d is
     overwritten and returned.
     """
@@ -265,6 +206,23 @@ def symmetric_eigenvalues(m) -> list[float]:
     work, and so does an eigenvalue beyond the float range.  The largest
     |a_ij - a_ji| may be at most SYMMETRY_TOL times the largest absolute
     entry, else AsymmetryError, so the verdict does not depend on scale.
+
+    Then the scaled matrix A, now bit-for-bit symmetric, is split along
+    the classes of ``exactalg._run_classes``, the exchangeable runs that
+    ``charpoly_oracle`` reduces by.  A run r of n_r rows [lo, hi) holds d_r
+    on its diagonal and v_r off it inside its block, and its rows agree
+    outside the block; A is symmetric, so its columns do too, and for lo <
+    i < hi, A(e_i - e_lo) = (d_r - v_r)(e_i - e_lo).  So span{e_i - e_lo}
+    is an invariant subspace of dimension n_r - 1 on which A is b_r = d_r
+    - v_r.  The class indicators 1_r span an invariant subspace too, as in
+    the oracle's (1), which is the orthogonal complement of all those
+    differences.  On its orthonormal basis 1_r / sqrt(n_r), one vector per
+    class, A is the core C with C_rr = d_r + (n_r - 1) v_r and C_rs = a_rs
+    sqrt(n_r n_s), a_rs any entry of A in the rows of r and the columns of
+    s.  C_sr is a_sr sqrt(n_s n_r), the same float product, so C is
+    symmetric bit for bit.  The eigenvalues of A are those of C and each
+    b_r, n_r - 1 times; only C is reduced, and a matrix with no run is its
+    own core.
     """
     a = _as_float_rows(m)
     n = len(a)
@@ -275,10 +233,9 @@ def symmetric_eigenvalues(m) -> list[float]:
         return [0.0] * n
     shift = math.frexp(big)[1]
     scaled = [[math.ldexp(v, -shift) for v in row] for row in a]
-    pack = Struct(f"{n}d").pack
     # scaled rows equal to their transpose byte for byte have asymmetry 0,
     # and averaging them would change no bit
-    if not _bitwise_symmetric(scaled, pack):
+    if not _bitwise_symmetric(scaled, Struct(f"{n}d").pack):
         asym = max(
             (abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i + 1, n)),
             default=0.0,
@@ -291,7 +248,19 @@ def symmetric_eigenvalues(m) -> list[float]:
             for j in range(i + 1, n):
                 v = (scaled[i][j] + scaled[j][i]) / 2.0
                 scaled[i][j] = scaled[j][i] = v
-    eigs = sorted(_tql1(*_tridiagonalize(scaled, pack)), reverse=True)
+    classes = _run_classes(scaled)
+    deflated = []
+    if len(classes) < n:
+        # (lo_r, n_r) per class
+        spans = [(lo, hi - lo) for lo, hi in classes]
+        core = [[scaled[i][j] * math.sqrt(ni * nj) for j, nj in spans] for i, ni in spans]
+        for r, (i, size) in enumerate(spans):
+            if size > 1:
+                d, v = scaled[i][i], scaled[i][i + 1]
+                core[r][r] = d + (size - 1) * v
+                deflated += [d - v] * (size - 1)
+        scaled = core
+    eigs = sorted(_tql1(*_tridiagonalize(scaled)) + deflated, reverse=True)
     try:
         return [math.ldexp(v, shift) for v in eigs]
     except OverflowError as exc:

@@ -197,21 +197,23 @@ class TestSpectrumBoundQuotient:
         [
             (
                 ("2,2,2",),
-                "ba22ff22fb774e6d1789ace9930c67e75b2b4d1ab6fe1d7afe43c76923d78d1a",
+                "7dd08677679749171bed452ca933ae73b5218f8f277995d48c7eb377e7d64d65",
             ),
             (
                 ("17,16,10,8,4,4,3,2", "--json"),
-                "5e598cd343034b5ce9a51b2cef1ae2ef99765a8d59a5e13735cbb200d2d7b4cb",
+                "f58013593bf64663cc6644f090ee19afb3a29117ef591f9fc4f96de46c8c9ea1",
             ),
             (
                 ("64*1", "--json"),
-                "1184d0ae74ba2ca58e84d34712b8fd430764f07473c810ca7fd38d90869e05e0",
+                "ac70e403e7809c1b21d66e476094211e0a22ffc0fbde44582e68d9d7d76ab70a",
             ),
         ],
     )
     def test_bound_output_pinned(self, capsys, argv, digest):
-        # SHA-256 of stdout recorded when bound solved and compared on its
-        # own; reading the verdict from spectrum_report must not change a byte
+        # SHA-256 of stdout, recorded when symmetric_eigenvalues began to
+        # deflate exchangeable runs (the least eigenvalue of 2,2,2 is now
+        # exactly -3.0) and symmetrize_quotient became symmetric by
+        # construction
         code, out, _ = run(capsys, "bound", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -221,24 +223,25 @@ class TestSpectrumBoundQuotient:
         [
             (
                 "17,16,10,8,4,4,3,2",
-                "ffb2c05f939ed23074b4f541ee6d7ee58a332bcc8dbaddcdf96cd1824e882580",
+                "546e7e5fd597eff7561da5ddf2f3bc0d2359e76ee775922649a9fd83032837a1",
             ),
             (
                 # 32 runs of two twin rows
                 "32*2",
-                "de3c01dd27a0e30174fae906096f2fc7e21706adfa3ccc8d475d1ab8465254fb",
+                "a3ace72fef26f7b36cb60e43d33b3f464eb3e03a00970b45316440c3b942c57f",
             ),
             (
                 # an order-16 partition of the benchmark's large catalog
                 "8,3,2,2,1",
-                "81dba7cc421de9c9061699521fa6d903b63f7620071264a6d0664136a30e8cb9",
+                "9b579e60386092548bc07bca44ba816132b0c80fae1460ade6345fbbdcf41d97",
             ),
         ],
     )
     def test_spectrum_json_output_pinned(self, capsys, partition, digest):
         # SHA-256 of the whole stdout, every eigenvalue's repr included,
-        # recorded when the reduction rebuilt every row of the leading
-        # block; reflecting each run of twin rows once must not change a byte
+        # recorded when symmetric_eigenvalues began to deflate exchangeable
+        # runs, so each part's -1s are exact, and symmetrize_quotient
+        # became symmetric by construction
         code, out, _ = run(capsys, "spectrum", partition, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -294,6 +294,16 @@ class TestSymmetrize:
             want = sorted(np.linalg.eigvals(np.array([list(r) for r in b.rows], dtype=float)).real)
             assert np.allclose(got, want, atol=1e-8)
 
+    def test_symmetric_bit_for_bit_up_to_order_12(self):
+        # b_ij / n_j and b_ji / n_i are one rational, rounded once, and
+        # n_i n_j one integer; the diagonal n_i - 1 is exact
+        for n in range(1, 13):
+            for p in partitions_of(n):
+                bt = symmetrize_quotient(quotient_matrix(p), p)
+                rows = [list(map(float.hex, row)) for row in bt]
+                assert rows == [list(col) for col in zip(*rows)], p
+                assert [bt[i][i] for i in range(p.k)] == [m - 1 for m in p.parts]
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             symmetrize_quotient(IntMatrix([[1]]), Partition([1, 1]))

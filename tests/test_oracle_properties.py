@@ -218,8 +218,8 @@ def column_run_matrices(draw, max_n: int = 12) -> tuple[list[int], list[list[int
     return bounds, rows
 
 
-# a run of all n columns: the diagonal varies, and row 2 holds -1 below
-# it and 4 above it
+# built as one run of all n columns, but the diagonal varies, so each
+# column is a run of its own; row 2 holds -1 below it and 4 above it
 WHOLE_RUN = [
     [7, 0, 0, 0],
     [3, 1, 0, 0],
@@ -265,23 +265,26 @@ def test_column_run_matrices_match_reference(path, case):
     # as built, each exchangeable run is one class of the quotient and a
     # run that is not exchangeable is one class per column
     bounds, rows = case
-    runs = _column_runs(rows)
-    # a run found never starts inside a run built
-    assert {lo for lo, _ in runs} <= set(bounds)
+    starts = {lo for lo, _ in _column_runs(rows)}
+    # a run found starts where the diagonal changes, and otherwise never
+    # inside a run built
+    changes = {j for j in range(1, len(rows)) if rows[j][j] != rows[j - 1][j - 1]}
+    assert changes <= starts <= set(bounds) | changes
     assert charpoly_oracle(laid_out(path, rows)) == reference_charpoly(rows)
 
 
 def test_column_runs_above_the_fold_match_reference():
-    # three runs of 8 at order 24, none exchangeable, as each row holds
-    # its own values below and above its diagonal: no run is reduced, and
-    # the quotient is the matrix itself
+    # three runs of 8 at order 24, each with one diagonal value, none
+    # exchangeable, as each row holds its own values below and above its
+    # diagonal: no run is reduced, and the quotient is the matrix itself
     bounds = [0, 8, 16, 24]
     rng = random.Random(28)
     matrix = [[0] * 24 for _ in range(24)]
     for lo, hi in zip(bounds, bounds[1:]):
+        diagonal = rng.choice([0, 1, -1, 2, -5])
         for i, row in enumerate(matrix):
             if lo <= i < hi:
-                below, diagonal, above = (rng.choice([0, 1, -1, 2, -5]) for _ in range(3))
+                below, above = (rng.choice([0, 1, -1, 2, -5]) for _ in range(2))
                 row[lo:hi] = [below] * (i - lo) + [diagonal] + [above] * (hi - i - 1)
             else:
                 row[lo:hi] = [rng.choice([1, -1, 3])] * (hi - lo)
@@ -315,17 +318,18 @@ EDITED_PARTS = ([4, 3, 2, 1, 1], [9, 8, 5, 1, 1])
 EXCHANGEABLE_AFTER = {
     "chained": [(0, -3), (1, -3), (2, -3), (3, 3)],
     "off-diagonal": [(1, -1), (2, -1), (3, 1)],
-    "mixed-diagonal": [(0, -1), (1, -1), (3, 1)],
+    "mixed-diagonal": [(0, -1), (1, -1), (2, -1)],
     "equal-rows": [(0, -1), (1, 0), (2, -1), (3, 1)],
     "rows-differ": [(1, -1), (2, -1), (3, 1)],
 }
 
 
 def _edit_runs(kind: str, rows: list[list[int]], runs: list[tuple[int, int]]) -> list[list[int]]:
-    """A K_P Seidel matrix edited, keeping its runs, so that a run that
-    _column_runs merges is not exchangeable, or in "equal-rows" is
-    exchangeable with b = 0; a run that is not stays one class per
-    column."""
+    """A K_P Seidel matrix edited so that a run that _column_runs merges
+    is not exchangeable, or in "equal-rows" is exchangeable with b = 0.
+    Every edit keeps the runs but "mixed-diagonal", which splits the last
+    run at a diagonal entry.  A run that is not exchangeable stays one
+    class per column."""
     if kind == "chained":
         # times 3, with no entry +-1; every run is still exchangeable
         return [[3 * x for x in row] for row in rows]
@@ -337,8 +341,9 @@ def _edit_runs(kind: str, rows: list[list[int]], runs: list[tuple[int, int]]) ->
         lo, hi = runs[0]
         rows[2][3:hi] = [2] * (hi - 3)
     elif kind == "mixed-diagonal":
-        # one row of the third part has diagonal correction 4, the others -1
-        lo, hi = runs[2]
+        # the second of the two merged singletons has diagonal entry 5, the
+        # first 0: a run has one diagonal value, so the run splits in two
+        lo, hi = runs[-1]
         rows[lo + 1][lo + 1] = 5
     elif kind == "rows-differ":
         # row 2 holds +1 against the whole second part, the first part's
@@ -361,6 +366,9 @@ def test_runs_refused_the_carry_match_reference(path, kind):
         rows = [list(r) for r in seidel_matrix(complete_multipartite(Partition(parts))).rows]
         runs = _column_runs(rows)
         rows = _edit_runs(kind, rows, runs)
+        if kind == "mixed-diagonal":
+            lo, hi = runs[-1]
+            runs = [*runs[:-1], (lo, lo + 1), (lo + 1, hi)]
         assert _column_runs(rows) == runs
         assert _exchangeable(rows) == [(*runs[o], b) for o, b in EXCHANGEABLE_AFTER[kind]]
         assert charpoly_oracle(laid_out(path, rows)) == reference_charpoly(rows)

@@ -1,7 +1,7 @@
 import json
 import math
-import operator
 import random
+from collections import Counter
 from struct import Struct
 
 import numpy as np
@@ -136,37 +136,6 @@ def reference_jacobi(m) -> list[float]:
     raise AssertionError("reference Jacobi did not converge")
 
 
-def reference_tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
-    # the row-by-row Householder reduction that _tridiagonalize ran before
-    # it reflected twin rows once: every row of the leading block is
-    # rebuilt at every step
-    n = len(a)
-    d = [0.0] * n
-    e = [0.0] * n
-    for i in range(n - 1, 0, -1):
-        row = a[i]
-        d[i] = row[i]
-        scale = math.fsum(map(abs, row[:i]))
-        if i == 1 or scale <= spectra.EIGEN_CONVERGENCE:
-            e[i] = row[i - 1]
-            continue
-        u = [v / scale for v in row[:i]]
-        h = math.fsum(map(operator.mul, u, u))
-        f = u[-1]
-        g = -math.copysign(math.sqrt(h), f)
-        e[i] = scale * g
-        h -= f * g
-        u[-1] = f - g
-        p = [math.fsum(map(operator.mul, a[j], u)) / h for j in range(i)]
-        half = math.fsum(map(operator.mul, u, p)) / (2.0 * h)
-        q = [pj - half * uj for pj, uj in zip(p, u)]
-        for j in range(i):
-            uj, qj = u[j], q[j]
-            a[j] = [v - uj * qk - qj * uk for v, qk, uk in zip(a[j], q, u)]
-    d[0] = a[0][0]
-    return d, e
-
-
 def reference_prepared(m) -> list[list[float]]:
     # the scaled and averaged rows that symmetric_eigenvalues reduced
     # before it skipped the averaging of bitwise symmetric rows
@@ -186,36 +155,40 @@ def bits(values) -> list[str]:
     return [v.hex() for v in values]
 
 
-def tridiagonalize(a):
-    return spectra._tridiagonalize(a, Struct(f"{len(a)}d").pack)
-
-
-def assert_same_reduction(a):
-    got = tridiagonalize([row[:] for row in a])
-    want = reference_tridiagonalize([row[:] for row in a])
-    assert [bits(v) for v in got] == [bits(v) for v in want]
-
-
-def reduced_input(m) -> list[list[float]] | None:
-    # the rows symmetric_eigenvalues hands to _tridiagonalize, checked
-    # bit for bit against the reference reduction on the way; None for a
-    # zero matrix, which is not reduced
+def finder_input(m) -> list[list[float]] | None:
+    # the scaled, symmetric rows symmetric_eigenvalues hands to the run
+    # finder; None for a zero matrix, which is not reduced
     seen = []
-    reduce = spectra._tridiagonalize
+    find = spectra._run_classes
 
-    def spy(a, pack):
+    def spy(a):
         seen.append([row[:] for row in a])
-        return reduce(a, pack)
+        return find(a)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectra, "_tridiagonalize", spy)
+        mp.setattr(spectra, "_run_classes", spy)
         symmetric_eigenvalues(m)
     if not any(map(any, m)):
         assert seen == []
         return None
     (a,) = seen
-    assert_same_reduction(a)
     return a
+
+
+def core_order(m) -> int:
+    # the order of the core that symmetric_eigenvalues reduces
+    seen = []
+    reduce = spectra._tridiagonalize
+
+    def spy(a):
+        seen.append(len(a))
+        return reduce(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_tridiagonalize", spy)
+        symmetric_eigenvalues(m)
+    (order,) = seen
+    return order
 
 
 def reference_tol(m) -> float:
@@ -393,8 +366,8 @@ class TestJacobi:
                     v *= spectra.EIGEN_CONVERGENCE / (2 * i)
                 a[i][j] = a[j][i] = v
         block = [row[:size] for row in a[:size]]
-        d, e = tridiagonalize([row[:] for row in a])
-        d_block, e_block = tridiagonalize(block)
+        d, e = spectra._tridiagonalize([row[:] for row in a])
+        d_block, e_block = spectra._tridiagonalize(block)
         assert d[:size] == d_block and e[:size] == e_block
         assert d[size:] == [a[i][i] for i in range(size, n)]
         assert e[size:] == [a[i][i - 1] for i in range(size, n)]
@@ -405,7 +378,7 @@ class TestJacobi:
         tiny = spectra.EIGEN_CONVERGENCE
         for off, skipped in ((tiny, True), (2 * tiny, False)):
             a = [[0.5, 0.25, off], [0.25, -0.5, 0.0], [off, 0.0, 0.125]]
-            d, e = tridiagonalize(a)
+            d, e = spectra._tridiagonalize(a)
             assert (d == [0.5, -0.5, 0.125] and e[2] == 0.0) is skipped
 
     @pytest.mark.parametrize(
@@ -427,9 +400,10 @@ class TestJacobi:
             symmetric_eigenvalues([[1.5e308, 1.5e308], [1.5e308, 1.5e308]])
 
     def test_iteration_cap(self, monkeypatch):
+        # unequal diagonal entries: no run, so the 2 x 2 matrix reaches QL
         monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", 0)
         with pytest.raises(ConvergenceError):
-            symmetric_eigenvalues([[0, 1], [1, 0]])
+            symmetric_eigenvalues([[0, 1], [1, 0.5]])
 
 
 TWIN_ENTRY = st.one_of(ENTRY, st.sampled_from([0.0, -0.0, 1.0, -1.0]))
@@ -438,9 +412,9 @@ TWIN_ENTRY = st.one_of(ENTRY, st.sampled_from([0.0, -0.0, 1.0, -1.0]))
 @st.composite
 def twin_blow_up(draw):
     # a random symmetric matrix on m classes, each class blown up to a run
-    # of 1 to 6 consecutive twin rows with its own diagonal entry; exact
-    # zeros and units make skipped rows and signed zeros likely, and the
-    # pivot passes through every run, its last row first
+    # of 1 to 6 consecutive twin rows with its own diagonal entry, with
+    # the run sizes; exact zeros and units make signed zeros and adjacent
+    # classes that merge into one run likely
     runs = draw(st.lists(st.integers(1, 6), min_size=1, max_size=10))
     m = len(runs)
     upper = iter(draw(st.lists(TWIN_ENTRY, min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2)))
@@ -450,7 +424,7 @@ def twin_blow_up(draw):
             base[i][j] = base[j][i] = next(upper)
     diag = draw(st.lists(TWIN_ENTRY, min_size=m, max_size=m))
     cls = [c for c, r in enumerate(runs) for _ in range(r)]
-    return [
+    return runs, [
         [diag[ci] if i == j else base[ci][cj] for j, cj in enumerate(cls)]
         for i, ci in enumerate(cls)
     ]
@@ -467,16 +441,28 @@ def partition_up_to_64(draw):
 
 
 class TestTwinReduction:
-    """_tridiagonalize against the row-by-row reduction, bit for bit."""
+    """symmetric_eigenvalues deflates the exchangeable runs of twin rows
+    that exactalg._run_classes finds, the oracle's run finder."""
 
     @settings(max_examples=150, deadline=None)
-    @given(a=twin_blow_up())
-    @example(a=[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    def test_twin_blow_ups(self, a):
-        with pytest.MonkeyPatch.context() as mp:
-            # look for twins at every order, not only where it pays
-            mp.setattr(spectra, "_TWIN_MIN_ORDER", 2)
-            assert_same_reduction(a)
+    @given(case=twin_blow_up())
+    @example(case=([3], [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    def test_twin_blow_ups(self, case):
+        # the spectrum is right, and a run r of n_r rows gives its b_r =
+        # d_r - v_r of the scaled rows, scaled back, exactly and at least
+        # n_r - 1 times (adjacent runs may merge into one)
+        runs, a = case
+        got = symmetric_eigenvalues(a)
+        assert got == pytest.approx(reference_jacobi(a), abs=reference_tol(a))
+        scaled = reference_prepared(a)
+        shift = math.frexp(max(abs(v) for row in a for v in row))[1]
+        twins = Counter()
+        lo = 0
+        for size in runs:
+            if size > 1:
+                twins[math.ldexp(scaled[lo][lo] - scaled[lo][lo + 1], shift)] += size - 1
+            lo += size
+        assert not twins - Counter(got)
 
     @settings(max_examples=100, deadline=None)
     @given(p=partition_up_to_64())
@@ -485,15 +471,26 @@ class TestTwinReduction:
     @example(p=Partition([1] * 64))
     @example(p=Partition([17, 16, 10, 8, 4, 4, 3, 2]))
     def test_seidel_matrices_and_quotients(self, p):
-        reduced_input(seidel_matrix(complete_multipartite(p)))
-        reduced_input(symmetrize_quotient(quotient_matrix(p), p))
+        # K_P reduces to a core of one row per part of two or more and one
+        # for its singletons, beside -1 exactly n - k times; its quotient,
+        # whose runs are its equal parts, to one row per part size
+        rows = seidel_matrix(complete_multipartite(p)).rows
+        eigs = symmetric_eigenvalues(rows)
+        assert eigs == pytest.approx(numpy_eigenvalues(rows), abs=reference_tol(rows))
+        assert eigs.count(-1.0) >= p.n - p.k
+        bt = symmetrize_quotient(quotient_matrix(p), p)
+        assert symmetric_eigenvalues(bt) == pytest.approx(numpy_eigenvalues(bt), abs=reference_tol(bt))
+        if p.n > 1:
+            # K_1 and its quotient are zero matrices, which are not reduced
+            assert core_order(rows) == sum(m > 1 for m in p.parts) + (1 in p.parts)
+            assert core_order(bt) == len(set(p.parts))
 
     @settings(max_examples=100, deadline=None)
     @given(m=SYMMETRIC_MATRICES)
     def test_prepared_rows(self, m):
         # skipping the averaging of bitwise symmetric rows hands the
-        # reduction the same rows as averaging them
-        a = reduced_input(m)
+        # run finder the same rows as averaging them
+        a = finder_input(m)
         if a is not None:
             assert list(map(bits, a)) == list(map(bits, reference_prepared(m)))
 
@@ -504,28 +501,56 @@ class TestTwinReduction:
             [[1.0, 0.0, 2.0], [-0.0, 1.0, 2.0], [2.0, 2.0, 3.0]],
             # asymmetric within SYMMETRY_TOL
             [[0.0, 1.0], [1.0 + 2**-52, 0.0]],
-            # symmetrised quotient of 5,5,3: twin rows after averaging
+            # symmetrised quotient of 5,5,3: symmetric by construction, and
+            # a run of two twin rows
             symmetrize_quotient(quotient_matrix(Partition([5, 5, 3])), Partition([5, 5, 3])),
         ],
     )
     def test_averaged_rows(self, m):
-        assert list(map(bits, reduced_input(m))) == list(map(bits, reference_prepared(m)))
+        assert list(map(bits, finder_input(m))) == list(map(bits, reference_prepared(m)))
 
-    def test_twin_rows_tell_signed_zeros_apart(self):
-        # rows 0 and 1 are swaps of each other as floats, but not as bits
+    def test_run_finder_takes_signed_zeros_as_one_value(self):
+        # rows 0 and 1 are twins up to the sign of a zero, which the
+        # symmetry check tells apart and the run finder does not
         a = [[0.0, 1.0, 0.0, 2.0], [1.0, 0.0, -0.0, 2.0], [0.0, -0.0, 5.0, 3.0], [2.0, 2.0, 3.0, 1.0]]
-        pack = Struct("4d").pack
-        assert spectra._twin_rows(a, pack) == []
-        a[1][2] = a[2][1] = 0.0
-        assert spectra._twin_rows(a, pack) == [1]
+        assert spectra._run_classes(a) == [(0, 2), (2, 3), (3, 4)]
+        eigs = symmetric_eigenvalues(a)
+        assert -1.0 in eigs
+        assert eigs == pytest.approx(numpy_eigenvalues(a), abs=reference_tol(a))
         pack = Struct("2d").pack
         assert not spectra._bitwise_symmetric([[1.0, 0.0], [-0.0, 1.0]], pack)
         assert spectra._bitwise_symmetric([[1.0, -0.0], [-0.0, 1.0]], pack)
 
+    def test_unequal_diagonal_entry_breaks_a_run(self):
+        # columns 0, 1 and 2 agree outside their own rows, but entry (2, 2)
+        # differs: the run is (0, 2), with b = -1
+        a = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.5]]
+        assert spectra._run_classes(a) == [(0, 2), (2, 3)]
+        assert spectra._run_classes([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]) == [(0, 3)]
+        eigs = symmetric_eigenvalues(a)
+        assert -1.0 in eigs
+        assert eigs == pytest.approx(numpy_eigenvalues(a), abs=reference_tol(a))
+
+    @pytest.mark.parametrize(
+        "a, classes, eigs",
+        [
+            ([], [], []),
+            ([[2.0]], [(0, 1)], [2.0]),
+            ([[1.0, -0.5], [-0.5, 1.0]], [(0, 2)], [1.5, 0.5]),
+            ([[-0.0, 0.0], [0.0, 0.0]], [(0, 2)], [0.0, 0.0]),
+            ([[1.0, -0.5], [-0.5, 0.75]], [(0, 1), (1, 2)], None),
+        ],
+        ids=["order-0", "order-1", "order-2-run", "order-2-zero", "order-2-no-run"],
+    )
+    def test_run_finder_at_orders_zero_to_two(self, a, classes, eigs):
+        assert spectra._run_classes(a) == classes
+        got = symmetric_eigenvalues(a)
+        assert got == (eigs if eigs is not None else pytest.approx(reference_jacobi(a), abs=1e-12))
+
     def test_twins_are_found_in_k_p(self):
-        # every vertex but the first of each part is its predecessor's twin
-        a = [[float(v) for v in row] for row in seidel_matrix(complete_multipartite([3, 2, 1])).rows]
-        assert spectra._twin_rows(a, Struct("6d").pack) == [1, 2, 4]
+        # each part is one run, and adjacent parts of size 1 merge into one
+        a = [[float(v) for v in row] for row in seidel_matrix(complete_multipartite([3, 2, 1, 1])).rows]
+        assert spectra._run_classes(a) == [(0, 3), (3, 5), (5, 7)]
 
 
 class TestRootCounting:
