@@ -305,40 +305,44 @@ def cmd_switch_equiv(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="seidelspec",
-        description="Exact Seidel spectra of complete multipartite graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_charpoly(sub) -> None:
     sp = sub.add_parser("charpoly", help="Seidel characteristic polynomial of a partition")
     sp.add_argument("partition", help="part sizes like 3,2,1 or grouped 2*3,1*2")
     sp.add_argument("--form", choices=FORMS + ("all",), default="all")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_charpoly)
 
+
+def _add_spectrum(sub) -> None:
     sp = sub.add_parser("spectrum", help="full exact/numeric spectrum report")
     sp.add_argument("partition")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_spectrum)
 
+
+def _add_bound(sub) -> None:
     sp = sub.add_parser("bound", help="upper bound on the least Seidel eigenvalue")
     sp.add_argument("partition")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_bound)
 
+
+def _add_quotient(sub) -> None:
     sp = sub.add_parser("quotient", help="part quotient matrix of the Seidel matrix")
     sp.add_argument("partition")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_quotient)
 
+
+def _add_search(sub) -> None:
     sp = sub.add_parser("search", help="cospectral classes among partitions of n")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_search)
 
+
+def _add_verify(sub) -> None:
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     sp.add_argument("--max-n", type=int, default=None)
@@ -346,16 +350,52 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
 
+
+def _add_switch_equiv(sub) -> None:
     sp = sub.add_parser("switch-equiv", help="decide switching equivalence of two graphs")
     sp.add_argument("--g6", action="append", required=True, help="graph6 string (give twice)")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_switch_equiv)
 
+
+# each command's name and the function that adds its subparser, in the
+# order of the usage line and of --help
+COMMANDS = {
+    "charpoly": _add_charpoly,
+    "spectrum": _add_spectrum,
+    "bound": _add_bound,
+    "quotient": _add_quotient,
+    "search": _add_search,
+    "verify": _add_verify,
+    "switch-equiv": _add_switch_equiv,
+}
+# the usage line's command list when only some subparsers are built
+_ALL_COMMANDS = "{" + ",".join(COMMANDS) + "}"
+
+
+def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with the subparsers of ``names``, all of ``COMMANDS`` by
+    default.  With fewer, its usage line still lists every command, as the
+    full parser's does; the full parser sets no metavar, which would rename
+    the command in its "required: command" and "invalid choice" errors."""
+    parser = argparse.ArgumentParser(
+        prog="seidelspec",
+        description="Exact Seidel spectra of complete multipartite graphs.",
+    )
+    metavar = None if len(names) == len(COMMANDS) else _ALL_COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        COMMANDS[name](sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call that names a command builds only that command's subparser; no
+    # arguments, --help, an unknown name or an option first build them all
+    names = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+    parser = build_parser(names)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

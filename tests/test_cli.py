@@ -1,8 +1,11 @@
+import argparse
+import gc
 import hashlib
 import json
 import sys
 import time
 import tracemalloc
+import weakref
 from collections.abc import Iterator
 
 import pytest
@@ -558,6 +561,58 @@ class TestRepeatedCalls:
         assert seen == ["2,1"]
 
 
+class TestParserPerCall:
+    """main builds the parser of the command it runs, afresh every call."""
+
+    def test_build_parser_holds_every_command(self):
+        # the benchmark's setup snippet and --help build the full parser
+        (sub,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert list(sub.choices) == [
+            "charpoly",
+            "spectrum",
+            "bound",
+            "quotient",
+            "search",
+            "verify",
+            "switch-equiv",
+        ]
+        assert list(cli.COMMANDS) == list(sub.choices)
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """Record each subparser added, by name and weak reference."""
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spying(self, name, **kwargs):
+            parser = add_parser(self, name, **kwargs)
+            added.append((name, weakref.ref(parser)))
+            return parser
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spying)
+        return added
+
+    def test_one_subparser_per_call(self, capsys, monkeypatch):
+        added = self.spy(monkeypatch)
+        assert run(capsys, "spectrum", "3,2,1")[0] == 0
+        assert [name for name, _ in added] == ["spectrum"]
+        assert run(capsys, "spectrum", "3,2,1")[0] == 0
+        assert [name for name, _ in added] == ["spectrum", "spectrum"]
+        # no call's parser outlives it
+        gc.collect()
+        assert [ref() for _, ref in added] == [None, None]
+
+    @pytest.mark.parametrize(
+        "argv", [(), ("--help",), ("bogus",), ("--json", "charpoly", "3,2")], ids=str
+    )
+    def test_other_first_arguments_build_every_command(self, capsys, monkeypatch, argv):
+        added = self.spy(monkeypatch)
+        assert run(capsys, *argv)[0] in (0, 2)
+        assert [name for name, _ in added] == list(cli.COMMANDS)
+
+
 def dumped(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -760,7 +815,120 @@ class TestJsonWriter:
         assert peak < 14 << 20
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+EMPTY = sha256("")
+# exit code and SHA-256 of stdout and of stderr at COLUMNS=80 for help,
+# usage and parse errors, recorded when every call built all seven
+# subparsers (CPython 3.11)
+USAGE_TEXT = [
+    ((), 2, EMPTY, "95c8db067b7cbdb1841e9e1533f4eeb77edbebfdfdea6063435e569f81ed46c0"),
+    (("-h",), 0, "c0630c175377539ea74b43698d3b889b5e3663fe06246fcb1fc7e82fdbb01bdf", EMPTY),
+    (("--help",), 0, "c0630c175377539ea74b43698d3b889b5e3663fe06246fcb1fc7e82fdbb01bdf", EMPTY),
+    (("bogus",), 2, EMPTY, "57c65f476380d49523d364d5123792d66ea974f9eed8370b03d28fc428c5d34f"),
+    (
+        ("--json", "charpoly", "3,2"),
+        2,
+        EMPTY,
+        "a4c9279a1d581c878b82f8c0c934e6794aec9f87cb554582135b5e45a3e352ab",
+    ),
+    (
+        ("charpoly", "-h"),
+        0,
+        "7e8891e6a9df758812a2f3c0d68a363bc7adaff43d25b32a46b8949af864b881",
+        EMPTY,
+    ),
+    (
+        ("spectrum", "-h"),
+        0,
+        "e2bcf1a1a226bc9f253a709d65f8eb70be451dbf676c7da3fed4255cd7bfd26f",
+        EMPTY,
+    ),
+    (("bound", "-h"), 0, "3aeed69174702d99a26e052653f2ceae472d3c967fd2eab3e474f771ba9bfcd0", EMPTY),
+    (
+        ("quotient", "-h"),
+        0,
+        "d137e766f0ab6aea8e5d85ebb8a708971468290501d44099d9934bd8a1ff5962",
+        EMPTY,
+    ),
+    (
+        ("search", "-h"),
+        0,
+        "d514da4dabc74169db06fa77c7cab072b319911b28482f78748dbe067db22e5d",
+        EMPTY,
+    ),
+    (
+        ("verify", "-h"),
+        0,
+        "924aabdbb7316bcb2a4071751aabd39a06fbd2295e5b940948772f913142111c",
+        EMPTY,
+    ),
+    (
+        ("switch-equiv", "-h"),
+        0,
+        "dcd7ffc04e089b77b6f99ed8b77e7364105c4beaa94b31d41138ec5af12a3939",
+        EMPTY,
+    ),
+    (("charpoly",), 2, EMPTY, "5cff310cf4e9d9192fbcd5a48bf4cf66fc3bc4a13554d8fd8ffc4994d0e6f059"),
+    (("spectrum",), 2, EMPTY, "72725c939bcf26b4b1c7dc4465f4685a2fd64358bb5dffdadb070c27fe01df19"),
+    (("search",), 2, EMPTY, "a5475fcdede18653c48ac195ff5f50537d947eadc8560d09c89ec9253d62577c"),
+    (
+        ("charpoly", "3,2", "extra"),
+        2,
+        EMPTY,
+        "cb0f30fa2c4b789640143827f3de7764c97269392bf41a86a968a491fbde4ba9",
+    ),
+    (
+        ("quotient", "3,2", "--bogus"),
+        2,
+        EMPTY,
+        "7154f35d07d902dd5799fd2e31aa09cf5a734ff3877b91d26d4a135eef884cee",
+    ),
+    (
+        ("charpoly", "3,2", "--form", "nope"),
+        2,
+        EMPTY,
+        "573c95894f39c1a2478e436b619a70657803f1dc0151464074d79603ccf78e06",
+    ),
+    (
+        ("verify", "--suite", "zzz"),
+        2,
+        EMPTY,
+        "549bbe804921f4e71c7d67e5b60cccbd51a2d16029c83ba3a7a825ad02716fd5",
+    ),
+    (
+        ("search", "--n", "x"),
+        2,
+        EMPTY,
+        "986ce484b9eb93a7c79adcc31bec1619e86068756b8dea51e0b4b3dfc25e3693",
+    ),
+]
+USAGE_IDS = [" ".join(argv) or "no-arguments" for argv, *_ in USAGE_TEXT]
+
+
 class TestUsage:
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="recorded on CPython 3.11; argparse's wording differs between minor releases",
+    )
+    @pytest.mark.parametrize("argv, code, out_digest, err_digest", USAGE_TEXT, ids=USAGE_IDS)
+    def test_usage_text_pinned(self, capsys, monkeypatch, argv, code, out_digest, err_digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        got, out, err = run(capsys, *argv)
+        assert (got, sha256(out), sha256(err)) == (code, out_digest, err_digest)
+
+    @pytest.mark.parametrize("argv", [argv for argv, *_ in USAGE_TEXT], ids=USAGE_IDS)
+    def test_usage_text_matches_full_parser(self, capsys, monkeypatch, argv):
+        # the parser a call builds prints what the parser of all seven
+        # commands prints, on any Python
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(list(argv))
+        full = capsys.readouterr()
+        assert run(capsys, *argv) == (exc.value.code or 0, full.out, full.err)
+
     def test_no_command(self, capsys):
         assert main([]) == 2
 
