@@ -2,8 +2,11 @@
 
 Coefficients and entries are Python ints, so everything in this module is
 exact; no floating point is used anywhere here.  Values are immutable after
-construction.  The run finder (``_run_classes``) only compares entries,
-and ``spectra.symmetric_eigenvalues`` runs it on float rows as well.
+construction.  The run finder (``_run_classes``) only compares entries.
+``spectra.symmetric_eigenvalues`` runs it on the int rows of an exactly
+symmetric IntMatrix with entries below 2^53, where int equality is
+equality of the exact scaled floats, and on scaled float rows for any
+other input.
 """
 
 from __future__ import annotations

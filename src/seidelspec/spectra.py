@@ -15,6 +15,11 @@ twin rows gives d_r - v_r, n_r - 1 times, and only the symmetric core of
 one row and column per run is reduced, so the Seidel matrix of K_P is
 solved as a core of at most k rows (adjacent singleton parts make one
 run) beside -1 with multiplicity n - k.
+An IntMatrix that is exactly symmetric with entries below 2^53, as every
+Seidel matrix is, is checked, split and scaled from its ints: float()
+and scaling by a power of two are exact and injective on those ints, so
+int equality is scaled-float equality and the result is the float
+path's to the bit, and only the entries the core reads become floats.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ COMPARISON_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
 SYMMETRY_TOL = 1e-10
 _MAX_QL_ITERATIONS = 30  # per eigenvalue, as in EISPACK tql1
+# every int of smaller magnitude is a float exactly
+_EXACT_FLOAT_LIMIT = 1 << 53
 
 
 def _as_float_rows(m) -> list[list[float]]:
@@ -83,7 +90,9 @@ def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
     (EISPACK tred2 without accumulating the transformations).  Step i
     reflects the leading i x i block and rebuilds its rows at length i,
     so every dot product is one fsum over two whole rows.  a must be
-    exactly symmetric, bit for bit, as symmetric_eigenvalues makes it.
+    exactly symmetric, bit for bit, as symmetric_eigenvalues makes it:
+    float rows by averaging, int rows by taking only an exactly
+    symmetric IntMatrix, whose scaled entries are exact.
 
     Row i counts as already reduced when the 1-norm of its off-diagonal
     part, row[:i], is at most EIGEN_CONVERGENCE: e[i] keeps row[i - 1],
@@ -195,6 +204,15 @@ def _tql1(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
+def _exact_int_magnitude(rows: tuple[tuple[int, ...], ...]) -> int | None:
+    """The largest absolute entry of the int rows of a square matrix if
+    they are exactly symmetric and it is below 2^53, else None."""
+    big = max(max(map(max, rows), default=0), -min(map(min, rows), default=0))
+    if big >= _EXACT_FLOAT_LIMIT or rows != tuple(zip(*rows)):
+        return None
+    return big
+
+
 def symmetric_eigenvalues(m) -> list[float]:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
@@ -205,7 +223,26 @@ def symmetric_eigenvalues(m) -> list[float]:
     cannot overflow.  Non-finite entries raise NonFiniteError before any
     work, and so does an eigenvalue beyond the float range.  The largest
     |a_ij - a_ji| may be at most SYMMETRY_TOL times the largest absolute
-    entry, else AsymmetryError, so the verdict does not depend on scale.
+    entry, else AsymmetryError, so the verdict does not depend on scale;
+    a matrix within it is averaged with its transpose.
+
+    An IntMatrix that is exactly symmetric, with every entry below 2^53
+    in magnitude, is read from its ints: the largest magnitude is the
+    largest row maximum or minimum, symmetry is rows == columns, the run
+    finder runs on the ints, and only the entries that the core and the
+    b_r below read are turned into scaled floats.  This changes no bit of
+    the result.  Below 2^53, float() is exact and so is the scaling by a
+    power of two (the shift is at most 53, so nothing becomes subnormal):
+    both are injective, so two ints are equal exactly when their scaled
+    floats are, the run finder, which only compares entries, finds the
+    same runs on either, and int symmetry means the scaled rows are
+    symmetric bit for bit (an int has no -0.0) and take no averaging.
+    Any other input, including an IntMatrix with any asymmetry or with
+    an entry of magnitude 2^53 or more, is converted to floats entry by
+    entry and checked and averaged as floats.  float() rounds an entry of
+    2^53 or more, and may round two distinct ones to one float, so such
+    a matrix is solved as the float matrix of its rounded entries, and
+    one beyond the float range raises NonFiniteError.
 
     Then the scaled matrix A, now bit-for-bit symmetric, is split along
     the classes of ``exactalg._run_classes``, the exchangeable runs that
@@ -224,43 +261,60 @@ def symmetric_eigenvalues(m) -> list[float]:
     b_r, n_r - 1 times; only C is reduced, and a matrix with no run is its
     own core.
     """
-    a = _as_float_rows(m)
-    n = len(a)
-    if not all(map(math.isfinite, chain.from_iterable(a))):
-        raise NonFiniteError("matrix has a non-finite entry")
-    big = max(map(abs, chain.from_iterable(a)), default=0.0)
-    if big == 0.0:
-        return [0.0] * n
-    shift = math.frexp(big)[1]
-    scaled = [[math.ldexp(v, -shift) for v in row] for row in a]
-    # scaled rows equal to their transpose byte for byte have asymmetry 0,
-    # and averaging them would change no bit
-    if not _bitwise_symmetric(scaled, Struct(f"{n}d").pack):
-        asym = max(
-            (abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i + 1, n)),
-            default=0.0,
-        )
-        if asym > SYMMETRY_TOL * big:
-            raise AsymmetryError(
-                f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL} times the largest entry {big:.3e}"
+    big = _exact_int_magnitude(m.rows) if isinstance(m, IntMatrix) else None
+    exact = big is not None
+    if exact:
+        rows = m.rows
+        n = len(rows)
+        if big == 0:
+            return [0.0] * n
+        shift = big.bit_length()
+        # v * unit is v scaled by 2^-shift, exactly
+        unit = math.ldexp(1.0, -shift)
+    else:
+        a = _as_float_rows(m)
+        n = len(a)
+        if not all(map(math.isfinite, chain.from_iterable(a))):
+            raise NonFiniteError("matrix has a non-finite entry")
+        big = max(map(abs, chain.from_iterable(a)), default=0.0)
+        if big == 0.0:
+            return [0.0] * n
+        shift = math.frexp(big)[1]
+        scaled = [[math.ldexp(v, -shift) for v in row] for row in a]
+        # scaled rows equal to their transpose byte for byte have asymmetry 0,
+        # and averaging them would change no bit
+        if not _bitwise_symmetric(scaled, Struct(f"{n}d").pack):
+            asym = max(
+                (abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i + 1, n)),
+                default=0.0,
             )
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = (scaled[i][j] + scaled[j][i]) / 2.0
-                scaled[i][j] = scaled[j][i] = v
-    classes = _run_classes(scaled)
+            if asym > SYMMETRY_TOL * big:
+                raise AsymmetryError(
+                    f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL} times the largest entry {big:.3e}"
+                )
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v = (scaled[i][j] + scaled[j][i]) / 2.0
+                    scaled[i][j] = scaled[j][i] = v
+        # v * 1.0 is v, bit for bit
+        rows, unit = scaled, 1.0
+    classes = _run_classes(rows)
     deflated = []
     if len(classes) < n:
         # (lo_r, n_r) per class
         spans = [(lo, hi - lo) for lo, hi in classes]
-        core = [[scaled[i][j] * math.sqrt(ni * nj) for j, nj in spans] for i, ni in spans]
+        core = [[rows[i][j] * unit * math.sqrt(ni * nj) for j, nj in spans] for i, ni in spans]
         for r, (i, size) in enumerate(spans):
             if size > 1:
-                d, v = scaled[i][i], scaled[i][i + 1]
+                d, v = rows[i][i] * unit, rows[i][i + 1] * unit
                 core[r][r] = d + (size - 1) * v
                 deflated += [d - v] * (size - 1)
-        scaled = core
-    eigs = sorted(_tql1(*_tridiagonalize(scaled)) + deflated, reverse=True)
+        a = core
+    elif exact:
+        a = [list(map(unit.__mul__, row)) for row in rows]
+    else:
+        a = rows
+    eigs = sorted(_tql1(*_tridiagonalize(a)) + deflated, reverse=True)
     try:
         return [math.ldexp(v, shift) for v in eigs]
     except OverflowError as exc:
@@ -541,9 +595,11 @@ def spectrum_report(partition) -> SpectrumReport:
         raise ConsistencyError(
             f"{p}: eigenvalue square sum off by {square_sum_error:.3e}"
         )
+    # the residual is a function of e, so each distinct eigenvalue (the
+    # n - k deflated -1.0s are one) is evaluated once
     max_scaled_residual = max(
         abs((e + 1) ** factored.ones_exponent * residual(e)) / (1 + abs(e)) ** n
-        for e in eigs
+        for e in set(eigs)
     )
     if max_scaled_residual > RESIDUAL_TOL:
         raise ConsistencyError(

@@ -14,6 +14,8 @@ from seidelspec import (
     CapExceededError,
     ConsistencyError,
     ConvergenceError,
+    Graph,
+    IntMatrix,
     IntPoly,
     NonFiniteError,
     Partition,
@@ -474,15 +476,19 @@ class TestTwinReduction:
         # K_P reduces to a core of one row per part of two or more and one
         # for its singletons, beside -1 exactly n - k times; its quotient,
         # whose runs are its equal parts, to one row per part size
-        rows = seidel_matrix(complete_multipartite(p)).rows
+        s = seidel_matrix(complete_multipartite(p))
+        rows = s.rows
         eigs = symmetric_eigenvalues(rows)
         assert eigs == pytest.approx(numpy_eigenvalues(rows), abs=reference_tol(rows))
         assert eigs.count(-1.0) >= p.n - p.k
+        # the IntMatrix takes the integer path, to the same bits
+        assert bits(symmetric_eigenvalues(s)) == bits(eigs)
         bt = symmetrize_quotient(quotient_matrix(p), p)
         assert symmetric_eigenvalues(bt) == pytest.approx(numpy_eigenvalues(bt), abs=reference_tol(bt))
         if p.n > 1:
             # K_1 and its quotient are zero matrices, which are not reduced
             assert core_order(rows) == sum(m > 1 for m in p.parts) + (1 in p.parts)
+            assert core_order(s) == core_order(rows)
             assert core_order(bt) == len(set(p.parts))
 
     @settings(max_examples=100, deadline=None)
@@ -551,6 +557,174 @@ class TestTwinReduction:
         # each part is one run, and adjacent parts of size 1 merge into one
         a = [[float(v) for v in row] for row in seidel_matrix(complete_multipartite([3, 2, 1, 1])).rows]
         assert spectra._run_classes(a) == [(0, 3), (3, 5), (5, 7)]
+
+
+def float_path(m: IntMatrix) -> list[float]:
+    # the same matrix as float rows, which take the float checks
+    return symmetric_eigenvalues([list(map(float, row)) for row in m.rows])
+
+
+@st.composite
+def k_p_up_to_64(draw):
+    # K_P as built, or relabelled by a random permutation
+    g = complete_multipartite(draw(partition_up_to_64()))
+    if draw(st.booleans()):
+        g = g.relabel(draw(st.permutations(range(g.n))))
+    return seidel_matrix(g)
+
+
+@st.composite
+def random_seidel(draw):
+    n = draw(st.integers(0, 64))
+    return seidel_matrix(Graph.from_mask(n, draw(st.integers(0, 2 ** math.comb(n, 2) - 1))))
+
+
+# every int below 2^53 in magnitude is a float exactly
+EXACT_INT = st.one_of(
+    st.integers(-(2**53 - 1), 2**53 - 1),
+    st.sampled_from([0, 1, -1, 2**52, -(2**52), 2**53 - 1, -(2**53 - 1)]),
+)
+
+
+@st.composite
+def int_blow_up(draw):
+    # a random symmetric int matrix on m classes, each class blown up to a
+    # run of 1 to 6 twin rows with its own diagonal entry
+    runs = draw(st.lists(st.integers(1, 6), min_size=1, max_size=10))
+    m = len(runs)
+    upper = iter(draw(st.lists(EXACT_INT, min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2)))
+    base = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            base[i][j] = base[j][i] = next(upper)
+    diag = draw(st.lists(EXACT_INT, min_size=m, max_size=m))
+    cls = [c for c, r in enumerate(runs) for _ in range(r)]
+    return IntMatrix(
+        [[diag[ci] if i == j else base[ci][cj] for j, cj in enumerate(cls)] for i, ci in enumerate(cls)]
+    )
+
+
+K_64_GRAPH = complete_multipartite([17, 16, 14, 9, 4, 3, 1])
+K_64 = seidel_matrix(K_64_GRAPH)
+SEEDED_PERMUTATION = list(range(64))
+random.Random(2019).shuffle(SEEDED_PERMUTATION)
+
+
+def refuse_float_input(mp):
+    # the float path's whole-matrix passes fail the test if they run
+    def refuse(*args):
+        raise AssertionError("float path taken")
+
+    mp.setattr(spectra, "_as_float_rows", refuse)
+    mp.setattr(spectra, "_bitwise_symmetric", refuse)
+
+
+class TestIntegerInput:
+    """An exactly symmetric IntMatrix with entries below 2^53 is solved
+    from its ints, to the bits of the same matrix as floats."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.one_of(k_p_up_to_64(), random_seidel(), int_blow_up()))
+    @example(m=K_64)
+    @example(m=seidel_matrix(K_64_GRAPH.relabel(SEEDED_PERMUTATION)))
+    @example(m=IntMatrix([[2**53 - 1, 2**52], [2**52, 2**53 - 1]]))
+    def test_matches_float_rows(self, m):
+        assert bits(symmetric_eigenvalues(m)) == bits(float_path(m))
+
+    def test_k_p_is_solved_from_its_ints(self, monkeypatch):
+        # the run finder gets the int rows themselves, no n x n float list
+        # is built, and only the core of one row per part is reduced
+        seen = []
+        find, reduce = spectra._run_classes, spectra._tridiagonalize
+
+        def spy_find(rows):
+            seen.append(rows)
+            return find(rows)
+
+        def spy_reduce(a):
+            seen.append(len(a))
+            return reduce(a)
+
+        expected = float_path(K_64)
+        refuse_float_input(monkeypatch)
+        monkeypatch.setattr(spectra, "_run_classes", spy_find)
+        monkeypatch.setattr(spectra, "_tridiagonalize", spy_reduce)
+        assert bits(symmetric_eigenvalues(K_64)) == bits(expected)
+        assert seen[0] is K_64.rows
+        assert seen[1:] == [7]
+
+    def test_twin_free_int_matrix(self, monkeypatch):
+        # a matrix without runs is scaled from its ints too
+        m = IntMatrix([[1, 2, 0], [2, -3, 5], [0, 5, 4]])
+        expected = float_path(m)
+        refuse_float_input(monkeypatch)
+        assert bits(symmetric_eigenvalues(m)) == bits(expected)
+
+    @pytest.mark.parametrize(
+        "rows", [[[10**400]], [[0, 1, 10**400], [1, 0, 1], [10**400, 1, 0]]], ids=["1x1", "3x3"]
+    )
+    def test_beyond_float_range_refused_before_any_work(self, rows, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(spectra, "_run_classes", refuse)
+        monkeypatch.setattr(spectra, "_tridiagonalize", refuse)
+        with pytest.raises(NonFiniteError):
+            symmetric_eigenvalues(IntMatrix(rows))
+
+    def test_asymmetry_beyond_tolerance_refused(self):
+        with pytest.raises(AsymmetryError):
+            symmetric_eigenvalues(IntMatrix([[0, 1], [2, 0]]))
+        with pytest.raises(AsymmetryError):
+            symmetric_eigenvalues(IntMatrix([[0, 10**9], [10**9 + 1, 0]]))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 10**11], [10**11 + 1, 0]],
+            # a run of three twin rows beside an asymmetric pair
+            [[0, 1, 1, 10**11], [1, 0, 1, 10**11], [1, 1, 0, 10**11], [10**11, 10**11, 10**11 + 1, 7]],
+        ],
+        ids=["2x2", "4x4-run"],
+    )
+    def test_asymmetry_within_tolerance_matches_float_rows(self, rows):
+        # 1 <= SYMMETRY_TOL * 10^11: averaged as the float rows are
+        m = IntMatrix(rows)
+        assert bits(symmetric_eigenvalues(m)) == bits(float_path(m))
+
+    @pytest.mark.parametrize(
+        "rows, eigs",
+        [([], []), ([[0]], [0.0]), ([[0] * 3] * 3, [0.0] * 3), ([[5]], [5.0]), ([[-3]], [-3.0])],
+        ids=["order-0", "zero-1", "zero-3", "order-1", "order-1-negative"],
+    )
+    def test_zero_and_small_orders(self, rows, eigs, monkeypatch):
+        m = IntMatrix(rows)
+        expected = float_path(m)
+        refuse_float_input(monkeypatch)
+        got = symmetric_eigenvalues(m)
+        assert bits(got) == bits(eigs) == bits(expected)
+
+    def test_entries_of_2_to_the_53_take_the_float_path(self):
+        # float() rounds 2^53 + 1 to 2^53, so these matrices are solved as
+        # their rounded float rows: the int asymmetry is gone, and columns 0
+        # and 1, which differ in row 2 as ints, become a run with b = -1
+        m = IntMatrix([[0, 2**53], [2**53 + 1, 0]])
+        assert symmetric_eigenvalues(m) == [2.0**53, -(2.0**53)]
+        m = IntMatrix([[0, 1, 2**53], [1, 0, 2**53 + 1], [2**53, 2**53 + 1, 0]])
+        seen = []
+        find = spectra._run_classes
+
+        def spy(rows):
+            seen.append(find(rows))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_run_classes", spy)
+            eigs = symmetric_eigenvalues(m)
+        assert seen == [[(0, 2), (2, 3)]]
+        assert spectra._run_classes(m.rows) == [(0, 1), (1, 2), (2, 3)]
+        assert -1.0 in eigs
+        assert bits(eigs) == bits(float_path(m))
 
 
 class TestRootCounting:
